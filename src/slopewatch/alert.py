@@ -29,9 +29,9 @@ from slopewatch.analytics import (
     InsufficientDataError,
     InvalidSeriesError,
     RainEvent,
+    active_event,
     ar_fit,
     ar_forecast,
-    compute_rainfall_features,
     exceeds_caine,
 )
 
@@ -444,12 +444,35 @@ class AnalysisConfig:
     intensity_window_s: float = 3600.0  # "current intensity" = rain in the last hour
 
 
+_KEY_BY_KIND = {
+    SensorKind.RAIN_GAUGE: "rain",
+    SensorKind.PIEZOMETER: "pore",
+    SensorKind.EXTENSOMETER: "displacement",
+    SensorKind.INCLINOMETER: "inclinometer",
+    SensorKind.TILTMETER: "tiltmeter",
+}
+
+
+def _time(item: tuple[float, float]) -> float:
+    return item[0]
+
+
+def _hour(item: tuple[float, float]) -> int:
+    return int(item[0] // 3600)
+
+
 class AlertEngine:
     """Consumes ingested readings, evaluates, steps the ladder, dispatches.
 
     Evaluation time follows the data: ``now`` is the greatest reading
     timestamp seen so far, which keeps hysteresis well-defined when batches
     arrive late after retransmission.
+
+    State kept between batches makes a batch cost what it changed: each
+    series' forecast is refitted only after an insert into that series, and
+    the hourly rain bins and the rain sampling interval are updated for the
+    samples inserted or evicted. Every value is computed as a from-scratch
+    pass over the window would compute it, so the decisions are identical.
     """
 
     def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig, dispatcher: Dispatcher):
@@ -460,59 +483,104 @@ class AlertEngine:
         self.now = 0.0
         self.timeline: list[tuple[float, AlertLevel]] = []  # ladder transitions
         self.dispatch_log: list[tuple[Notification, list[DispatchResult]]] = []
-        self._rain: list[tuple[float, float]] = []  # (ts, mm)
-        self._series: dict[str, list[tuple[float, float]]] = {
-            "pore": [], "displacement": [], "inclinometer": [], "tiltmeter": [],
-        }
+        # Windows of (ts, value), sorted by time and capped at max_window_samples.
+        self._series: dict[str, list[tuple[float, float]]] = {key: [] for key in _KEY_BY_KIND.values()}
+        self._rain = self._series["rain"]  # (ts, mm)
+        self._forecast: dict[str, float | None] = dict.fromkeys(self._series)
+        self._dirty = set(self._series)  # series whose forecast is out of date
+        self._rain_bins: dict[int, float] = {}  # hour -> mm of the rain samples in it
+        self._rain_gaps: list[float] = []  # sorted positive gaps between neighbouring rain samples
 
     def observe(self, records) -> None:
         """Feed newly stored calibrated readings (duplicates already removed)."""
-        key_by_kind = {
-            SensorKind.PIEZOMETER: "pore",
-            SensorKind.EXTENSOMETER: "displacement",
-            SensorKind.INCLINOMETER: "inclinometer",
-            SensorKind.TILTMETER: "tiltmeter",
-        }
-        cap = self.analysis.max_window_samples
         for rec in records:
-            if rec.sensor is SensorKind.RAIN_GAUGE:
-                self._insert(self._rain, (float(rec.timestamp), rec.value), cap)
-            else:
-                series = self._series[key_by_kind[rec.sensor]]
-                self._insert(series, (float(rec.timestamp), rec.value), cap)
+            key = _KEY_BY_KIND[rec.sensor]
+            self._insert(key, (float(rec.timestamp), rec.value))
+            self._dirty.add(key)
             if rec.timestamp > self.now:
                 self.now = float(rec.timestamp)
 
-    @staticmethod
-    def _insert(series: list, item: tuple[float, float], cap: int) -> None:
+    def _insert(self, key: str, item: tuple[float, float]) -> None:
+        series = self._series[key]
         # Retransmitted batches can arrive out of order; keep series sorted.
         if series and item[0] < series[-1][0]:
-            series.insert(bisect.bisect_right(series, item), item)
+            i = bisect.bisect_right(series, item)
         else:
-            series.append(item)
-        if len(series) > cap:
-            del series[: len(series) - cap]
+            i = len(series)
+        series.insert(i, item)
+        excess = max(0, len(series) - self.analysis.max_window_samples)
+        hours = self._track_rain_gaps(i, excess) if key == "rain" else ()
+        del series[:excess]
+        for hour in hours:
+            self._rebin(hour)
+
+    def _track_rain_gaps(self, i: int, excess: int) -> set[int]:
+        """Update the gap list for the sample just inserted at ``i`` and for
+        evicting the first ``excess`` samples; return the hours to rebin."""
+        rain = self._rain
+        if 0 < i < len(rain) - 1:
+            self._drop_gap(rain[i - 1], rain[i + 1])
+        if i > 0:
+            self._add_gap(rain[i - 1], rain[i])
+        if i < len(rain) - 1:
+            self._add_gap(rain[i], rain[i + 1])
+        for earlier, later in zip(rain[:excess], rain[1 : excess + 1]):
+            self._drop_gap(earlier, later)
+        return {_hour(rain[i])} | {_hour(old) for old in rain[:excess]}
+
+    def _add_gap(self, earlier: tuple[float, float], later: tuple[float, float]) -> None:
+        gap = later[0] - earlier[0]
+        if gap > 0:
+            bisect.insort(self._rain_gaps, gap)
+
+    def _drop_gap(self, earlier: tuple[float, float], later: tuple[float, float]) -> None:
+        gap = later[0] - earlier[0]
+        if gap > 0:
+            del self._rain_gaps[bisect.bisect_left(self._rain_gaps, gap)]
+
+    def _rebin(self, hour: int) -> None:
+        # Re-sum in window order from 0.0, as a rebuild of every bin would.
+        lo = bisect.bisect_left(self._rain, hour, key=_hour)
+        hi = bisect.bisect_right(self._rain, hour, lo, key=_hour)
+        if lo == hi:
+            self._rain_bins.pop(hour, None)
+            return
+        total = 0.0
+        for _, mm in self._rain[lo:hi]:
+            total += mm
+        self._rain_bins[hour] = total
+
+    def _rain_interval(self) -> float:
+        """Median positive gap between rain samples (statistics.median), else 1 h."""
+        gaps = self._rain_gaps
+        n = len(gaps)
+        if n == 0:
+            return 3600.0
+        if n % 2 == 1:
+            return gaps[n // 2]
+        return (gaps[n // 2 - 1] + gaps[n // 2]) / 2
 
     # -- snapshot construction -----------------------------------------------
 
     def _current_snapshot(self) -> ValueSnapshot:
-        dry_gap = self.analysis.dry_gap_h * 3600.0
         intensity = event = None
         if self._rain:
             # Half-open window: hourly accumulation samples cover (t-1h, t],
             # so the sample sitting exactly on the lower edge belongs to the
-            # previous hour.
+            # previous hour. No sample lies after ``now``.
             window = self.analysis.intensity_window_s
-            mm_last_window = sum(mm for t, mm in self._rain if self.now - window < t <= self.now)
+            first = bisect.bisect_right(self._rain, self.now - window, key=_time)
+            mm_last_window = sum(mm for _, mm in self._rain[first:])
             intensity = mm_last_window / (window / 3600.0)
-            feats = compute_rainfall_features(
-                self._rain, self.now, self.analysis.antecedent_lookback_h * 3600.0, dry_gap
+            active = active_event(
+                self._rain, self.now, self.analysis.dry_gap_h * 3600.0, self._rain_interval()
             )
-            if feats.event_duration_h is not None:
+            if active is not None:
+                duration_h = active.duration_h
                 event = RainEvent(
-                    start=self.now - feats.event_duration_h * 3600.0,
+                    start=self.now - duration_h * 3600.0,
                     end=self.now,
-                    total_mm=feats.event_intensity_mm_per_h * feats.event_duration_h,
+                    total_mm=active.mean_intensity_mm_per_h * duration_h,
                 )
         return ValueSnapshot(
             rain_intensity_mm_per_h=intensity,
@@ -528,12 +596,26 @@ class AlertEngine:
         return series[-1][1] if series else None
 
     def _predicted_snapshot(self) -> ValueSnapshot:
+        for key, series in self._series.items():
+            if key not in self._dirty:
+                continue
+            if not series:
+                self._forecast[key] = None
+            elif key == "rain":
+                # Forecast on hourly accumulation bins, which are already mm/h.
+                bins = self._rain_bins
+                hours = range(_hour(series[0]), _hour(series[-1]) + 1)
+                self._forecast[key] = self._forecast_max([bins.get(h, 0.0) for h in hours])
+            else:
+                self._forecast[key] = self._forecast_max([v for _, v in series])
+        self._dirty.clear()
+        forecast = self._forecast
         return ValueSnapshot(
-            rain_intensity_mm_per_h=self._forecast_rain_intensity(),
-            pore_kpa=self._forecast_series("pore"),
-            displacement_mm=self._forecast_series("displacement"),
-            inclinometer_deg=self._forecast_series("inclinometer"),
-            tiltmeter_deg=self._forecast_series("tiltmeter"),
+            rain_intensity_mm_per_h=forecast["rain"],
+            pore_kpa=forecast["pore"],
+            displacement_mm=forecast["displacement"],
+            inclinometer_deg=forecast["inclinometer"],
+            tiltmeter_deg=forecast["tiltmeter"],
         )
 
     def _forecast_max(self, values: list[float]) -> float | None:
@@ -546,30 +628,15 @@ class AlertEngine:
             return None
         return max(steps)
 
-    def _forecast_series(self, key: str) -> float | None:
-        series = self._series[key]
-        if not series:
-            return None
-        return self._forecast_max([v for _, v in series])
-
-    def _forecast_rain_intensity(self) -> float | None:
-        # Forecast on hourly accumulation bins, which are already mm/h.
-        if not self._rain:
-            return None
-        bins: dict[int, float] = {}
-        for t, mm in self._rain:
-            bins[int(t // 3600)] = bins.get(int(t // 3600), 0.0) + mm
-        if not bins:
-            return None
-        lo, hi = min(bins), max(bins)
-        hourly = [bins.get(h, 0.0) for h in range(lo, hi + 1)]
-        return self._forecast_max(hourly)
-
     # -- evaluation ------------------------------------------------------------
 
     def evaluate_batch(self, records) -> list[Notification]:
         """Ingest-side hook: observe new records, evaluate, step, dispatch."""
         self.observe(records)
+        if not self._dirty:
+            # No new data and ``now`` unchanged: the decisions would equal the
+            # previous ones, and stepping the ladder again on them is a no-op.
+            return []
         decisions = evaluate(
             self._current_snapshot(), self._predicted_snapshot(), self.thresholds, self.now
         )

@@ -74,6 +74,11 @@ def _check_ordered(series: list[tuple[float, float]]) -> None:
             raise InvalidSeriesError(f"rain series not time-ordered at t={t2}")
 
 
+def _check_dry_gap(dry_gap: float) -> None:
+    if dry_gap <= 0:
+        raise AnalyticsError(f"dry_gap must be positive, got {dry_gap}")
+
+
 def _infer_interval(series: list[tuple[float, float]]) -> float:
     gaps = [t2 - t1 for (t1, _), (t2, _) in zip(series, series[1:]) if t2 > t1]
     return median(gaps) if gaps else 3600.0
@@ -90,8 +95,7 @@ def segment_events(
     between them reaches ``dry_gap`` seconds. Every nonzero sample lands in
     exactly one event, so event totals sum to the series total.
     """
-    if dry_gap <= 0:
-        raise AnalyticsError(f"dry_gap must be positive, got {dry_gap}")
+    _check_dry_gap(dry_gap)
     _check_ordered(rain)
     wet = [(t, mm) for t, mm in rain if mm > 0]
     if not wet:
@@ -119,6 +123,43 @@ def antecedent_rainfall(rain: list[tuple[float, float]], now: float, lookback: f
     return sum(mm for t, mm in rain if lo <= t <= now)
 
 
+def active_event(
+    rain: list[tuple[float, float]],
+    now: float,
+    dry_gap: float,
+    interval: float,
+) -> RainEvent | None:
+    """The last rain event of a time-ordered series, if it is still active.
+
+    An event is active when less than ``dry_gap`` of dry time has elapsed
+    since its last wet sample. The event is ``segment_events(...)[-1]``,
+    found by walking back from the newest sample, so the cost follows the
+    event's length rather than the series'. The series is not checked for
+    order.
+    """
+    _check_dry_gap(dry_gap)
+    i = len(rain) - 1
+    while i >= 0 and rain[i][1] <= 0:
+        if (now - rain[i][0]) - interval >= dry_gap:
+            return None  # every earlier wet sample is staler still
+        i -= 1
+    if i < 0 or (now - rain[i][0]) - interval >= dry_gap:
+        return None
+    end = later = rain[i][0]
+    first = i
+    for j in range(i - 1, -1, -1):
+        t, mm = rain[j]
+        if mm > 0:
+            if (later - t) - interval >= dry_gap:
+                break
+            first, later = j, t
+    total = 0.0
+    for _, mm in rain[first : i + 1]:
+        if mm > 0:
+            total += mm
+    return RainEvent(start=rain[first][0] - interval, end=end, total_mm=total)
+
+
 def compute_rainfall_features(
     rain: list[tuple[float, float]],
     now: float,
@@ -126,24 +167,15 @@ def compute_rainfall_features(
     dry_gap: float,
     sample_interval: float | None = None,
 ) -> RainfallFeatures:
-    """Window totals plus the active event's (duration, intensity), if any.
-
-    An event is active when less than ``dry_gap`` of dry time has elapsed
-    since its last wet sample.
-    """
-    events = segment_events(rain, dry_gap, sample_interval)
-    duration = intensity = None
-    if events:
-        latest = events[-1]
-        interval = sample_interval if sample_interval is not None else _infer_interval(rain)
-        if (now - latest.end) - interval < dry_gap:
-            duration = latest.duration_h
-            intensity = latest.mean_intensity_mm_per_h
+    """Window totals plus the active event's (duration, intensity), if any."""
+    _check_ordered(rain)
+    interval = sample_interval if sample_interval is not None else _infer_interval(rain)
+    event = active_event(rain, now, dry_gap, interval)
     return RainfallFeatures(
         total_mm=sum(mm for _, mm in rain),
         antecedent_mm=antecedent_rainfall(rain, now, lookback),
-        event_duration_h=duration,
-        event_intensity_mm_per_h=intensity,
+        event_duration_h=event.duration_h if event is not None else None,
+        event_intensity_mm_per_h=event.mean_intensity_mm_per_h if event is not None else None,
     )
 
 

@@ -1,18 +1,32 @@
 """Alert ladder, four-way evaluation, hysteresis and sink tests."""
 
+import bisect
 import itertools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slopewatch.domain import AlertLevel
-from slopewatch.analytics import RainEvent
+from slopewatch import alert as alert_module
+from slopewatch.domain import AlertLevel, CalibratedReading, SensorKind
+from slopewatch.analytics import (
+    InsufficientDataError,
+    InvalidSeriesError,
+    RainEvent,
+    ar_fit,
+    ar_forecast,
+    compute_rainfall_features,
+)
 from slopewatch.alert import (
     AlertDecision,
+    AlertEngine,
     AlertMode,
     AlertState,
+    AnalysisConfig,
     ConsoleSink,
     Dispatcher,
     ExceedanceSet,
@@ -322,3 +336,214 @@ class TestWebhookSink:
         results = dispatcher.dispatch(note())
         assert not results[0].ok
         assert results[1].ok
+
+
+# ---------------------------------------------------------------------------
+# AlertEngine: incremental state against a from-scratch evaluation
+# ---------------------------------------------------------------------------
+
+T0 = 1_270_166_400
+RAIN, PIEZO, EXTENSO, INCLINO, TILT = (
+    SensorKind.RAIN_GAUGE,
+    SensorKind.PIEZOMETER,
+    SensorKind.EXTENSOMETER,
+    SensorKind.INCLINOMETER,
+    SensorKind.TILTMETER,
+)
+
+
+class ListSink:
+    name = "list"
+
+    def __init__(self):
+        self.notes = []
+
+    def send(self, note):
+        self.notes.append(note)
+
+
+class ScratchReference:
+    """Snapshots rebuilt from the whole window on every batch.
+
+    Windows are kept as the engine keeps them (sorted, capped by count);
+    everything derived from them is recomputed through the public analytics
+    functions, with no state carried between batches.
+    """
+
+    def __init__(self, analysis: AnalysisConfig, horizon: int):
+        self.analysis = analysis
+        self.horizon = horizon
+        self.now = 0.0
+        self.windows = {kind: [] for kind in SensorKind}
+
+    def observe(self, records):
+        cap = self.analysis.max_window_samples
+        for rec in records:
+            window = self.windows[rec.sensor]
+            item = (float(rec.timestamp), rec.value)
+            if window and item[0] < window[-1][0]:
+                window.insert(bisect.bisect_right(window, item), item)
+            else:
+                window.append(item)
+            del window[: max(0, len(window) - cap)]
+            self.now = max(self.now, float(rec.timestamp))
+
+    def latest(self, kind):
+        window = self.windows[kind]
+        return window[-1][1] if window else None
+
+    def current(self) -> ValueSnapshot:
+        rain, now = self.windows[RAIN], self.now
+        intensity = event = None
+        if rain:
+            width = self.analysis.intensity_window_s
+            intensity = sum(mm for t, mm in rain if now - width < t <= now) / (width / 3600.0)
+            feats = compute_rainfall_features(
+                rain, now, self.analysis.antecedent_lookback_h * 3600.0,
+                self.analysis.dry_gap_h * 3600.0,
+            )
+            if feats.event_duration_h is not None:
+                d = feats.event_duration_h
+                event = RainEvent(now - d * 3600.0, now, feats.event_intensity_mm_per_h * d)
+        return ValueSnapshot(
+            intensity, self.latest(PIEZO), self.latest(EXTENSO), self.latest(INCLINO),
+            self.latest(TILT), event,
+        )
+
+    def forecast(self, values):
+        try:
+            model = ar_fit(values, self.analysis.ar_order)
+            return max(ar_forecast(model, values, self.horizon))
+        except (InsufficientDataError, InvalidSeriesError):
+            return None
+
+    def forecast_window(self, kind):
+        window = self.windows[kind]
+        return self.forecast([v for _, v in window]) if window else None
+
+    def predicted(self) -> ValueSnapshot:
+        rain_forecast = None
+        if self.windows[RAIN]:
+            bins = {}
+            for t, mm in self.windows[RAIN]:
+                bins[int(t // 3600)] = bins.get(int(t // 3600), 0.0) + mm
+            rain_forecast = self.forecast([bins.get(h, 0.0) for h in range(min(bins), max(bins) + 1)])
+        return ValueSnapshot(
+            rain_forecast, self.forecast_window(PIEZO), self.forecast_window(EXTENSO),
+            self.forecast_window(INCLINO), self.forecast_window(TILT),
+        )
+
+
+def evaluate_spied(engine: AlertEngine, batch) -> list[tuple[ValueSnapshot, ValueSnapshot]]:
+    """Run one batch, returning the (current, predicted) snapshots it evaluated."""
+    seen = []
+
+    def spy(snapshot, predicted, th, now):
+        seen.append((snapshot, predicted))
+        return evaluate(snapshot, predicted, th, now)
+
+    with mock.patch.object(alert_module, "evaluate", spy):
+        engine.evaluate_batch(batch)
+    return seen
+
+
+# One stream step: (sensor, how time moves, seconds, value). "step" advances
+# the clock by 600-5400 s, "gap" by several hours, "same" repeats the latest
+# timestamp and "back" goes into the past without moving the clock.
+_STEPS = st.tuples(
+    st.sampled_from([RAIN] * 5 + [PIEZO, EXTENSO, INCLINO, TILT]),
+    st.sampled_from(["step"] * 6 + ["gap", "same", "back", "back"]),
+    st.integers(600, 5400),
+    st.one_of(
+        st.sampled_from([0.0, 0.0, 0.2, 0.4, 1.0, 3.0, 8.6, 42.0]),
+        st.floats(-20.0, 120.0, allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+def build_stream(steps) -> list[CalibratedReading]:
+    clock, records = T0, []
+    for seq, (kind, move, seconds, value) in enumerate(steps):
+        if move == "step":
+            clock += seconds
+        elif move == "gap":
+            clock += seconds * 8
+        ts = clock - seconds * 2 if move == "back" else clock
+        if kind is RAIN:
+            value = abs(value) % 12.0
+        records.append(CalibratedReading(node_id=1, timestamp=ts, sensor=kind, value=value, seq=seq))
+    return records
+
+
+def assert_matches_reference(records, analysis: AnalysisConfig, batch_sizes) -> None:
+    """After every batch, the engine evaluated exactly the from-scratch snapshots."""
+    engine = AlertEngine(TH, analysis, Dispatcher([ListSink()]))
+    reference = ScratchReference(analysis, TH.prediction_horizon)
+    i = 0
+    for size in itertools.cycle(batch_sizes):
+        if i >= len(records):
+            break
+        batch = records[i : i + size]
+        i += size
+        seen = evaluate_spied(engine, batch)
+        reference.observe(batch)
+        assert seen == [(reference.current(), reference.predicted())]
+
+
+class TestIncrementalEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(_STEPS, min_size=1, max_size=160),
+        batch_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        cap=st.sampled_from([8, 16, 512]),
+        dry_gap_h=st.sampled_from([1.0, 6.0]),
+        ar_order=st.sampled_from([1, 2]),
+    )
+    def test_snapshots_equal_a_from_scratch_evaluation(self, steps, batch_sizes, cap, dry_gap_h, ar_order):
+        analysis = AnalysisConfig(dry_gap_h=dry_gap_h, ar_order=ar_order, max_window_samples=cap)
+        assert_matches_reference(build_stream(steps), analysis, batch_sizes)
+
+    @pytest.mark.parametrize("offsets", [(0, 1800), (0, 0, 2400), (3599, 3600)])
+    def test_eviction_inside_an_hour_rebins_it(self, offsets):
+        # Several samples per hour in a window that evicts one at a time: the
+        # oldest hour keeps a partial bin, which the rain forecast reads.
+        records = [
+            CalibratedReading(1, T0 + 3600 * hour + off, RAIN, 0.5 + hour % 3 + 0.25 * j, 0)
+            for hour in range(12) for j, off in enumerate(offsets)
+        ]
+        analysis = AnalysisConfig(ar_order=1, max_window_samples=8)
+        assert_matches_reference(records, analysis, [1])
+
+
+class TestBatchWithoutNewData:
+    def storm_engine(self):
+        sink = ListSink()
+        engine = AlertEngine(TH, AnalysisConfig(), Dispatcher([sink]))
+        batch = [CalibratedReading(1, T0 + 3600 * k, RAIN, 6.0, k) for k in range(1, 4)]
+        engine.evaluate_batch(batch)
+        assert engine.state.active_level is Y and len(sink.notes) == 1
+        return engine, sink
+
+    def test_all_duplicate_batch_skips_analytics(self):
+        engine, sink = self.storm_engine()
+        state, timeline = engine.state, list(engine.timeline)
+        assert evaluate_spied(engine, []) == []
+        assert engine.evaluate_batch([]) == []
+        assert engine.state == state and engine.timeline == timeline
+        assert len(sink.notes) == 1
+
+    def test_first_batch_is_evaluated_even_without_records(self):
+        engine = AlertEngine(TH, AnalysisConfig(), Dispatcher([ListSink()]))
+        assert evaluate_spied(engine, []) == [(ValueSnapshot(), ValueSnapshot())]
+
+    @pytest.mark.parametrize("hold", [0.0, 1800.0])
+    def test_identical_decisions_twice_change_nothing(self, hold):
+        """Why skipping is safe: the ladder is idempotent on repeated decisions at one ``now``."""
+        for active, below_since, candidate in itertools.product(
+            (G, Y, O, R), (None, 50.0, 900.0), (G, Y, O, R)
+        ):
+            start = AlertState(active_level=active, since=10.0, below_since=below_since)
+            decisions = decisions_at(candidate, now=1000.0)
+            once, _ = step_alert_state(start, decisions, 1000.0, hold)
+            twice, notes = step_alert_state(once, decisions, 1000.0, hold)
+            assert twice == once and notes == [], (active, below_since, candidate)

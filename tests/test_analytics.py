@@ -19,6 +19,7 @@ from slopewatch.analytics import (
     InsufficientDataError,
     InvalidSeriesError,
     RainEvent,
+    active_event,
     antecedent_rainfall,
     ar_fit,
     ar_forecast,
@@ -161,6 +162,46 @@ class TestRainfallFeatures:
         series = hourly([3.0] + [0] * 10)
         feats = compute_rainfall_features(series, now=11 * H, lookback=24 * H, dry_gap=6 * H)
         assert feats.event_duration_h is None
+
+
+class TestActiveEvent:
+    def test_no_wet_sample(self):
+        assert active_event([], now=H, dry_gap=6 * H, interval=H) is None
+        assert active_event(hourly([0, 0, 0]), now=3 * H, dry_gap=6 * H, interval=H) is None
+
+    def test_dry_span_at_dry_gap_splits(self):
+        # Wet at 1 h and 8 h: the span between them is 8 - 1 - 1 = 6 h dry.
+        series = hourly([2.0] + [0] * 6 + [3.0])
+        assert active_event(series, now=8 * H, dry_gap=6 * H, interval=H) == RainEvent(7 * H, 8 * H, 3.0)
+
+    def test_dry_span_just_under_dry_gap_merges(self):
+        series = hourly([2.0] + [0] * 5 + [3.0])
+        assert active_event(series, now=7 * H, dry_gap=6 * H, interval=H) == RainEvent(0.0, 7 * H, 5.0)
+
+    def test_event_older_than_dry_gap_is_inactive(self):
+        series = hourly([3.0, 1.0] + [0] * 7)
+        assert active_event(series, now=8 * H, dry_gap=6 * H, interval=H) == RainEvent(0.0, 2 * H, 4.0)
+        assert active_event(series, now=9 * H, dry_gap=6 * H, interval=H) is None
+
+    def test_non_positive_dry_gap_rejected(self):
+        with pytest.raises(AnalyticsError):
+            active_event(hourly([1.0]), now=H, dry_gap=0.0, interval=H)
+
+    def test_agrees_with_segment_events_on_random_series(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            t, series = 0.0, []
+            for _ in range(rng.randint(0, 40)):
+                t += rng.choice([0.0, 600.0, 3600.0, 3600.0, 7200.0, 5 * H])
+                series.append((t, rng.choice([0.0, 0.0, 0.0, 0.5, 2.0, 7.25])))
+            now = t + rng.choice([0.0, 1800.0, 4 * H, 8 * H])
+            dry_gap = rng.choice([1 * H, 3 * H, 6 * H])
+            interval = rng.choice([600.0, 3600.0])
+            events = segment_events(series, dry_gap, interval)
+            expected = None
+            if events and (now - events[-1].end) - interval < dry_gap:
+                expected = events[-1]
+            assert active_event(series, now, dry_gap, interval) == expected
 
 
 def generate_ar2(n=200, phi=(0.6, -0.2), c=1.0, seed=42):

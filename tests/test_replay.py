@@ -1,11 +1,15 @@
 """End-to-end simulated replays: liveness, determinism, safety, durability."""
 
 import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
 
 from slopewatch.alert import AnalysisConfig, Thresholds
-from slopewatch.config import Config
+from slopewatch.config import Config, load_config
 from slopewatch.domain import CalibrationConstants, SensorKind
-from slopewatch.nodesim import Scenario, ScenarioStep
+from slopewatch.nodesim import Scenario, ScenarioStep, load_scenario, resolve_scenario
 from slopewatch.session import LinkConfig, NodePhase
 from slopewatch.replay import SimReplay
 
@@ -178,3 +182,53 @@ class TestServerRestart:
         assert summary.records_stored == summary.readings_generated
         assert len(final_keys) == summary.readings_generated
         assert len(final) == len(final_keys)
+
+
+DEMO = Path(__file__).resolve().parent.parent / "config" / "demo.ini"
+
+# sha256 of the console output and of each store file of the bundled storms
+# under the demo config. The link seed changes drops and retransmissions but
+# none of these.
+OUTPUT_DIGESTS = {
+    "seven_day_rain": {
+        "console": "4f5f7b00ecaaca8a68f2068c97a5d38cd234ce2aa38b03d353b06af0c9c4da78",
+        "readings.csv": "fbb0e4ead168f446a74491c6f6b25709d884101f099decf7333d742a63728243",
+        "alerts.ndjson": "24385686338770dfe6e3a2c1d1ecb3ad574bc9fb8dc93162561eea2249fdca36",
+        "sms_outbox.txt": "507ce4dbbe8d807398101ff2c68952e703924b65e8013669e1222456ce90acfb",
+    },
+    "three_day_rain": {
+        "console": "059ae6ed9d393d115242b95183726e8e8caa65057ddd49bfbe94aff2450d026d",
+        "readings.csv": "5a7d31c8ea632928a32b17616be3bbbfba3cfd6b6c12185d18004ae05dfe4870",
+        "alerts.ndjson": "8b242ebbc24d62b3d62ad1aab4bf9dd4ff8273c381031503d838326624cd5c40",
+        "sms_outbox.txt": "31042b8295d2545f7e43e914c6db88efa156afd42b9fffc2442d1415cfe17412",
+    },
+}
+
+# sha256 of ReplaySummary.format(), per (scenario, link seed).
+SUMMARY_DIGESTS = {
+    ("seven_day_rain", 7): "ecd3e1208906ba830d254de8266b3aa19e05a6dbc676638a457829c524a626b4",
+    ("seven_day_rain", 17): "0a82e0e10cebbe84e6d0dfd94f53a505fff586304cc68d1a6a07ec9c5d18dcf6",
+    ("seven_day_rain", 44): "9f1b7e0dd3aec5543cdfe41b522fbe45bada5292bbff0fba25088df164eb0ada",
+    ("three_day_rain", 7): "ad4478710be044ec9bf02e32bc1062137bc9300930cf07e379003e5bd332ccad",
+    ("three_day_rain", 17): "4f8a1978870753f45bb36caa4ba9a9886500a614ff7db2b675ae3910ba1918e3",
+    ("three_day_rain", 44): "3f366fafa69a51091ea96c2cce3208f0cc0d5e45d3514da0274f1585dac11a99",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenReplays:
+    """Decisions, notifications and the store stay byte-identical for fixed seeds."""
+
+    @pytest.mark.parametrize("scenario, seed", sorted(SUMMARY_DIGESTS))
+    def test_outputs_match_recorded_digests(self, scenario, seed, tmp_path, capsys):
+        store = tmp_path / "store"
+        sim = SimReplay(load_scenario(resolve_scenario(scenario)), load_config(DEMO), str(store), seed=seed)
+        summary = sim.run()
+        digests = {"console": sha256(capsys.readouterr().out.encode())}
+        for name in ("readings.csv", "alerts.ndjson", "sms_outbox.txt"):
+            digests[name] = sha256((store / name).read_bytes())
+        assert digests == OUTPUT_DIGESTS[scenario]
+        assert sha256(summary.format().encode()) == SUMMARY_DIGESTS[(scenario, seed)]
