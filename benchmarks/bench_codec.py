@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the CRC kernels (compiled vs pure Python) and the frame codec.
+"""Benchmark the CRC and the frame codec.
 
 Usage: python benchmarks/bench_codec.py [--seconds 0.5]
 """
@@ -8,13 +8,7 @@ import argparse
 import random
 import time
 
-from slopewatch.wire import CRC_BACKEND, Frame, MessageType, decode_frame, encode_frame
-from slopewatch.wire import _crc_py
-
-try:
-    from slopewatch.wire import _crc_cy
-except ImportError:
-    _crc_cy = None
+from slopewatch.wire import Frame, MessageType, crc16, decode_frame, encode_frame
 
 
 def throughput(fn, payload: bytes, seconds: float) -> float:
@@ -47,32 +41,16 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = random.Random(1)
-    sizes = (64, 1024, 65535)
-    kernels = [("pure", _crc_py.crc16)]
-    if _crc_cy is not None:
-        kernels.append(("compiled", _crc_cy.crc16))
-
-    print(f"active backend: {CRC_BACKEND}\n")
-    print(f"{'payload':>8}  " + "  ".join(f"{name:>14}" for name, _ in kernels) + "  speedup")
-    rates = {}
-    for size in sizes:
-        payload = rng.randbytes(size)
-        row = []
-        for name, fn in kernels:
-            rate = throughput(fn, payload, args.seconds)
-            rates[(name, size)] = rate
-            row.append(f"{rate / 1e6:>9.1f} MB/s")
-        speedup = ""
-        if _crc_cy is not None:
-            speedup = f"{rates[('compiled', size)] / rates[('pure', size)]:>6.1f}x"
-        print(f"{size:>7}B  " + "  ".join(row) + f"  {speedup}")
+    print(f"{'payload':>8}  {'crc16':>14}")
+    for size in (64, 1024, 65535):
+        rate = throughput(crc16, rng.randbytes(size), args.seconds)
+        print(f"{size:>7}B  {rate / 1e6:>9.1f} MB/s")
 
     frames = [
         encode_frame(Frame(MessageType.SEND_DATA, rng.randbytes(rng.randrange(10, 60))))
         for _ in range(256)
     ]
-    print(f"\nframe decode ({CRC_BACKEND} backend): "
-          f"{frames_per_second(frames, args.seconds):,.0f} frames/s")
+    print(f"\nframe decode: {frames_per_second(frames, args.seconds):,.0f} frames/s")
 
 
 if __name__ == "__main__":

@@ -443,6 +443,15 @@ class AnalysisConfig:
     max_window_samples: int = 512
     intensity_window_s: float = 3600.0  # "current intensity" = rain in the last hour
 
+    def __post_init__(self) -> None:
+        if self.ar_order < 1:
+            raise ValueError(f"ar_order must be >= 1, got {self.ar_order}")
+        for name in ("dry_gap_h", "antecedent_lookback_h", "intensity_window_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_window_samples < 1:
+            raise ValueError(f"max_window_samples must be >= 1, got {self.max_window_samples}")
+
 
 _KEY_BY_KIND = {
     SensorKind.RAIN_GAUGE: "rain",

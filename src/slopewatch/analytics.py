@@ -7,6 +7,7 @@ alert engine's "predicted" pathway.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import median
 
@@ -254,14 +255,14 @@ def ar_fit(series: list[float], order: int) -> ARModel:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise InvalidSeriesError("series must be one-dimensional")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidSeriesError("series contains non-finite values")
     n = x.size
     if n < 2 * order + 2:
         raise InsufficientDataError(
             f"AR({order}) needs at least {2 * order + 2} samples, got {n}"
         )
-    mean = x.mean()
+    mean = x.sum() / n
     xc = x - mean
     rows = n - order
     design = np.ones((rows, order + 1))
@@ -270,10 +271,10 @@ def ar_fit(series: list[float], order: int) -> ARModel:
     target = xc[order:]
     beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     centered_intercept = float(beta[0])
-    coeffs = tuple(float(b) for b in beta[1:])
+    coeffs = tuple(beta[1:].tolist())
     intercept = float(mean * (1.0 - sum(coeffs)) + centered_intercept)
     residuals = design @ beta - target
-    rms = float(np.sqrt(np.mean(residuals**2))) if rows else 0.0
+    rms = math.sqrt(np.square(residuals).sum() / rows)
     return ARModel(order=order, coefficients=coeffs, intercept=intercept, fit_residual_rms=rms)
 
 
@@ -285,15 +286,20 @@ def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[floa
         raise InsufficientDataError(
             f"AR({model.order}) forecast needs {model.order} history samples, got {len(history)}"
         )
+    coefficients = model.coefficients
+    intercept = model.intercept
+    # Predictions are appended, never trimmed, so window[-lag] is the lag-th
+    # newest value. The terms are added from int 0 in lag order, the rounding
+    # the recorded alert decisions were made with.
     window = list(history[-model.order :])
     out: list[float] = []
     for _ in range(horizon):
-        nxt = model.intercept + sum(
-            phi * window[-lag] for lag, phi in enumerate(model.coefficients, start=1)
-        )
+        acc = 0
+        for lag, phi in enumerate(coefficients, start=1):
+            acc += phi * window[-lag]
+        nxt = intercept + acc
         out.append(nxt)
         window.append(nxt)
-        window = window[-model.order :]
     return out
 
 

@@ -119,6 +119,7 @@ def cmd_server(args) -> int:
 def _run_replay(cfg, scenario_arg, store, *, seed, speedup, node_id, force_disconnects,
                 trace_path=None) -> int:
     from slopewatch.replay import SimReplay
+    from slopewatch.session import TraceLog
 
     scenario = load_scenario(resolve_scenario(scenario_arg))
     offsets = tuple(
@@ -132,6 +133,7 @@ def _run_replay(cfg, scenario_arg, store, *, seed, speedup, node_id, force_disco
         node_id=node_id,
         speedup=speedup,
         force_disconnect_at=offsets,
+        trace=TraceLog() if trace_path else None,
     )
     summary = sim.run()
     if trace_path:

@@ -118,6 +118,9 @@ class SimReplay:
         self.start_ts = start_ts
         self.speedup = speedup
         self.timing = timing or SessionTiming(heartbeat_interval=1800.0)
+        # Records go to a trace only when the caller passes one; sim.trace is
+        # that log, or else an empty one that stays empty.
+        self._trace = trace
         self.trace = trace if trace is not None else TraceLog()
         self.now = float(start_ts)
         self._queue: list[tuple[float, int, object]] = []
@@ -127,6 +130,10 @@ class SimReplay:
         self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=start_ts)
         self.node = NodeState(node_id=node_id)
         self._node_timer_gen = 0
+        self._node_phase: NodePhase | None = None
+        self._saw_backoff = False
+        self.reconnect_attempts = 0
+        self.recoveries = 0
 
         self._sinks = sinks if sinks is not None else build_sinks(config, store_dir)
         self.server = self._make_server()
@@ -138,7 +145,7 @@ class SimReplay:
     def _make_server(self) -> ServerEngine:
         repo = Repository(self.store_dir)
         engine = AlertEngine(self.config.thresholds, self.config.analysis, Dispatcher(self._sinks))
-        return ServerEngine(repo, self.config.calibration, engine, trace=self.trace)
+        return ServerEngine(repo, self.config.calibration, engine, trace=self._trace)
 
     # -- event queue -------------------------------------------------------------
 
@@ -151,7 +158,9 @@ class SimReplay:
     def _node_event(self, event) -> None:
         state, actions = node_step(self.node, event, self.now, self.timing)
         self.node = state
-        self.trace.record(self.now, "node", state.node_id, state.phase.value, event, actions)
+        if self._trace is not None:
+            self._trace.record(self.now, "node", state.node_id, state.phase.value, event, actions)
+        self._observe_phase(state.phase)
         for action in actions:
             if isinstance(action, SendFrame):
                 self._transmit_from_node(action)
@@ -159,6 +168,20 @@ class SimReplay:
                 self._set_node_timer(action.delay)
             elif isinstance(action, LogWarning):
                 logger.warning(action.message)
+
+    def _observe_phase(self, phase: NodePhase) -> None:
+        """Count phase changes: a reconnect attempt is Backoff -> Connecting,
+        a recovery is the first Streaming after any Backoff."""
+        if phase is self._node_phase:
+            return
+        if self._node_phase is NodePhase.BACKOFF and phase is NodePhase.CONNECTING:
+            self.reconnect_attempts += 1
+        if phase is NodePhase.BACKOFF:
+            self._saw_backoff = True
+        elif phase is NodePhase.STREAMING and self._saw_backoff:
+            self.recoveries += 1
+            self._saw_backoff = False
+        self._node_phase = phase
 
     def _set_node_timer(self, delay: float) -> None:
         self._node_timer_gen += 1
@@ -280,19 +303,6 @@ class SimReplay:
         return self._summary()
 
     def _summary(self) -> ReplaySummary:
-        phases = self.trace.phases("node")
-        reconnects = sum(
-            1 for a, b in zip(phases, phases[1:])
-            if a == NodePhase.BACKOFF.value and b == NodePhase.CONNECTING.value
-        )
-        recoveries = 0
-        saw_backoff = False
-        for p in phases:
-            if p == NodePhase.BACKOFF.value:
-                saw_backoff = True
-            elif p == NodePhase.STREAMING.value and saw_backoff:
-                recoveries += 1
-                saw_backoff = False
         timeline = [(0.0, "GREEN")] + [
             (ts - self.start_ts, level.name) for ts, level in self.server.alert_engine.timeline
         ]
@@ -311,8 +321,8 @@ class SimReplay:
             frames_offered=self.link.frames_offered,
             frames_dropped=self.link.frames_dropped,
             severs=self.link.severs,
-            reconnect_attempts=reconnects,
-            recoveries=recoveries,
+            reconnect_attempts=self.reconnect_attempts,
+            recoveries=self.recoveries,
             rain_events=rain_events,
             alert_timeline=timeline,
         )

@@ -1,12 +1,14 @@
-"""CRC backend selection: compiled extension if built, pure Python otherwise."""
+"""CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no input/output reflection,
+no final xor. Check value: crc16(b"123456789") == 0x29B1.
 
-try:
-    from slopewatch.wire._crc_cy import crc16
+The standard library's ``binascii.crc_hqx`` is this CRC, computed in C.
+"""
 
-    CRC_BACKEND = "compiled"
-except ImportError:  # extension not built on this install
-    from slopewatch.wire._crc_py import crc16
+from binascii import crc_hqx
 
-    CRC_BACKEND = "pure"
+__all__ = ["crc16"]
 
-__all__ = ["crc16", "CRC_BACKEND"]
+
+def crc16(data: bytes, crc: int = 0xFFFF) -> int:
+    """CRC-16/CCITT-FALSE of ``data`` (bytes-like), continuing from ``crc``."""
+    return crc_hqx(data, crc)

@@ -2,7 +2,8 @@
 
 Expected values come from independent oracles: mpmath at 50 digits for the
 intensity-duration curve, explicit normal equations and the continued
-generating recurrence for the AR fits.
+generating recurrence for the AR fits. The AR kernel is also held to
+bit-identity with its earlier, straightforward numpy formulation.
 """
 
 import random
@@ -10,6 +11,8 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopewatch.analytics import (
     ARModel,
@@ -290,3 +293,128 @@ class TestArForecast:
         series = generate_ar2(seed=9)
         predictor.fit(series)
         assert predictor.forecast(series, 3) == ar_forecast(predictor.model, series, 3)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of the AR kernel with its earlier formulation
+# ---------------------------------------------------------------------------
+
+
+def oracle_ar_fit(series: list[float], order: int) -> ARModel:
+    """The earlier ``ar_fit``, verbatim: alert decisions were recorded with it."""
+    if order < 1:
+        raise AnalyticsError(f"order must be >= 1, got {order}")
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise InvalidSeriesError("series must be one-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise InvalidSeriesError("series contains non-finite values")
+    n = x.size
+    if n < 2 * order + 2:
+        raise InsufficientDataError(
+            f"AR({order}) needs at least {2 * order + 2} samples, got {n}"
+        )
+    mean = x.mean()
+    xc = x - mean
+    rows = n - order
+    design = np.ones((rows, order + 1))
+    for lag in range(1, order + 1):
+        design[:, lag] = xc[order - lag : n - lag]
+    target = xc[order:]
+    beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+    centered_intercept = float(beta[0])
+    coeffs = tuple(float(b) for b in beta[1:])
+    intercept = float(mean * (1.0 - sum(coeffs)) + centered_intercept)
+    residuals = design @ beta - target
+    rms = float(np.sqrt(np.mean(residuals**2))) if rows else 0.0
+    return ARModel(order=order, coefficients=coeffs, intercept=intercept, fit_residual_rms=rms)
+
+
+def oracle_ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[float]:
+    """The earlier ``ar_forecast``, verbatim.
+
+    Its ``sum()`` adds left to right on Python 3.11; from 3.12 on, ``sum()``
+    of floats is compensated, and AR(3) forecasts may then differ in the
+    last bit from the plain loop in ``ar_forecast``.
+    """
+    if horizon < 1:
+        raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
+    if len(history) < model.order:
+        raise InsufficientDataError(
+            f"AR({model.order}) forecast needs {model.order} history samples, got {len(history)}"
+        )
+    window = list(history[-model.order :])
+    out: list[float] = []
+    for _ in range(horizon):
+        nxt = model.intercept + sum(
+            phi * window[-lag] for lag, phi in enumerate(model.coefficients, start=1)
+        )
+        out.append(nxt)
+        window.append(nxt)
+        window = window[-model.order :]
+    return out
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except AnalyticsError as exc:
+        return type(exc)
+
+
+def make_series(shape: str, n: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    level = rng.choice([0.0, 1.0, -3.5, 60.0, 1e6 * rng.random(), rng.gauss(0, 100)])
+    if shape == "constant":
+        return [level] * n
+    if shape == "two-valued":
+        other = level + rng.choice([1.0, 1e-3, 2.0 ** -40, rng.gauss(0, 10)])
+        return [rng.choice((level, other)) for _ in range(n)]
+    if shape == "near-constant":
+        return [level + rng.uniform(-1e-12, 1e-12) for _ in range(n)]
+    return [rng.gauss(level, rng.choice([1e-6, 1.0, 50.0])) for _ in range(n)]
+
+
+SERIES_SHAPES = ("constant", "two-valued", "near-constant", "gaussian")
+
+
+@st.composite
+def ar_cases(draw):
+    order = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * order + 1, 600))
+    shape = draw(st.sampled_from(SERIES_SHAPES))
+    return make_series(shape, n, draw(st.integers(0, 2**32 - 1))), order
+
+
+class TestArKernelMatchesEarlierFormulation:
+    @settings(max_examples=400, deadline=None)
+    @given(case=ar_cases(), horizon=st.integers(1, 8))
+    def test_fit_and_forecast_bit_identical(self, case, horizon):
+        series, order = case
+        model = outcome(ar_fit, series, order)
+        assert model == outcome(oracle_ar_fit, series, order)
+        if not isinstance(model, ARModel):
+            assert len(series) < 2 * order + 2
+            return
+        numbers = [*model.coefficients, model.intercept, model.fit_residual_rms]
+        assert all(type(v) is float for v in numbers)
+        forecast = ar_forecast(model, series, horizon)
+        assert forecast == oracle_ar_forecast(model, series, horizon)
+        assert all(type(v) is float for v in forecast)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_same_error_on_non_finite_input(self, order, bad):
+        for n in (2 * order + 1, 2 * order + 2, 50):
+            series = make_series("gaussian", n, seed=n)
+            series[n // 2] = bad
+            assert outcome(ar_fit, series, order) is InvalidSeriesError
+            assert outcome(oracle_ar_fit, series, order) is InvalidSeriesError
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_same_error_on_short_input(self, order):
+        for n in range(2 * order + 2):
+            series = make_series("gaussian", n, seed=n)
+            assert outcome(ar_fit, series, order) is outcome(oracle_ar_fit, series, order)
+            assert outcome(ar_fit, series, order) in (InsufficientDataError, AnalyticsError)

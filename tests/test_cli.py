@@ -57,6 +57,26 @@ def test_missing_threshold_keys_exit_two(tmp_path, capsys):
     assert "mt_pore_kpa" in err and "ar_order" in err
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("ar_order = 2", "ar_order = 0"),
+        ("dry_gap_h = 6.0", "dry_gap_h = 0"),
+        ("antecedent_lookback_h = 72.0", "antecedent_lookback_h = 0"),
+    ],
+)
+def test_invalid_analysis_setting_exits_two(line, bad, tmp_path, capsys):
+    text = Path(DEMO).read_text()
+    assert line in text
+    edited = tmp_path / "demo.ini"
+    edited.write_text(text.replace(line, bad))
+    code, out, err = run_cli(["replay", "--config", str(edited), "--scenario", "three_day_rain",
+                              "--store", str(tmp_path / "s")], capsys)
+    assert code == EXIT_CONFIG
+    assert bad.split()[0] in err
+    assert out == ""
+
+
 def test_missing_scenario_exit_two(tmp_path, capsys):
     code, _, err = run_cli(["replay", "--config", DEMO, "--scenario", "nope",
                             "--store", str(tmp_path / "s")], capsys)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from slopewatch.alert import AnalysisConfig
 from slopewatch.config import ConfigError, build_sinks, load_config, resolve_config_path
 from slopewatch.domain import SensorKind
 
@@ -79,6 +80,32 @@ class TestLoadConfig:
         body = MINIMAL + "[calibration]\nrain_gauge_gain = 0\nrain_gauge_offset = 0\n"
         with pytest.raises(ConfigError, match="gain"):
             load_config(write_config(tmp_path, body))
+
+
+class TestAnalysisSettings:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("ar_order", "0"), ("ar_order", "-1"), ("dry_gap_h", "0"), ("dry_gap_h", "-6"),
+         ("antecedent_lookback_h", "0"), ("antecedent_lookback_h", "-1")],
+    )
+    def test_ini_value_out_of_range_is_config_error(self, tmp_path, key, value):
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in MINIMAL.splitlines()]
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ar_order", 0), ("dry_gap_h", 0.0), ("antecedent_lookback_h", 0.0),
+         ("max_window_samples", 0), ("intensity_window_s", 0.0), ("intensity_window_s", -1.0)],
+    )
+    def test_field_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AnalysisConfig(**{field: value})
+
+    def test_smallest_valid_values_accepted(self):
+        AnalysisConfig(dry_gap_h=1e-9, antecedent_lookback_h=1e-9, ar_order=1,
+                       max_window_samples=1, intensity_window_s=1e-9)
 
 
 class TestResolveConfigPath:

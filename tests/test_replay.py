@@ -5,12 +5,14 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopewatch.alert import AnalysisConfig, Thresholds
 from slopewatch.config import Config, load_config
 from slopewatch.domain import CalibrationConstants, SensorKind
 from slopewatch.nodesim import Scenario, ScenarioStep, load_scenario, resolve_scenario
-from slopewatch.session import LinkConfig, NodePhase
+from slopewatch.session import LinkConfig, NodePhase, TraceLog
 from slopewatch.replay import SimReplay
 
 CALIBRATION = {
@@ -129,10 +131,12 @@ class TestForcedDisconnects:
             tmp_path / "s",
             seed=4,
             force_disconnect_at=(scenario.duration / 3, 2 * scenario.duration / 3),
+            trace=TraceLog(),
         )
         assert summary.severs >= 2
         assert summary.recoveries >= 1
         assert summary.records_stored == summary.readings_generated
+        assert sim.trace.records
         phases = sim.trace.phases("node")
         assert "Backoff" in phases
         backoff_idx = phases.index("Backoff")
@@ -147,17 +151,94 @@ class TestForcedDisconnects:
             tmp_path / "s",
             seed=9,
             force_disconnect_at=(scenario.duration / 2,),
+            trace=TraceLog(),
         )
+        assert sim.trace.records
         for rec in sim.trace.records:
             if rec.side == "node" and rec.action.startswith("SendFrame(SEND_DATA"):
                 assert rec.state == NodePhase.STREAMING.value
 
     def test_acks_only_answer_received_batches(self, tmp_path):
         scenario = flat_scenario(20)
-        sim, _ = run(scenario, LinkConfig(drop_probability=0.2), tmp_path / "s", seed=13)
+        sim, _ = run(scenario, LinkConfig(drop_probability=0.2), tmp_path / "s", seed=13,
+                     trace=TraceLog())
+        assert sim.trace.records
         for rec in sim.trace.records:
             if rec.side == "server" and "DATA_ACK" in rec.action:
                 assert rec.event.startswith("SendDataReceived")
+
+
+def counts_from_phases(phases: list[str]) -> tuple[int, int]:
+    """Reconnect attempts and recoveries, read off a node's phase sequence."""
+    reconnects = sum(
+        1 for a, b in zip(phases, phases[1:])
+        if a == NodePhase.BACKOFF.value and b == NodePhase.CONNECTING.value
+    )
+    recoveries = 0
+    saw_backoff = False
+    for p in phases:
+        if p == NodePhase.BACKOFF.value:
+            saw_backoff = True
+        elif p == NodePhase.STREAMING.value and saw_backoff:
+            recoveries += 1
+            saw_backoff = False
+    return reconnects, recoveries
+
+
+def store_files(store: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(store.iterdir()) if p.is_file()}
+
+
+class TestTraceOnRequest:
+    """A trace is recorded only when asked for, and asking changes no output."""
+
+    def assert_same_run(self, make_sim, tmp_path, capsys):
+        plain = make_sim(tmp_path / "plain", None)
+        plain_summary = plain.run()
+        plain_out = capsys.readouterr().out
+        traced = make_sim(tmp_path / "traced", TraceLog())
+        traced_summary = traced.run()
+        assert capsys.readouterr().out == plain_out
+        assert dataclasses.asdict(traced_summary) == dataclasses.asdict(plain_summary)
+        assert store_files(tmp_path / "traced") == store_files(tmp_path / "plain")
+        assert plain.trace.records == []
+        assert traced.trace.records
+        assert counts_from_phases(traced.trace.phases("node")) == (
+            traced_summary.reconnect_attempts, traced_summary.recoveries
+        )
+        return traced_summary
+
+    @pytest.mark.parametrize("seed", [7, 17, 44])
+    def test_storm_replay_unchanged_by_trace(self, seed, tmp_path, capsys):
+        scenario = load_scenario(resolve_scenario("seven_day_rain"))
+        config = load_config(DEMO)
+        self.assert_same_run(
+            lambda store, trace: SimReplay(scenario, config, str(store), seed=seed, trace=trace),
+            tmp_path, capsys,
+        )
+
+    def test_forced_disconnects_counted_without_trace(self, tmp_path, capsys):
+        scenario = flat_scenario(30)
+        config = make_config(LinkConfig(drop_probability=0.1))
+        offsets = (scenario.duration / 3, 2 * scenario.duration / 3)
+        summary = self.assert_same_run(
+            lambda store, trace: SimReplay(scenario, config, str(store), seed=4,
+                                           force_disconnect_at=offsets, trace=trace),
+            tmp_path, capsys,
+        )
+        assert summary.reconnect_attempts > 0
+        assert summary.recoveries > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(list(NodePhase)), max_size=40))
+    def test_live_counts_follow_the_phase_rules(self, tmp_path_factory, sequence):
+        store = tmp_path_factory.mktemp("phases")
+        sim = SimReplay(flat_scenario(1), make_config(LinkConfig()), str(store))
+        sim.server.repo.close()
+        for phase in sequence:
+            sim._observe_phase(phase)
+        distinct = [p.value for i, p in enumerate(sequence) if i == 0 or sequence[i - 1] != p]
+        assert (sim.reconnect_attempts, sim.recoveries) == counts_from_phases(distinct)
 
 
 class TestServerRestart:

@@ -2,7 +2,7 @@
 
 The CRC is checked two ways: frozen vectors computed with the bitwise
 shift-register oracle below, and randomized agreement between the oracle
-and every available table-driven kernel.
+and ``wire.crc16``.
 """
 
 import random
@@ -29,12 +29,10 @@ from slopewatch.wire import (
     encode_frame,
     encode_senddata,
 )
-from slopewatch.wire import _crc_py
 
 
-def crc16_oracle(data: bytes) -> int:
+def crc16_oracle(data: bytes, crc: int = 0xFFFF) -> int:
     """Independent bit-at-a-time shift register; no tables, no shortcuts."""
-    crc = 0xFFFF
     for byte in data:
         crc ^= byte << 8
         for _ in range(8):
@@ -43,20 +41,6 @@ def crc16_oracle(data: bytes) -> int:
             else:
                 crc = (crc << 1) & 0xFFFF
     return crc
-
-
-def _kernels():
-    kernels = [pytest.param(_crc_py.crc16, id="pure")]
-    try:
-        from slopewatch.wire import _crc_cy
-
-        kernels.append(pytest.param(_crc_cy.crc16, id="compiled"))
-    except ImportError:
-        pass
-    return kernels
-
-
-KERNELS = _kernels()
 
 
 class TestCrc:
@@ -72,24 +56,17 @@ class TestCrc:
         for data, expected in self.VECTORS:
             assert crc16_oracle(data) == expected
 
-    @pytest.mark.parametrize("crc16", KERNELS)
-    def test_kernel_matches_frozen_vectors(self, crc16):
+    def test_crc16_matches_frozen_vectors(self):
         for data, expected in self.VECTORS:
-            assert crc16(data) == expected
+            assert wire.crc16(data) == expected
 
-    @pytest.mark.parametrize("crc16", KERNELS)
-    def test_kernel_matches_oracle_on_random_data(self, crc16):
+    def test_crc16_matches_oracle_on_random_data(self):
         rng = random.Random(0xC5C5)
-        for _ in range(500):
-            data = rng.randbytes(rng.randrange(0, 64))
-            assert crc16(data) == crc16_oracle(data)
-
-    def test_backends_agree(self):
-        assert wire.CRC_BACKEND in ("compiled", "pure")
-        rng = random.Random(123)
-        for _ in range(100):
-            data = rng.randbytes(rng.randrange(0, 256))
-            assert wire.crc16(data) == _crc_py.crc16(data)
+        for length in range(300):
+            data = rng.randbytes(length)
+            start = rng.randrange(0x10000)
+            assert wire.crc16(data) == crc16_oracle(data)
+            assert wire.crc16(data, start) == crc16_oracle(data, start)
 
 
 class TestFrameCodec:
