@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from slopewatch.domain import AlertLevel, SensorKind, level_max
 from slopewatch.analytics import (
-    InsufficientDataError,
     InvalidSeriesError,
     RainEvent,
     active_event,
@@ -462,12 +463,92 @@ _KEY_BY_KIND = {
 }
 
 
-def _time(item: tuple[float, float]) -> float:
-    return item[0]
+class _Columns:
+    """Float64 rows whose live columns ``buf[:, lo:hi]`` have room to grow.
+
+    Appending writes past ``hi`` and dropping from the front moves ``lo``,
+    so the live columns are copied only when the free tail runs out: to the
+    front of the buffer, or into one twice their size once they fill more
+    than half of it.
+    """
+
+    __slots__ = ("buf", "lo", "hi")
+
+    def __init__(self, rows: int):
+        self.buf = np.empty((rows, 16))
+        self.lo = self.hi = 0
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    @property
+    def live(self) -> np.ndarray:
+        return self.buf[:, self.lo : self.hi]
+
+    def row(self, r: int) -> np.ndarray:
+        return self.buf[r, self.lo : self.hi]
+
+    def _make_room(self, k: int) -> None:
+        n = self.hi - self.lo
+        if 2 * (n + k) > self.buf.shape[1]:
+            grown = np.empty((self.buf.shape[0], 2 * (n + k)))
+            grown[:, :n] = self.live
+            self.buf = grown
+        else:
+            self.buf[:, :n] = self.live  # numpy copies overlapping slices safely
+        self.lo, self.hi = 0, n
+
+    def insert(self, i: int, *column: float) -> None:
+        """Insert ``column`` before live column ``i``."""
+        if self.hi == self.buf.shape[1]:
+            self._make_room(1)
+        at = self.lo + i
+        if at < self.hi:
+            self.buf[:, at + 1 : self.hi + 1] = self.buf[:, at : self.hi]
+        for r, x in enumerate(column):
+            self.buf[r, at] = x
+        self.hi += 1
+
+    def extend(self, k: int) -> None:
+        """Add ``k`` zero columns after the live ones."""
+        if self.hi + k > self.buf.shape[1]:
+            self._make_room(k)
+        self.buf[:, self.hi : self.hi + k] = 0.0
+        self.hi += k
+
+    def extend_front(self, k: int) -> None:
+        """Add ``k`` zero columns before the live ones."""
+        if self.lo < k:
+            n = self.hi - self.lo
+            grown = np.empty((self.buf.shape[0], 2 * (n + k)))
+            grown[:, k : k + n] = self.live
+            self.buf, self.lo, self.hi = grown, k, k + n
+        self.lo -= k
+        self.buf[:, self.lo : self.lo + k] = 0.0
+
+    def drop_front(self, k: int) -> None:
+        self.lo = min(self.lo + k, self.hi)
 
 
-def _hour(item: tuple[float, float]) -> int:
-    return int(item[0] // 3600)
+def _bisect_right_pairs(times: np.ndarray, values: np.ndarray, t: float, v: float) -> int:
+    """``bisect.bisect_right`` over the (time, value) pairs, probe for probe.
+
+    Appends keep an equal-time run in arrival order, which need not be
+    sorted by value, so only the same probes find the same position.
+    """
+    lo, hi = 0, len(times)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        tm = times[mid]
+        if t < tm or (t == tm and v < values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _hour(t: float) -> int:
+    return int(t // 3600)
 
 
 class AlertEngine:
@@ -480,8 +561,10 @@ class AlertEngine:
     State kept between batches makes a batch cost what it changed: each
     series' forecast is refitted only after an insert into that series, and
     the hourly rain bins and the rain sampling interval are updated for the
-    samples inserted or evicted. Every value is computed as a from-scratch
-    pass over the window would compute it, so the decisions are identical.
+    samples inserted or evicted. Windows and bins are numpy buffers, so no
+    step rebuilds a window-sized Python list. Every value is computed as a
+    from-scratch pass over the window would compute it, so the decisions
+    are identical.
     """
 
     def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig, dispatcher: Dispatcher):
@@ -492,72 +575,94 @@ class AlertEngine:
         self.now = 0.0
         self.timeline: list[tuple[float, AlertLevel]] = []  # ladder transitions
         self.dispatch_log: list[tuple[Notification, list[DispatchResult]]] = []
-        # Windows of (ts, value), sorted by time and capped at max_window_samples.
-        self._series: dict[str, list[tuple[float, float]]] = {key: [] for key in _KEY_BY_KIND.values()}
+        # Windows with rows (time, value), sorted by time and capped at max_window_samples.
+        self._series = {key: _Columns(2) for key in _KEY_BY_KIND.values()}
         self._rain = self._series["rain"]  # (ts, mm)
         self._forecast: dict[str, float | None] = dict.fromkeys(self._series)
         self._dirty = set(self._series)  # series whose forecast is out of date
-        self._rain_bins: dict[int, float] = {}  # hour -> mm of the rain samples in it
+        # mm of the rain samples in each hour from the window's first to its last.
+        self._bins = _Columns(1)
+        self._first_hour = 0
         self._rain_gaps: list[float] = []  # sorted positive gaps between neighbouring rain samples
 
     def observe(self, records) -> None:
         """Feed newly stored calibrated readings (duplicates already removed)."""
         for rec in records:
             key = _KEY_BY_KIND[rec.sensor]
-            self._insert(key, (float(rec.timestamp), rec.value))
+            self._insert(key, float(rec.timestamp), rec.value)
             self._dirty.add(key)
             if rec.timestamp > self.now:
                 self.now = float(rec.timestamp)
 
-    def _insert(self, key: str, item: tuple[float, float]) -> None:
-        series = self._series[key]
-        # Retransmitted batches can arrive out of order; keep series sorted.
-        if series and item[0] < series[-1][0]:
-            i = bisect.bisect_right(series, item)
+    def _insert(self, key: str, t: float, value: float) -> None:
+        window = self._series[key]
+        # Retransmitted batches can arrive out of order; keep the window sorted
+        # where a list of (ts, value) pairs would be.
+        if len(window) and t < window.buf[0, window.hi - 1]:
+            i = _bisect_right_pairs(window.row(0), window.row(1), t, value)
         else:
-            i = len(series)
-        series.insert(i, item)
-        excess = max(0, len(series) - self.analysis.max_window_samples)
-        hours = self._track_rain_gaps(i, excess) if key == "rain" else ()
-        del series[:excess]
-        for hour in hours:
-            self._rebin(hour)
+            i = len(window)
+        window.insert(i, t, value)
+        # One insert at a time: the window is at most one sample over its cap.
+        evict = len(window) > self.analysis.max_window_samples
+        if key == "rain":
+            self._track_rain_gaps(i, t, evict)
+        if evict:
+            window.drop_front(1)
+        if key == "rain":
+            self._track_rain_bins(_hour(t), evict)
 
-    def _track_rain_gaps(self, i: int, excess: int) -> set[int]:
-        """Update the gap list for the sample just inserted at ``i`` and for
-        evicting the first ``excess`` samples; return the hours to rebin."""
-        rain = self._rain
-        if 0 < i < len(rain) - 1:
-            self._drop_gap(rain[i - 1], rain[i + 1])
+    def _track_rain_gaps(self, i: int, t: float, evict: bool) -> None:
+        """Update the gap list for the sample ``t`` just inserted at ``i`` and
+        for evicting the oldest sample if ``evict``."""
+        times = self._rain.row(0)
+        last = len(times) - 1
+        if 0 < i < last:
+            self._drop_gap(float(times[i - 1]), float(times[i + 1]))
         if i > 0:
-            self._add_gap(rain[i - 1], rain[i])
-        if i < len(rain) - 1:
-            self._add_gap(rain[i], rain[i + 1])
-        for earlier, later in zip(rain[:excess], rain[1 : excess + 1]):
-            self._drop_gap(earlier, later)
-        return {_hour(rain[i])} | {_hour(old) for old in rain[:excess]}
+            self._add_gap(float(times[i - 1]), t)
+        if i < last:
+            self._add_gap(t, float(times[i + 1]))
+        if evict:
+            self._drop_gap(float(times[0]), float(times[1]))
 
-    def _add_gap(self, earlier: tuple[float, float], later: tuple[float, float]) -> None:
-        gap = later[0] - earlier[0]
+    def _add_gap(self, earlier: float, later: float) -> None:
+        gap = later - earlier
         if gap > 0:
             bisect.insort(self._rain_gaps, gap)
 
-    def _drop_gap(self, earlier: tuple[float, float], later: tuple[float, float]) -> None:
-        gap = later[0] - earlier[0]
+    def _drop_gap(self, earlier: float, later: float) -> None:
+        gap = later - earlier
         if gap > 0:
             del self._rain_gaps[bisect.bisect_left(self._rain_gaps, gap)]
 
+    def _track_rain_bins(self, inserted_hour: int, evicted: bool) -> None:
+        """Fit the bins to the window's hours, then rebin the hours touched
+        by the insert and, on eviction, the oldest hour left."""
+        rain = self._rain
+        first, last = _hour(float(rain.buf[0, rain.lo])), _hour(float(rain.buf[0, rain.hi - 1]))
+        bins = self._bins
+        if first < self._first_hour:
+            bins.extend_front(self._first_hour - first)
+        elif first > self._first_hour:
+            bins.drop_front(first - self._first_hour)
+        self._first_hour = first
+        if len(bins) <= last - first:
+            bins.extend(last - first + 1 - len(bins))
+        if first <= inserted_hour:
+            self._rebin(inserted_hour)
+        if evicted and inserted_hour != first:
+            self._rebin(first)
+
     def _rebin(self, hour: int) -> None:
         # Re-sum in window order from 0.0, as a rebuild of every bin would.
-        lo = bisect.bisect_left(self._rain, hour, key=_hour)
-        hi = bisect.bisect_right(self._rain, hour, lo, key=_hour)
-        if lo == hi:
-            self._rain_bins.pop(hour, None)
-            return
+        # The hour's samples are those with hour * 3600 <= t < (hour + 1) * 3600.
+        times = self._rain.row(0)
+        lo, hi = times.searchsorted(hour * 3600.0), times.searchsorted((hour + 1) * 3600.0)
         total = 0.0
-        for _, mm in self._rain[lo:hi]:
+        for mm in self._rain.row(1)[lo:hi].tolist():
             total += mm
-        self._rain_bins[hour] = total
+        self._bins.buf[0, self._bins.lo + hour - self._first_hour] = total
 
     def _rain_interval(self) -> float:
         """Median positive gap between rain samples (statistics.median), else 1 h."""
@@ -573,16 +678,19 @@ class AlertEngine:
 
     def _current_snapshot(self) -> ValueSnapshot:
         intensity = event = None
-        if self._rain:
+        if len(self._rain):
             # Half-open window: hourly accumulation samples cover (t-1h, t],
             # so the sample sitting exactly on the lower edge belongs to the
-            # previous hour. No sample lies after ``now``.
+            # previous hour. No sample lies after ``now``. The sum is a plain
+            # left-to-right float addition, as the recorded decisions were made.
             window = self.analysis.intensity_window_s
-            first = bisect.bisect_right(self._rain, self.now - window, key=_time)
-            mm_last_window = sum(mm for _, mm in self._rain[first:])
+            first = self._rain.row(0).searchsorted(self.now - window, side="right")
+            mm_last_window = 0.0
+            for mm in self._rain.row(1)[first:].tolist():
+                mm_last_window += mm
             intensity = mm_last_window / (window / 3600.0)
             active = active_event(
-                self._rain, self.now, self.analysis.dry_gap_h * 3600.0, self._rain_interval()
+                self._rain.live.T, self.now, self.analysis.dry_gap_h * 3600.0, self._rain_interval()
             )
             if active is not None:
                 duration_h = active.duration_h
@@ -601,22 +709,15 @@ class AlertEngine:
         )
 
     def _latest(self, key: str) -> float | None:
-        series = self._series[key]
-        return series[-1][1] if series else None
+        window = self._series[key]
+        return float(window.buf[1, window.hi - 1]) if len(window) else None
 
     def _predicted_snapshot(self) -> ValueSnapshot:
-        for key, series in self._series.items():
-            if key not in self._dirty:
-                continue
-            if not series:
-                self._forecast[key] = None
-            elif key == "rain":
-                # Forecast on hourly accumulation bins, which are already mm/h.
-                bins = self._rain_bins
-                hours = range(_hour(series[0]), _hour(series[-1]) + 1)
-                self._forecast[key] = self._forecast_max([bins.get(h, 0.0) for h in hours])
-            else:
-                self._forecast[key] = self._forecast_max([v for _, v in series])
+        for key, window in self._series.items():
+            if key in self._dirty:
+                # Rain is forecast on its hourly accumulation bins, which are already mm/h.
+                values = self._bins.row(0) if key == "rain" else window.row(1)
+                self._forecast[key] = self._forecast_max(values)
         self._dirty.clear()
         forecast = self._forecast
         return ValueSnapshot(
@@ -627,15 +728,16 @@ class AlertEngine:
             tiltmeter_deg=forecast["tiltmeter"],
         )
 
-    def _forecast_max(self, values: list[float]) -> float | None:
+    def _forecast_max(self, values: np.ndarray) -> float | None:
         order = self.analysis.ar_order
+        if len(values) < 2 * order + 2:
+            return None  # too short for an AR(order) fit
         try:
             model = ar_fit(values, order)
-            steps = ar_forecast(model, values, self.thresholds.prediction_horizon)
-        except (InsufficientDataError, InvalidSeriesError) as exc:
+        except InvalidSeriesError as exc:
             logger.debug("forecast unavailable: %s", exc)
             return None
-        return max(steps)
+        return max(ar_forecast(model, values[-order:].tolist(), self.thresholds.prediction_horizon))
 
     # -- evaluation ------------------------------------------------------------
 

@@ -125,7 +125,7 @@ def antecedent_rainfall(rain: list[tuple[float, float]], now: float, lookback: f
 
 
 def active_event(
-    rain: list[tuple[float, float]],
+    rain: list[tuple[float, float]] | np.ndarray,
     now: float,
     dry_gap: float,
     interval: float,
@@ -134,31 +134,27 @@ def active_event(
 
     An event is active when less than ``dry_gap`` of dry time has elapsed
     since its last wet sample. The event is ``segment_events(...)[-1]``,
-    found by walking back from the newest sample, so the cost follows the
-    event's length rather than the series'. The series is not checked for
-    order.
+    found with array operations over the (timestamp, mm) pairs, which may
+    be a list or an (n, 2) array. The series is not checked for order.
     """
     _check_dry_gap(dry_gap)
-    i = len(rain) - 1
-    while i >= 0 and rain[i][1] <= 0:
-        if (now - rain[i][0]) - interval >= dry_gap:
-            return None  # every earlier wet sample is staler still
-        i -= 1
-    if i < 0 or (now - rain[i][0]) - interval >= dry_gap:
+    pairs = np.asarray(rain, dtype=float).reshape(-1, 2)
+    mm = pairs[:, 1]
+    wet = (mm > 0).nonzero()[0]
+    if not wet.size:
         return None
-    end = later = rain[i][0]
-    first = i
-    for j in range(i - 1, -1, -1):
-        t, mm = rain[j]
-        if mm > 0:
-            if (later - t) - interval >= dry_gap:
-                break
-            first, later = j, t
-    total = 0.0
-    for _, mm in rain[first : i + 1]:
-        if mm > 0:
-            total += mm
-    return RainEvent(start=rain[first][0] - interval, end=end, total_mm=total)
+    t = pairs[:, 0].take(wet)
+    end = float(t[-1])
+    if (now - end) - interval >= dry_gap:
+        return None
+    # Dry time between neighbouring wet samples, as segment_events computes it.
+    dry = t[1:] - t[:-1]
+    dry -= interval
+    splits = (dry >= dry_gap).nonzero()[0]
+    first = int(splits[-1]) + 1 if splits.size else 0
+    # cumsum adds left to right, as the event's running total always has.
+    total = float(mm.take(wet[first:]).cumsum()[-1])
+    return RainEvent(start=float(t[first]) - interval, end=end, total_mm=total)
 
 
 def compute_rainfall_features(
@@ -233,16 +229,6 @@ class ARModel:
             )
 
 
-class Predictor:
-    """Interface of the value-prediction stage; AR is the one implementation."""
-
-    def fit(self, series: list[float]) -> None:
-        raise NotImplementedError
-
-    def forecast(self, history: list[float], horizon: int) -> list[float]:
-        raise NotImplementedError
-
-
 def ar_fit(series: list[float], order: int) -> ARModel:
     """Least-squares AR(p) fit over all usable rows of the series.
 
@@ -302,18 +288,3 @@ def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[floa
         window.append(nxt)
     return out
 
-
-class ARPredictor(Predictor):
-    """AR-backed predictor satisfying the pluggable prediction interface."""
-
-    def __init__(self, order: int):
-        self.order = order
-        self.model: ARModel | None = None
-
-    def fit(self, series: list[float]) -> None:
-        self.model = ar_fit(series, self.order)
-
-    def forecast(self, history: list[float], horizon: int) -> list[float]:
-        if self.model is None:
-            raise InsufficientDataError("predictor not fitted")
-        return ar_forecast(self.model, history, horizon)

@@ -135,13 +135,3 @@ def level_max(a: AlertLevel, b: AlertLevel) -> AlertLevel:
     """Return the more severe of two alert levels."""
     return a if a >= b else b
 
-
-def tips_to_mm(tip_count: int, mm_per_tip: float) -> float:
-    """Convert a tipping-bucket tip count to millimetres of rain.
-
-    Raises:
-        CalibrationError: if ``mm_per_tip`` is not positive.
-    """
-    if mm_per_tip <= 0:
-        raise CalibrationError(f"mm_per_tip must be positive, got {mm_per_tip}")
-    return tip_count * mm_per_tip

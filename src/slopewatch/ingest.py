@@ -70,6 +70,8 @@ class Repository:
         self._seen: set[tuple[int, int]] = set()     # (node_id, seq)
         self.load_warnings: list[str] = []
         self.rows_seen = 0
+        if not read_only:
+            self._truncate_torn_row()
         self._load()
         if read_only:
             self._fh = None
@@ -81,11 +83,48 @@ class Repository:
 
     # -- persistence --------------------------------------------------------
 
+    def _truncate_torn_row(self) -> None:
+        """Cut the file back to just after its last newline.
+
+        A row is acknowledged only once it is flushed whole, so a last row
+        without its newline was torn by a crash and never acknowledged. Left
+        in place, the next row would be appended onto its line, and the
+        merged line would be skipped on reload.
+        """
+        if not self.path.exists():
+            return
+        with open(self.path, "r+b") as fh:
+            size = pos = fh.seek(0, os.SEEK_END)
+            keep = 0
+            while pos > 0:
+                step = min(pos, 4096)
+                pos -= step
+                fh.seek(pos)
+                newline = fh.read(step).rfind(b"\n")
+                if newline >= 0:
+                    keep = pos + newline + 1
+                    break
+            if keep == size:
+                return
+            fh.truncate(keep)
+            if self.durable:
+                os.fsync(fh.fileno())
+        msg = f"{self.path.name}: dropped a torn last row ({size - keep} bytes without a newline)"
+        self.load_warnings.append(msg)
+        logger.warning(msg)
+
     def _load(self) -> None:
         if not self.path.exists():
             return
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.endswith("\n"):
+                    # Only a read-only open gets here: a torn last row, whose
+                    # prefix may still parse, as "12." for 12.75.
+                    msg = f"{self.path.name} line {lineno}: skipping a torn last row"
+                    self.load_warnings.append(msg)
+                    logger.warning(msg)
+                    continue
                 line = line.strip()
                 if not line or line == _HEADER:
                     continue

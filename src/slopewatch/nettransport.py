@@ -18,7 +18,7 @@ from slopewatch import wire
 from slopewatch.alert import AlertEngine, Dispatcher
 from slopewatch.config import Config, build_sinks
 from slopewatch.ingest import Repository
-from slopewatch.nodesim import Scenario, ScenarioPlayer
+from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
     ConnAckReceived,
     DataAckReceived,
@@ -35,7 +35,6 @@ from slopewatch.session import (
     node_step,
 )
 from slopewatch.station import ServerEngine
-from slopewatch.replay import _group_batches
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +165,7 @@ class NodeRunner:
         while not (self.player.exhausted and not self.state.pending):
             now = self._sim_now()
             if now >= next_tick:
-                for batch in _group_batches(self.player.emit_readings(min(now, end_ts))):
+                for batch in group_batches(self.player.emit_readings(min(now, end_ts))):
                     self._event(ReadingsAvailable(batch))
                 next_tick += self.scenario.sample_interval
             if self._timer_at is not None and time.monotonic() >= self._timer_at:

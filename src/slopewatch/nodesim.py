@@ -17,6 +17,7 @@ from pathlib import Path
 from slopewatch.domain import RawReading, SensorKind
 
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+MAX_READINGS_PER_FRAME = 255
 
 _DIRECTIVE = re.compile(r"#\s*sample_interval_s\s*[:=]\s*([0-9.]+)")
 
@@ -152,3 +153,21 @@ class ScenarioPlayer:
     @property
     def exhausted(self) -> bool:
         return self._cursor >= len(self.scenario.steps)
+
+
+def group_batches(readings) -> list[tuple]:
+    """Split a reading list into wire batches: equal timestamp, <=255 each.
+
+    Readings arrive in seq order, so each batch holds consecutive seqs and
+    the batch seq (first reading's) identifies every reading in it.
+    """
+    batches: list[tuple] = []
+    current: list = []
+    for r in readings:
+        if current and (r.timestamp != current[0].timestamp or len(current) >= MAX_READINGS_PER_FRAME):
+            batches.append(tuple(current))
+            current = []
+        current.append(r)
+    if current:
+        batches.append(tuple(current))
+    return batches

@@ -19,7 +19,7 @@ from slopewatch.analytics import segment_events
 from slopewatch.config import Config, build_sinks
 from slopewatch.domain import SensorKind
 from slopewatch.ingest import Repository
-from slopewatch.nodesim import Scenario, ScenarioPlayer
+from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
     Channel,
     ConnAckReceived,
@@ -50,7 +50,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_START_TS = 1270166400
 
 CONTROL_LATENCY_S = 0.01
-MAX_READINGS_PER_FRAME = 255
 
 
 @dataclass
@@ -254,7 +253,7 @@ class SimReplay:
 
     def _sample_tick(self) -> None:
         readings = self.player.emit_readings(self.now)
-        for batch in _group_batches(readings):
+        for batch in group_batches(readings):
             self._node_event(ReadingsAvailable(batch))
 
     def _restart_server(self) -> None:
@@ -327,20 +326,3 @@ class SimReplay:
             alert_timeline=timeline,
         )
 
-
-def _group_batches(readings) -> list[tuple]:
-    """Split a reading list into wire batches: equal timestamp, <=255 each.
-
-    Readings arrive in seq order, so each batch holds consecutive seqs and
-    the batch seq (first reading's) identifies every reading in it.
-    """
-    batches: list[tuple] = []
-    current: list = []
-    for r in readings:
-        if current and (r.timestamp != current[0].timestamp or len(current) >= MAX_READINGS_PER_FRAME):
-            batches.append(tuple(current))
-            current = []
-        current.append(r)
-    if current:
-        batches.append(tuple(current))
-    return batches

@@ -16,6 +16,7 @@ replay harness or the socket transport.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
@@ -28,13 +29,16 @@ from slopewatch.wire import Frame, MessageType, SendDataPayload
 logger = logging.getLogger(__name__)
 
 MAX_BACKOFF_S = 60.0
+# The first doubling exponent whose delay reaches the cap; capping the
+# exponent too keeps 2.0 ** exponent from overflowing on long outages.
+_MAX_BACKOFF_EXPONENT = math.ceil(math.log2(MAX_BACKOFF_S))
 
 
 def backoff_delay(attempt: int) -> float:
     """Reconnect delay for the given 1-based attempt: 1s, 2s, 4s ... capped at 60s."""
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")
-    return min(2.0 ** (attempt - 1), MAX_BACKOFF_S)
+    return min(2.0 ** min(attempt - 1, _MAX_BACKOFF_EXPONENT), MAX_BACKOFF_S)
 
 
 # ---------------------------------------------------------------------------

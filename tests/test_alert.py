@@ -1,12 +1,15 @@
 """Alert ladder, four-way evaluation, hysteresis and sink tests."""
 
 import bisect
+import collections
 import itertools
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -513,6 +516,43 @@ class TestIncrementalEngine:
         ]
         analysis = AnalysisConfig(ar_order=1, max_window_samples=8)
         assert_matches_reference(records, analysis, [1])
+
+    def test_full_default_windows(self):
+        # The default 512-sample windows on all five sensors, filled and then
+        # evicting for a few hundred batches, with repeated and past timestamps.
+        rng = random.Random(512)
+        kinds = [RAIN, PIEZO, EXTENSO, INCLINO, TILT]
+        values = [0.0, 0.0, 0.0, 0.2, 1.0, 3.0, 8.6, -4.5, 42.0, 77.25]
+        steps = [
+            (
+                kinds[k % 5],
+                rng.choice(["step"] * 6 + ["gap", "same", "same", "back", "back"]),
+                rng.choice([600, 1200, 1800, 3600]),
+                rng.choice(values),
+            )
+            for k in range(3600)
+        ]
+        records = build_stream(steps)
+        per_sensor = collections.Counter(r.sensor for r in records)
+        assert min(per_sensor.values()) > AnalysisConfig().max_window_samples + 150
+        batch_sizes = [4, 6, 5, 3, 7]
+        assert len(records) / (sum(batch_sizes) / len(batch_sizes)) >= 700
+        assert_matches_reference(records, AnalysisConfig(), batch_sizes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        times=st.lists(st.integers(0, 6), max_size=40),
+        values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=40, max_size=40),
+        item=st.tuples(st.integers(0, 7), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])),
+    )
+    def test_out_of_order_insert_lands_where_a_pair_list_puts_it(self, times, values, item):
+        # Sorted by time only: appends leave an equal-time run in arrival
+        # order, so runs need not be sorted by value.
+        pairs = sorted(zip((float(t) for t in times), values), key=lambda p: p[0])
+        columns = np.array(pairs).reshape(-1, 2).T
+        t, v = float(item[0]), item[1]
+        expected = bisect.bisect_right(pairs, (t, v))
+        assert alert_module._bisect_right_pairs(columns[0], columns[1], t, v) == expected
 
 
 class TestBatchWithoutNewData:

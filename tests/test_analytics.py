@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from slopewatch.analytics import (
     ARModel,
-    ARPredictor,
     AnalyticsError,
     CaineDomainError,
     InsufficientDataError,
@@ -285,14 +284,6 @@ class TestArForecast:
         model = ARModel(order=3, coefficients=(0.1, 0.1, 0.1), intercept=0.0, fit_residual_rms=0.0)
         with pytest.raises(InsufficientDataError):
             ar_forecast(model, [1.0, 2.0], 4)
-
-    def test_predictor_interface(self):
-        predictor = ARPredictor(order=2)
-        with pytest.raises(InsufficientDataError):
-            predictor.forecast([1.0, 2.0], 3)
-        series = generate_ar2(seed=9)
-        predictor.fit(series)
-        assert predictor.forecast(series, 3) == ar_forecast(predictor.model, series, 3)
 
 
 # ---------------------------------------------------------------------------

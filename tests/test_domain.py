@@ -10,7 +10,6 @@ from slopewatch.domain import (
     CalibrationError,
     SensorKind,
     level_max,
-    tips_to_mm,
 )
 
 
@@ -74,15 +73,6 @@ class TestAlertLevel:
 
 
 class TestConversions:
-    @pytest.mark.parametrize("tips,per_tip,expected", [(0, 0.2, 0.0), (5, 0.2, 1.0), (10, 0.5, 5.0)])
-    def test_tips_to_mm(self, tips, per_tip, expected):
-        assert tips_to_mm(tips, per_tip) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("per_tip", [0.0, -0.1])
-    def test_tips_to_mm_rejects_bad_gain(self, per_tip):
-        with pytest.raises(CalibrationError):
-            tips_to_mm(3, per_tip)
-
     def test_calibration_constants_reject_zero_gain(self):
         with pytest.raises(CalibrationError):
             CalibrationConstants(SensorKind.PIEZOMETER, gain=0.0, offset=1.0)

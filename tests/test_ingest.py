@@ -152,6 +152,49 @@ class TestPersistence:
         assert len(reloaded) == 2  # good rows survive
         assert len(reloaded.load_warnings) == 1
 
+    def test_torn_last_row_never_swallows_the_next(self, tmp_path):
+        # A crash may cut the last row at any byte; that row was never acked.
+        # Reopening drops it, so a later append starts a line of its own.
+        store = tmp_path / "s"
+        repo = Repository(store, durable=False)
+        for seq in range(1, 9):
+            repo.ingest_batch(payload(seq, [(seq % 5 + 1, 100 + seq)], ts=2000 + seq), 1, CONSTANTS)
+        repo.close()
+        full = (store / "readings.csv").read_bytes()
+        last_row = full.rindex(b"\n", 0, len(full) - 1) + 1
+        whole = {(r.node_id, r.seq): r for r in Repository(store, read_only=True).all_records()}
+        for cut in range(last_row, len(full)):
+            (store / "readings.csv").write_bytes(full[:cut])
+            repo = Repository(store, durable=False)
+            assert repo.ingest_batch(payload(9, [(1, 7)], ts=2009), 1, CONSTANTS)
+            repo.close()
+            reloaded = Repository(store, read_only=True)
+            records = reloaded.all_records()
+            assert reloaded.load_warnings == []
+            assert [r.seq for r in records] == [1, 2, 3, 4, 5, 6, 7, 9]
+            assert records[:7] == [whole[1, seq] for seq in range(1, 8)]
+
+    def test_read_only_open_skips_a_torn_last_row(self, tmp_path):
+        store = tmp_path / "s"
+        repo = Repository(store, durable=False)
+        repo.ingest_batch(payload(1, [(1, 5), (1, 64)]), 1, CONSTANTS)  # 1.0 and 12.8 mm
+        repo.close()
+        csv = store / "readings.csv"
+        csv.write_bytes(csv.read_bytes()[:-2])  # "...,12.8\n" -> "...,12."
+        ro = Repository(store, read_only=True)
+        assert [r.seq for r in ro.all_records()] == [1]
+        assert len(ro.load_warnings) == 1
+
+    def test_store_cut_inside_its_header_starts_over(self, tmp_path):
+        store = tmp_path / "s"
+        store.mkdir()
+        (store / "readings.csv").write_bytes(b"ts_unix,node")
+        repo = Repository(store, durable=False)
+        repo.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS)
+        repo.close()
+        reloaded = Repository(store, read_only=True)
+        assert len(reloaded) == 1 and reloaded.load_warnings == []
+
     def test_read_only_refuses_append(self, tmp_path):
         store = tmp_path / "s"
         Repository(store).close()

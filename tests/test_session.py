@@ -4,6 +4,8 @@ The step functions are pure, so every case here is a direct call with a
 hand-built state; full lifecycles run in test_replay.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from slopewatch.domain import RawReading, SensorKind
@@ -58,6 +60,22 @@ class TestBackoff:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             backoff_delay(0)
+
+    @pytest.mark.parametrize("attempt", [1025, 10**6])
+    def test_long_outage_stays_at_the_cap(self, attempt):
+        # 2.0 ** 1024 overflows a float; the delay must stay 60 s regardless.
+        assert backoff_delay(attempt) == 60.0
+
+    def test_node_survives_2000_failed_connects(self):
+        state = replace(_streaming_state(), phase=NodePhase.CONNECTING)
+        now = 0.0
+        while True:
+            state, actions = node_step(state, TimerFired(), now)
+            if state.phase is NodePhase.BACKOFF and state.attempt == 2000:
+                break
+            now += next(a.delay for a in actions if isinstance(a, SetTimer))
+        assert actions == [SetTimer(60.0)]
+        assert state.resume_at == now + 60.0
 
 
 class TestNodeMachine:
