@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import json
 import logging
-import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -359,6 +358,8 @@ class WebhookSink:
         self.timeout = timeout
 
     def send(self, note: Notification) -> None:
+        import urllib.request  # here, not at module level: only this sink needs it
+
         body = json.dumps(note.as_record(), sort_keys=True).encode("utf-8")
         req = urllib.request.Request(
             self.url, data=body, headers={"Content-Type": "application/json"}

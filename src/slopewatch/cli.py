@@ -177,7 +177,10 @@ def cmd_analyze(args) -> int:
         print("error: no parseable rows in store", file=sys.stderr)
         return EXIT_RUNTIME
 
-    rain = repo.series(SensorKind.RAIN_GAUGE)
+    by_kind: dict[SensorKind, list[tuple[int, float]]] = {kind: [] for kind in SensorKind}
+    for rec in repo.all_records():  # the one pass over readings.csv
+        by_kind[rec.sensor].append((rec.timestamp, rec.value))
+    rain = by_kind[SensorKind.RAIN_GAUGE]
     events = segment_events(rain, analysis.dry_gap_h * 3600.0) if rain else []
     rows = []
     for ev in events:
@@ -218,7 +221,7 @@ def cmd_analyze(args) -> int:
 
     print("\nAR forecast snapshot (next step / max over 6):")
     for kind in SensorKind:
-        series = [v for _, v in repo.series(kind, limit=256)]
+        series = [v for _, v in by_kind[kind][-256:]]
         label = kind.name.lower()
         try:
             model = ar_fit(series, analysis.ar_order)

@@ -1,9 +1,12 @@
 """Base-station data pipeline: calibrate, deduplicate, persist, query.
 
 The store is a per-run directory holding an append-only, human-readable
-``readings.csv`` (header ``ts_unix,node_id,sensor,seq,value``). The dedup
-index over (node_id, seq) is rebuilt from the log on open, so a restarted
-server silently skips retransmissions of batches it already acknowledged.
+``readings.csv`` (header ``ts_unix,node_id,sensor,seq,value``). The file is
+the only copy of the readings: in memory the store keeps just a dedup
+index, per node the sorted runs of stored seqs, rebuilt from the log on
+open. So a restarted server silently skips retransmissions of batches it
+already acknowledged, and memory is O(nodes + seq gaps), not O(readings).
+Queries read ``readings.csv`` as a stream.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 READINGS_FILE = "readings.csv"
 _HEADER = "ts_unix,node_id,sensor,seq,value"
+_SENSOR_BY_NAME = {k.name.lower(): k for k in SensorKind}  # as rows are written
 
 
 class StoreError(RuntimeError):
@@ -45,16 +49,70 @@ def calibrate(reading: RawReading, constants: CalibrationConstants) -> Calibrate
     )
 
 
-def _sort_key(r: CalibratedReading) -> tuple[int, int, int]:
-    return (r.timestamp, r.node_id, r.seq)
+def _parse_row(line: str) -> tuple[int, int, int, SensorKind, float]:
+    """(ts, node_id, seq, sensor, value) of one stripped row; raises ValueError."""
+    ts, node_id, sensor, seq, value = line.split(",")
+    node, t = int(node_id), int(ts)  # node first: a load warning names the first bad field
+    kind = _SENSOR_BY_NAME.get(sensor) or SensorKind.from_name(sensor)
+    return t, node, int(seq), kind, float(value)
+
+
+def _sorted_records(rows) -> list[CalibratedReading]:
+    """Records of (ts, node_id, seq, sensor, value) rows with unique keys, sorted by (ts, node, seq)."""
+    return [CalibratedReading(node, ts, kind, value, seq) for ts, node, seq, kind, value in sorted(rows)]
+
+
+class _SeqRuns:
+    """The seqs stored for one node, as sorted, disjoint, non-adjacent [lo, hi] runs.
+
+    An in-order seq extends the last run; a late retransmit fills a gap,
+    joining two runs when it closes one.
+    """
+
+    __slots__ = ("los", "his")
+
+    def __init__(self) -> None:
+        self.los: list[int] = []
+        self.his: list[int] = []
+
+    def add(self, seq: int) -> bool:
+        """Record ``seq``; False if it was already recorded."""
+        los, his = self.los, self.his
+        if his and seq == his[-1] + 1:
+            his[-1] = seq
+            return True
+        i = bisect.bisect_right(los, seq) - 1  # the last run starting at or before seq
+        if i >= 0 and seq <= his[i]:
+            return False
+        joins_prev = i >= 0 and his[i] == seq - 1
+        joins_next = i + 1 < len(los) and los[i + 1] == seq + 1
+        if joins_prev and joins_next:
+            his[i] = his.pop(i + 1)
+            del los[i + 1]
+        elif joins_prev:
+            his[i] = seq
+        elif joins_next:
+            los[i + 1] = seq
+        else:
+            los.insert(i + 1, seq)
+            his.insert(i + 1, seq)
+        return True
 
 
 class Repository:
-    """Append-only calibrated-reading store with a time index.
+    """Append-only calibrated-reading store over ``readings.csv``.
+
+    In memory it holds only the dedup index: per node, the sorted runs of
+    stored seqs, so memory is O(nodes + seq gaps) however many readings
+    are stored. Queries read ``readings.csv`` as a stream, in their own
+    file handle.
 
     Single writer, many readers: ``append``/``ingest_batch`` are called by
-    the ingest task only; queries may run from other threads and observe a
-    snapshot no older than the last completed batch.
+    the ingest task only; queries may run from other threads. A query reads
+    the rows up to the last ``flush`` (``ingest_batch`` flushes each batch
+    it stores) and never a row written after that, so it sees every flushed
+    batch whole. A read-only store reads the rows that were there when it
+    was opened.
     """
 
     def __init__(self, store_dir: str | Path, durable: bool = True, read_only: bool = False):
@@ -66,8 +124,12 @@ class Repository:
         self.path = self.store_dir / READINGS_FILE
         self.durable = durable
         self.read_only = read_only
-        self._records: list[CalibratedReading] = []  # kept sorted by _sort_key
-        self._seen: set[tuple[int, int]] = set()     # (node_id, seq)
+        self._index: dict[int, _SeqRuns] = {}
+        self._count = 0
+        self._dup_lines: set[int] = set()  # line numbers of rows repeating an earlier key
+        self._lines = 0                    # complete lines in the file, header included
+        self._visible_lines = 0            # lines queries read: those flushed
+        self._dirty = False                # lines written since the last flush
         self.load_warnings: list[str] = []
         self.rows_seen = 0
         if not read_only:
@@ -80,6 +142,8 @@ class Repository:
         if self.path.stat().st_size == 0:
             self._fh.write(_HEADER + "\n")
             self._fh.flush()
+            self._lines += 1
+            self._dirty = True  # not yet synced; close() syncs it
 
     # -- persistence --------------------------------------------------------
 
@@ -114,6 +178,7 @@ class Repository:
         logger.warning(msg)
 
     def _load(self) -> None:
+        """Build the index from every parseable row; the rows themselves are not kept."""
         if not self.path.exists():
             return
         with open(self.path, encoding="utf-8") as fh:
@@ -125,45 +190,50 @@ class Repository:
                     self.load_warnings.append(msg)
                     logger.warning(msg)
                     continue
+                self._lines = lineno
                 line = line.strip()
                 if not line or line == _HEADER:
                     continue
                 self.rows_seen += 1
                 try:
-                    rec = self._parse_row(line)
-                except (ValueError, IndexError) as exc:
+                    _, node_id, seq, _, _ = _parse_row(line)
+                except ValueError as exc:
                     msg = f"{self.path.name} line {lineno}: skipping unparseable row ({exc})"
                     self.load_warnings.append(msg)
                     logger.warning(msg)
                     continue
-                key = (rec.node_id, rec.seq)
-                if key in self._seen:
-                    continue
-                self._seen.add(key)
-                self._insert(rec)
+                if not self._add(node_id, seq):
+                    self._dup_lines.add(lineno)
+        self._visible_lines = self._lines
 
-    @staticmethod
-    def _parse_row(line: str) -> CalibratedReading:
-        ts, node_id, sensor, seq, value = line.split(",")
-        return CalibratedReading(
-            node_id=int(node_id),
-            timestamp=int(ts),
-            sensor=SensorKind.from_name(sensor),
-            value=float(value),
-            seq=int(seq),
-        )
+    def _add(self, node_id: int, seq: int) -> bool:
+        runs = self._index.get(node_id)
+        if runs is None:
+            runs = self._index[node_id] = _SeqRuns()
+        if not runs.add(seq):
+            return False
+        self._count += 1
+        return True
 
     def _write_row(self, rec: CalibratedReading) -> None:
         self._fh.write(
             f"{rec.timestamp},{rec.node_id},{rec.sensor.name.lower()},{rec.seq},{rec.value!r}\n"
         )
+        self._lines += 1
+        self._dirty = True
 
     def flush(self) -> None:
-        if self._fh is None:
+        """Push the rows written since the last flush to the file, and to disk if durable.
+
+        From then on queries see them. Does nothing if no row was written.
+        """
+        if self._fh is None or not self._dirty:
             return
         self._fh.flush()
+        self._visible_lines = self._lines
         if self.durable:
             os.fsync(self._fh.fileno())
+        self._dirty = False
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:
@@ -172,20 +242,15 @@ class Repository:
 
     # -- writes --------------------------------------------------------------
 
-    def _insert(self, rec: CalibratedReading) -> None:
-        key = _sort_key(rec)
-        idx = bisect.bisect_right(self._records, key, key=_sort_key)
-        self._records.insert(idx, rec)
-
     def append(self, rec: CalibratedReading) -> bool:
-        """Store one record unless its (node_id, seq) was already seen."""
+        """Store one record unless its (node_id, seq) was already seen.
+
+        Queries see the record after the next ``flush``.
+        """
         if self._fh is None:
             raise StoreError("repository opened read-only")
-        key = (rec.node_id, rec.seq)
-        if key in self._seen:
+        if not self._add(rec.node_id, rec.seq):
             return False
-        self._seen.add(key)
-        self._insert(rec)
         self._write_row(rec)
         return True
 
@@ -229,7 +294,33 @@ class Repository:
     # -- reads ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
+
+    def seq_runs(self, node_id: int) -> list[tuple[int, int]]:
+        """The [lo, hi] runs of seqs stored for one node, in ascending order."""
+        runs = self._index.get(node_id)
+        return list(zip(runs.los, runs.his)) if runs else []
+
+    def _rows(self):
+        """Yield (ts, node_id, seq, sensor, value) of each stored row, in file order.
+
+        Reads the flushed lines only and skips what the index skipped on
+        open: torn, unparseable and repeated-key rows.
+        """
+        end, dup_lines = self._visible_lines, self._dup_lines
+        if end == 0:
+            return
+        with open(self.path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if lineno > end:
+                    break
+                if lineno in dup_lines:
+                    continue
+                try:
+                    row = _parse_row(line.strip())
+                except ValueError:
+                    continue  # the header, a blank or an unparseable row
+                yield row
 
     def query_range(
         self, ts_from: int, ts_to: int, sensor: SensorKind | None = None
@@ -237,17 +328,17 @@ class Repository:
         """Records with ts_from <= timestamp <= ts_to, sorted by (ts, node, seq)."""
         if ts_from > ts_to:
             raise StoreError(f"invalid range: from {ts_from} > to {ts_to}")
-        lo = bisect.bisect_left(self._records, (ts_from,), key=lambda r: (r.timestamp,))
-        hi = bisect.bisect_right(self._records, (ts_to,), key=lambda r: (r.timestamp,))
-        rows = self._records[lo:hi]
-        if sensor is not None:
-            rows = [r for r in rows if r.sensor is sensor]
-        return rows
+        return _sorted_records(
+            row for row in self._rows()
+            if ts_from <= row[0] <= ts_to and (sensor is None or row[3] is sensor)
+        )
 
     def all_records(self) -> list[CalibratedReading]:
-        return list(self._records)
+        """Every stored record, sorted by (ts, node, seq)."""
+        return _sorted_records(self._rows())
 
     def series(self, sensor: SensorKind, limit: int | None = None) -> list[tuple[int, float]]:
         """(timestamp, value) pairs for one sensor kind, oldest first."""
-        rows = [(r.timestamp, r.value) for r in self._records if r.sensor is sensor]
-        return rows[-limit:] if limit else rows
+        rows = sorted(row for row in self._rows() if row[3] is sensor)
+        pairs = [(ts, value) for ts, _, _, _, value in rows]
+        return pairs[-limit:] if limit else pairs

@@ -62,6 +62,10 @@ class StationServer(socketserver.ThreadingTCPServer):
 
 
 class _StationHandler(socketserver.StreamRequestHandler):
+    # Acks are small and go out at once: waiting to coalesce them with the
+    # next segment (Nagle) only delays the node's next batch.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: StationServer = self.server  # type: ignore[assignment]
         peer_node: int | None = None
@@ -85,10 +89,11 @@ class _StationHandler(socketserver.StreamRequestHandler):
                     out = server.engine.handle_data_frame(frame, now)
                 if frame.msg_type is wire.MessageType.REQ_CONN:
                     peer_node = wire.decode_reqconn(frame.payload)[0]
+            if not out:
+                continue
             try:
-                for ob in out:
-                    self.wfile.write(wire.encode_frame(ob.frame))
-                self.wfile.flush()
+                # One write per handled frame, so its replies leave in one segment.
+                self.wfile.write(b"".join(wire.encode_frame(ob.frame) for ob in out))
             except (ConnectionError, OSError):
                 break
         if peer_node is not None:
@@ -182,6 +187,7 @@ class NodeRunner:
             self.sock.close()
         try:
             self.sock = socket.create_connection(self.addr, timeout=5.0)
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self.sock.settimeout(0.05)
         except OSError:
             self.sock = None

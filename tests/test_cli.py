@@ -294,6 +294,29 @@ class TestSocketTransport:
         assert len(reloaded) == 8
         assert {r.node_id for r in reloaded.all_records()} == {3}
 
+    def test_both_ends_disable_nagle(self, tmp_path):
+        import socket
+
+        from slopewatch.config import load_config
+        from slopewatch.nettransport import NodeRunner, StationServer, _StationHandler
+        from slopewatch.nodesim import Scenario
+
+        assert _StationHandler.disable_nagle_algorithm
+        server = StationServer(("127.0.0.1", 0), load_config(DEMO), str(tmp_path / "store"))
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        try:
+            runner = NodeRunner(Scenario(name="none", steps=(), sample_interval=15.0), node_id=1,
+                                connect=f"127.0.0.1:{server.server_address[1]}")
+            runner._connect_socket()
+            assert runner.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            runner.sock.close()
+        finally:
+            server.shutdown()
+            server.close_store()
+            server.server_close()
+
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
 def test_sigint_leaves_parseable_store(tmp_path):

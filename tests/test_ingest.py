@@ -1,8 +1,15 @@
 """Calibration, dedup and store persistence tests."""
 
-import pytest
+import tempfile
+import threading
+from pathlib import Path
 
-from slopewatch.domain import CalibrationConstants, CalibrationError, RawReading, SensorKind
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slopewatch import ingest as ingest_module
+from slopewatch.domain import CalibratedReading, CalibrationConstants, CalibrationError, RawReading, SensorKind
 from slopewatch.ingest import MissingConstantsError, Repository, StoreError, calibrate
 from slopewatch.wire import SendDataPayload
 
@@ -207,3 +214,226 @@ class TestPersistence:
     def test_read_only_missing_dir_errors(self, tmp_path):
         with pytest.raises(StoreError):
             Repository(tmp_path / "nope", read_only=True)
+
+
+class TestFsyncCount:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = ingest_module.os.fsync
+        monkeypatch.setattr(ingest_module.os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
+        return calls
+
+    def test_one_fsync_per_stored_batch_and_none_on_close(self, tmp_path, fsyncs):
+        repo = Repository(tmp_path / "s")
+        stored_batches = 0
+        for seq in (1, 3, 1, 5, 3, 7):  # 1 and 3 come twice: retransmits store nothing
+            stored_batches += bool(repo.ingest_batch(payload(seq, [(1, 5), (2, 2300)]), 1, CONSTANTS))
+        assert stored_batches == 4
+        assert len(fsyncs) == stored_batches
+        repo.close()
+        assert len(fsyncs) == stored_batches
+
+    def test_reopen_and_close_without_writes_does_not_fsync(self, tmp_path, fsyncs):
+        Repository(tmp_path / "s").close()
+        fsyncs.clear()
+        repo = Repository(tmp_path / "s")
+        assert repo.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS)
+        assert repo.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS) == []
+        repo.close()
+        assert len(fsyncs) == 1
+        fsyncs.clear()
+        Repository(tmp_path / "s").close()
+        assert fsyncs == []
+
+    def test_header_only_store_fsyncs_on_close(self, tmp_path, fsyncs):
+        repo = Repository(tmp_path / "s")
+        assert fsyncs == []
+        repo.close()
+        assert len(fsyncs) == 1
+        assert (tmp_path / "s" / "readings.csv").read_text() == "ts_unix,node_id,sensor,seq,value\n"
+
+
+class TestSeqIndex:
+    def test_in_order_seqs_leave_one_run_per_node(self, tmp_path):
+        repo = Repository(tmp_path / "s", durable=False)
+        for node in (1, 2, 3):
+            for first in range(1, 100_001, 100):
+                readings = [(1, 5)] * 100
+                assert len(repo.ingest_batch(payload(first, readings), node, CONSTANTS)) == 100
+        assert len(repo) == 300_000
+        for node in (1, 2, 3):
+            assert repo.seq_runs(node) == [(1, 100_000)]
+        repo.close()
+        reloaded = Repository(tmp_path / "s", read_only=True)
+        assert [reloaded.seq_runs(node) for node in (1, 2, 3, 4)] == [[(1, 100_000)]] * 3 + [[]]
+
+    def test_late_retransmit_fills_gaps_and_joins_runs(self, tmp_path):
+        repo = Repository(tmp_path / "s", durable=False)
+        for seq in (1, 2, 5, 9, 10, 7):
+            repo.ingest_batch(payload(seq, [(1, 5)]), 1, CONSTANTS)
+        assert repo.seq_runs(1) == [(1, 2), (5, 5), (7, 7), (9, 10)]
+        for seq in (3, 4, 8, 6):
+            repo.ingest_batch(payload(seq, [(1, 5)]), 1, CONSTANTS)
+        assert repo.seq_runs(1) == [(1, 10)]
+        assert repo.ingest_batch(payload(1, [(1, 5)] * 10), 1, CONSTANTS) == []
+        assert len(repo) == 10
+
+
+class TestQueryVisibility:
+    def test_rows_become_visible_at_flush(self, tmp_path):
+        repo = Repository(tmp_path / "s", durable=False)
+        assert repo.append(CalibratedReading(1, 1000, SensorKind.RAIN_GAUGE, 1.0, 1))
+        assert len(repo) == 1 and repo.all_records() == []
+        repo.flush()
+        assert [r.seq for r in repo.all_records()] == [1]
+
+    def test_queries_from_another_thread_see_whole_batches(self, tmp_path):
+        repo = Repository(tmp_path / "s", durable=False)
+        seen, errors = [], []
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                seqs = [r.seq for r in repo.all_records()]
+                if seqs != list(range(1, len(seqs) + 1)) or len(seqs) % 5:
+                    errors.append(seqs)
+                seen.append(len(seqs))
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for k in range(400):
+                repo.ingest_batch(payload(1 + 5 * k, [(1, 5)] * 5, ts=1000 + k), 1, CONSTANTS)
+        finally:
+            done.set()
+            thread.join()
+        assert errors == []
+        assert seen and max(seen) <= 2000
+        assert len(repo.all_records()) == 2000
+
+
+# -- differential test against a plain reference model -------------------------
+
+
+class _ReferenceStore:
+    """What the store must answer: every first occurrence of a key, in a dict."""
+
+    def __init__(self):
+        self.rows: dict[tuple[int, int], CalibratedReading] = {}
+
+    def add(self, rec):
+        if (rec.node_id, rec.seq) in self.rows:
+            return False
+        self.rows[rec.node_id, rec.seq] = rec
+        return True
+
+    def ingest(self, p, node_id):
+        stored = []
+        for i, (code, value) in enumerate(p.readings):
+            kind = SensorKind.from_code(code)
+            rec = calibrate(RawReading(node_id, p.seq + i, p.timestamp, kind, value), CONSTANTS[kind])
+            if self.add(rec):
+                stored.append(rec)
+        return stored
+
+    def records(self):
+        return sorted(self.rows.values(), key=lambda r: (r.timestamp, r.node_id, r.seq))
+
+    def runs(self, node_id):
+        runs = []
+        for seq in sorted(seq for node, seq in self.rows if node == node_id):
+            if runs and runs[-1][1] == seq - 1:
+                runs[-1] = (runs[-1][0], seq)
+            else:
+                runs.append((seq, seq))
+        return runs
+
+
+_BATCH = st.tuples(
+    st.integers(1, 3),                                   # node
+    st.integers(1, 30),                                  # first seq
+    st.integers(0, 20),                                  # timestamp step
+    st.lists(st.tuples(st.integers(1, 5), st.integers(-50, 400)), min_size=1, max_size=4),
+)
+_OP = st.one_of(
+    st.tuples(st.just("batch"), _BATCH),
+    st.tuples(st.just("retransmit"), st.integers(0, 1000)),
+    st.tuples(st.just("reopen"), st.booleans()),
+    st.tuples(st.just("external"), st.lists(st.sampled_from(
+        ["row", "row", "unparseable", "blank", "header"]), min_size=1, max_size=3), st.booleans()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(_OP, min_size=1, max_size=40), data=st.data())
+def test_repository_matches_reference_model(ops, data):
+    ref = _ReferenceStore()
+    sent = []
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "s"
+        repo = Repository(store, durable=False)
+
+        def check(r):
+            records = ref.records()
+            assert len(r) == len(records)
+            assert r.all_records() == records
+            for node in (1, 2, 3):
+                assert r.seq_runs(node) == ref.runs(node)
+            lo = data.draw(st.integers(900, 1130), label="ts_from")
+            hi = data.draw(st.integers(lo, 1150), label="ts_to")
+            kind = data.draw(st.sampled_from([None, *SensorKind]), label="sensor")
+            assert r.query_range(lo, hi, kind) == [
+                x for x in records if lo <= x.timestamp <= hi and kind in (None, x.sensor)
+            ]
+            kind = data.draw(st.sampled_from(list(SensorKind)), label="series sensor")
+            limit = data.draw(st.sampled_from([None, 0, 1, 3, 50]), label="limit")
+            pairs = [(x.timestamp, x.value) for x in records if x.sensor is kind]
+            assert r.series(kind, limit=limit) == (pairs[-limit:] if limit else pairs)
+
+        ts = 1000
+        for op in ops:
+            if op[0] in ("batch", "retransmit"):
+                if op[0] == "batch":
+                    node, seq, step, readings = op[1]
+                    ts += step
+                    sent.append((node, payload(seq, readings, ts=ts)))
+                elif not sent:
+                    continue
+                node, p = sent[op[1] % len(sent)] if op[0] == "retransmit" else sent[-1]
+                assert repo.ingest_batch(p, node, CONSTANTS) == ref.ingest(p, node)
+            elif op[0] == "reopen":
+                repo.close()
+                if op[1]:
+                    check(Repository(store, read_only=True))
+                repo = Repository(store, durable=False)
+            else:
+                _, kinds, torn = op
+                repo.close()
+                lines = []
+                for what in kinds:
+                    if what == "row":
+                        node = data.draw(st.integers(1, 3), label="node")
+                        seq = data.draw(st.integers(1, 40), label="seq")
+                        kind = data.draw(st.sampled_from(list(SensorKind)), label="kind")
+                        value = data.draw(st.sampled_from([0.0, -1.5, 2.25, 1e-3]), label="value")
+                        name = data.draw(st.sampled_from([kind.name, kind.name.lower()]), label="name")
+                        lines.append(f"{ts},{node},{name},{seq},{value!r}\n")
+                        ref.add(CalibratedReading(node, ts, kind, value, seq))
+                    elif what == "unparseable":
+                        lines.append(data.draw(st.sampled_from(
+                            ["not,a,valid,row\n", f"{ts},1,rain_gauge,x,1.0\n", f"{ts},1,snow,2,1.0\n"]),
+                            label="bad row"))
+                    elif what == "blank":
+                        lines.append("\n")
+                    else:
+                        lines.append("ts_unix,node_id,sensor,seq,value\n")
+                if torn:
+                    lines.append(f"{ts},1,rain_gauge,{data.draw(st.integers(1, 40), label='torn seq')},1.")
+                with open(store / "readings.csv", "a", encoding="utf-8") as fh:
+                    fh.write("".join(lines))
+                check(Repository(store, read_only=True))
+                repo = Repository(store, durable=False)
+            check(repo)
+        repo.close()
+        check(Repository(store, read_only=True))
