@@ -30,9 +30,9 @@ from slopewatch.analytics import (
     InvalidSeriesError,
     RainEvent,
     active_event,
-    ar_fit,
-    ar_forecast,
+    ar_forecast_max,
     exceeds_caine,
+    median_of_sorted,
 )
 
 logger = logging.getLogger(__name__)
@@ -666,14 +666,8 @@ class AlertEngine:
         self._bins.buf[0, self._bins.lo + hour - self._first_hour] = total
 
     def _rain_interval(self) -> float:
-        """Median positive gap between rain samples (statistics.median), else 1 h."""
-        gaps = self._rain_gaps
-        n = len(gaps)
-        if n == 0:
-            return 3600.0
-        if n % 2 == 1:
-            return gaps[n // 2]
-        return (gaps[n // 2 - 1] + gaps[n // 2]) / 2
+        """Median positive gap between rain samples, else 1 h."""
+        return median_of_sorted(self._rain_gaps) if self._rain_gaps else 3600.0
 
     # -- snapshot construction -----------------------------------------------
 
@@ -734,11 +728,10 @@ class AlertEngine:
         if len(values) < 2 * order + 2:
             return None  # too short for an AR(order) fit
         try:
-            model = ar_fit(values, order)
+            return ar_forecast_max(values, order, self.thresholds.prediction_horizon)
         except InvalidSeriesError as exc:
             logger.debug("forecast unavailable: %s", exc)
             return None
-        return max(ar_forecast(model, values[-order:].tolist(), self.thresholds.prediction_horizon))
 
     # -- evaluation ------------------------------------------------------------
 

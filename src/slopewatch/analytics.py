@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
@@ -80,9 +79,18 @@ def _check_dry_gap(dry_gap: float) -> None:
         raise AnalyticsError(f"dry_gap must be positive, got {dry_gap}")
 
 
+def median_of_sorted(values: list[float]) -> float:
+    """Median of a non-empty sorted list, by ``statistics.median``'s formula:
+    the middle value, or the mean of the two middle values."""
+    n = len(values)
+    if n % 2 == 1:
+        return values[n // 2]
+    return (values[n // 2 - 1] + values[n // 2]) / 2
+
+
 def _infer_interval(series: list[tuple[float, float]]) -> float:
-    gaps = [t2 - t1 for (t1, _), (t2, _) in zip(series, series[1:]) if t2 > t1]
-    return median(gaps) if gaps else 3600.0
+    gaps = sorted(t2 - t1 for (t1, _), (t2, _) in zip(series, series[1:]) if t2 > t1)
+    return median_of_sorted(gaps) if gaps else 3600.0
 
 
 def segment_events(
@@ -229,55 +237,74 @@ class ARModel:
             )
 
 
-def ar_fit(series: list[float], order: int) -> ARModel:
-    """Least-squares AR(p) fit over all usable rows of the series.
+def _ar_solve(
+    series: list[float] | np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Check the series, centre it and solve the AR(p) least-squares problem.
 
     The series is mean-centered before solving, which keeps constant series
     exactly reproducible and leaves rank-deficient designs to the
-    minimum-norm solution of the centered problem.
+    minimum-norm solution of the centered problem. The design is built as
+    an ``(order + 1, rows)`` C array and handed to ``lstsq`` transposed, so
+    LAPACK's column-major copy of it is a contiguous one.
+
+    Returns the series as a float array, the design, the target, the
+    solution (centered intercept first, then phi_1 .. phi_p) and the
+    intercept of the uncentered model.
     """
     if order < 1:
         raise AnalyticsError(f"order must be >= 1, got {order}")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise InvalidSeriesError("series must be one-dimensional")
-    if not np.isfinite(x).all():
-        raise InvalidSeriesError("series contains non-finite values")
     n = x.size
+    total = x.sum()
+    # A finite sum has no inf or nan among its terms; only overflow needs the full scan.
+    if not math.isfinite(total) and not np.isfinite(x).all():
+        raise InvalidSeriesError("series contains non-finite values")
     if n < 2 * order + 2:
         raise InsufficientDataError(
             f"AR({order}) needs at least {2 * order + 2} samples, got {n}"
         )
-    mean = x.sum() / n
+    mean = total / n
     xc = x - mean
     rows = n - order
-    design = np.ones((rows, order + 1))
+    design = np.empty((order + 1, rows))
+    design[0] = 1.0
     for lag in range(1, order + 1):
-        design[:, lag] = xc[order - lag : n - lag]
+        design[lag] = xc[order - lag : n - lag]
     target = xc[order:]
-    beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    centered_intercept = float(beta[0])
-    coeffs = tuple(beta[1:].tolist())
-    intercept = float(mean * (1.0 - sum(coeffs)) + centered_intercept)
-    residuals = design @ beta - target
-    rms = math.sqrt(np.square(residuals).sum() / rows)
-    return ARModel(order=order, coefficients=coeffs, intercept=intercept, fit_residual_rms=rms)
+    beta = np.linalg.lstsq(design.T, target, rcond=None)[0]
+    intercept = float(mean * (1.0 - sum(beta[1:].tolist())) + float(beta[0]))
+    return x, design, target, beta, intercept
 
 
-def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[float]:
-    """Recursive h-step-ahead forecast, feeding predictions back as inputs."""
-    if horizon < 1:
-        raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
-    if len(history) < model.order:
-        raise InsufficientDataError(
-            f"AR({model.order}) forecast needs {model.order} history samples, got {len(history)}"
-        )
-    coefficients = model.coefficients
-    intercept = model.intercept
+def ar_fit(series: list[float], order: int) -> ARModel:
+    """Least-squares AR(p) fit over all usable rows of the series."""
+    _, design, target, beta, intercept = _ar_solve(series, order)
+    # The product runs over a row-major copy: BLAS rounds the transposed
+    # design's product differently, and the printed RMS is that of a
+    # (rows, order + 1) design.
+    residuals = np.ascontiguousarray(design.T) @ beta - target
+    rms = math.sqrt(np.square(residuals).sum() / target.size)
+    return ARModel(
+        order=order,
+        coefficients=tuple(beta[1:].tolist()),
+        intercept=intercept,
+        fit_residual_rms=rms,
+    )
+
+
+def _ar_recurse(
+    coefficients: tuple[float, ...] | list[float],
+    intercept: float,
+    history: list[float],
+    horizon: int,
+) -> list[float]:
     # Predictions are appended, never trimmed, so window[-lag] is the lag-th
     # newest value. The terms are added from int 0 in lag order, the rounding
     # the recorded alert decisions were made with.
-    window = list(history[-model.order :])
+    window = list(history)
     out: list[float] = []
     for _ in range(horizon):
         acc = 0
@@ -288,3 +315,26 @@ def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[floa
         window.append(nxt)
     return out
 
+
+def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[float]:
+    """Recursive h-step-ahead forecast, feeding predictions back as inputs."""
+    if horizon < 1:
+        raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
+    if len(history) < model.order:
+        raise InsufficientDataError(
+            f"AR({model.order}) forecast needs {model.order} history samples, got {len(history)}"
+        )
+    return _ar_recurse(model.coefficients, model.intercept, history[-model.order :], horizon)
+
+
+def ar_forecast_max(series: list[float] | np.ndarray, order: int, horizon: int) -> float:
+    """Largest value of the h-step forecast from an AR(p) fit of the series.
+
+    Equal, bit for bit, to ``max(ar_forecast(ar_fit(series, order), series,
+    horizon))`` and raises the same errors, but computes no residuals and
+    builds no model.
+    """
+    x, _, _, beta, intercept = _ar_solve(series, order)
+    if horizon < 1:
+        raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
+    return max(_ar_recurse(beta[1:].tolist(), intercept, x[-order:].tolist(), horizon))

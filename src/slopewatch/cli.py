@@ -10,7 +10,6 @@ import csv
 import json
 import logging
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from slopewatch.analytics import (
@@ -34,10 +33,6 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 logger = logging.getLogger(__name__)
-
-
-def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%d %H:%M")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,7 @@ from slopewatch.session import (
     IpAssigned,
     LinkDown,
     LogWarning,
+    NodeEvent,
     NodeState,
     ReadingsAvailable,
     SendFrame,
@@ -236,35 +237,42 @@ class NodeRunner:
         if not header:
             self._event(LinkDown())
             return
-        self._buffer = getattr(self, "_buffer", b"") + header
+        self._buffer += header
         while True:
-            frame, rest = _try_split(self._buffer)
-            if frame is None:
-                self._buffer = rest
+            raw, self._buffer = _try_split(self._buffer)
+            if raw is None:
                 return
-            self._buffer = rest
-            self._handle_frame(frame)
-
-    def _handle_frame(self, frame: wire.Frame) -> None:
-        t = frame.msg_type
-        if t is wire.MessageType.IP_ASSIGN:
-            self._event(IpAssigned(wire.decode_ipassign(frame.payload)))
-        elif t is wire.MessageType.SERVER_IP:
-            self._event(ServerIpReceived(wire.decode_serverip(frame.payload)))
-        elif t is wire.MessageType.CONN_ACK:
-            sid, nonce = wire.decode_connack(frame.payload)
-            self._event(ConnAckReceived(sid, nonce))
-        elif t is wire.MessageType.DATA_ACK:
-            self._event(DataAckReceived(wire.decode_dataack(frame.payload)))
+            try:
+                event = _frame_event(wire.decode_frame(raw))
+            except wire.FrameError as exc:
+                # The header delimited it: drop it and read on, as the station does.
+                logger.warning("dropping bad frame from %s: %s", self.addr, exc)
+                continue
+            if event is not None:
+                self._event(event)
 
 
-def _try_split(buf: bytes) -> tuple[wire.Frame | None, bytes]:
-    """Extract one frame from a stream buffer, or signal more bytes needed."""
+def _frame_event(frame: wire.Frame) -> NodeEvent | None:
+    """The node event a frame from the station carries, if any."""
+    t = frame.msg_type
+    if t is wire.MessageType.IP_ASSIGN:
+        return IpAssigned(wire.decode_ipassign(frame.payload))
+    if t is wire.MessageType.SERVER_IP:
+        return ServerIpReceived(wire.decode_serverip(frame.payload))
+    if t is wire.MessageType.CONN_ACK:
+        return ConnAckReceived(*wire.decode_connack(frame.payload))
+    if t is wire.MessageType.DATA_ACK:
+        return DataAckReceived(wire.decode_dataack(frame.payload))
+    return None
+
+
+def _try_split(buf: bytes) -> tuple[bytes | None, bytes]:
+    """Cut the bytes of one frame, as its header delimits them, off a stream
+    buffer, or signal more bytes needed."""
     if len(buf) < wire.HEADER_LEN:
         return None, buf
     plen = int.from_bytes(buf[4:6], "big")
     total = wire.HEADER_LEN + plen + wire.TRAILER_LEN
     if len(buf) < total:
         return None, buf
-    frame = wire.decode_frame(buf[:total])
-    return frame, buf[total:]
+    return buf[:total], buf[total:]

@@ -7,6 +7,7 @@ bit-identity with its earlier, straightforward numpy formulation.
 """
 
 import random
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -25,9 +26,11 @@ from slopewatch.analytics import (
     antecedent_rainfall,
     ar_fit,
     ar_forecast,
+    ar_forecast_max,
     caine_threshold,
     compute_rainfall_features,
     exceeds_caine,
+    median_of_sorted,
     segment_events,
 )
 
@@ -82,6 +85,12 @@ class TestSegmentEvents:
     def test_non_positive_dry_gap_rejected(self):
         with pytest.raises(AnalyticsError):
             segment_events(hourly([1.0]), dry_gap=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=40))
+def test_median_of_sorted_matches_statistics_median(values):
+    assert median_of_sorted(sorted(values)) == statistics.median(values)
 
 
 class TestAntecedentRainfall:
@@ -409,3 +418,53 @@ class TestArKernelMatchesEarlierFormulation:
             series = make_series("gaussian", n, seed=n)
             assert outcome(ar_fit, series, order) is outcome(oracle_ar_fit, series, order)
             assert outcome(ar_fit, series, order) in (InsufficientDataError, AnalyticsError)
+
+
+class TestArForecastMaxMatchesEarlierFormulation:
+    """``ar_forecast_max`` is the maximum of the earlier fit-then-forecast."""
+
+    @staticmethod
+    def oracle(series, order, horizon):
+        return max(oracle_ar_forecast(oracle_ar_fit(series, order), series, horizon))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=ar_cases(), horizon=st.integers(1, 12))
+    def test_bit_identical(self, case, horizon):
+        series, order = case
+        got = outcome(ar_forecast_max, series, order, horizon)
+        assert got == outcome(self.oracle, series, order, horizon)
+        if isinstance(got, type):
+            assert len(series) < 2 * order + 2
+        else:
+            assert type(got) is float
+            assert got == ar_forecast_max(np.asarray(series), order, horizon)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_same_error_on_non_finite_input(self, order, bad):
+        for n in (2 * order + 1, 2 * order + 2, 50):
+            series = make_series("gaussian", n, seed=n)
+            series[n // 2] = bad
+            assert outcome(ar_forecast_max, series, order, 4) is InvalidSeriesError
+            assert outcome(self.oracle, series, order, 4) is InvalidSeriesError
+
+    def test_finite_values_whose_sum_overflows_fail_as_before(self):
+        # No value is non-finite, but the mean overflows and the solve fails on it.
+        series = [1e308, 1.5e308, 1.2e308, 1.7e308, 1.1e308, 1.6e308]
+        with np.errstate(all="ignore"):
+            for fn in (ar_forecast_max, self.oracle):
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(series, 1, 3)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_same_error_on_short_input(self, order):
+        for n in range(2 * order + 2):
+            series = make_series("gaussian", n, seed=n)
+            got = outcome(ar_forecast_max, series, order, 4)
+            assert got is outcome(self.oracle, series, order, 4)
+            assert got in (InsufficientDataError, AnalyticsError)
+
+    def test_horizon_below_one_rejected(self):
+        series = make_series("gaussian", 40, seed=1)
+        assert outcome(ar_forecast_max, series, 2, 0) is outcome(self.oracle, series, 2, 0)
+        assert outcome(ar_forecast_max, series, 2, 0) is AnalyticsError

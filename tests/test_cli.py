@@ -294,6 +294,58 @@ class TestSocketTransport:
         assert len(reloaded) == 8
         assert {r.node_id for r in reloaded.all_records()} == {3}
 
+    @pytest.mark.parametrize("fault", ["crc bit", "short payload"])
+    def test_node_survives_a_corrupt_data_ack(self, fault, tmp_path, caplog):
+        from slopewatch import wire
+        from slopewatch.config import load_config
+        from slopewatch.nettransport import NodeRunner, StationServer, _StationHandler
+        from slopewatch.nodesim import Scenario, ScenarioStep
+        from slopewatch.domain import SensorKind
+
+        corrupted = threading.Event()
+
+        def corrupt(data):
+            if fault == "crc bit":
+                return data[:-1] + bytes([data[-1] ^ 0x01])
+            return wire.encode_frame(wire.Frame(wire.MessageType.DATA_ACK, data[6:9]))
+
+        class CorruptFirstAck(_StationHandler):
+            """Corrupts the first DATA_ACK; sends every later frame intact."""
+
+            def setup(self):
+                super().setup()
+                write = self.wfile.write
+
+                def corrupt_first_ack(data):
+                    if data[3] == wire.MessageType.DATA_ACK and not corrupted.is_set():
+                        corrupted.set()
+                        data = corrupt(data)
+                    return write(data)
+
+                self.wfile.write = corrupt_first_ack
+
+        steps = tuple(ScenarioStep(15.0 * k, SensorKind.RAIN_GAUGE, k) for k in range(1, 9))
+        scenario = Scenario(name="mini", steps=steps, sample_interval=15.0)
+        server = StationServer(("127.0.0.1", 0), load_config(DEMO), str(tmp_path / "store"))
+        server.RequestHandlerClass = CorruptFirstAck
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        try:
+            runner = NodeRunner(scenario, node_id=3, connect=f"127.0.0.1:{server.server_address[1]}",
+                                speedup=120.0)
+            with caplog.at_level("WARNING", logger="slopewatch.nettransport"):
+                assert runner.run() == 0
+            assert corrupted.is_set()
+            assert runner.state.pending == ()
+            assert any("dropping bad frame" in r.getMessage() for r in caplog.records)
+            with server.engine_lock:
+                assert server.engine.records_stored == 8
+        finally:
+            server.shutdown()
+            server.close_store()
+            server.server_close()
+
     def test_both_ends_disable_nagle(self, tmp_path):
         import socket
 
@@ -340,3 +392,11 @@ def test_sigint_leaves_parseable_store(tmp_path):
     assert proc.returncode == 0
     repo = Repository(store, read_only=True)
     assert repo.load_warnings == []
+
+
+def test_import_leaves_statistics_unloaded():
+    # statistics pulls decimal and fractions into every station process.
+    code = "import sys, slopewatch.cli; print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
