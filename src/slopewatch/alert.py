@@ -159,20 +159,18 @@ def uni_alerts(e: ExceedanceSet) -> set[Parameter]:
 
 
 def _exceedances(snapshot: ValueSnapshot, th: Thresholds, use_caine: bool) -> ExceedanceSet:
-    def at_least(value: float | None, threshold: float) -> bool:
-        return value is not None and value >= threshold
-
-    rain = at_least(snapshot.rain_intensity_mm_per_h, th.mt_rain_mm_per_h)
+    # A missing value (None) never exceeds.
+    v = snapshot.rain_intensity_mm_per_h
+    rain = v is not None and v >= th.mt_rain_mm_per_h
     if use_caine and not rain and snapshot.active_event is not None:
         rain = exceeds_caine(snapshot.active_event) is True
+    pore, disp = snapshot.pore_kpa, snapshot.displacement_mm
+    incl, tilt, mt_incl = snapshot.inclinometer_deg, snapshot.tiltmeter_deg, th.mt_inclination_deg
     return ExceedanceSet(
         rain=rain,
-        pore=at_least(snapshot.pore_kpa, th.mt_pore_kpa),
-        displacement=at_least(snapshot.displacement_mm, th.mt_displacement_mm),
-        inclination=(
-            at_least(snapshot.inclinometer_deg, th.mt_inclination_deg)
-            or at_least(snapshot.tiltmeter_deg, th.mt_inclination_deg)
-        ),
+        pore=pore is not None and pore >= th.mt_pore_kpa,
+        displacement=disp is not None and disp >= th.mt_displacement_mm,
+        inclination=(incl is not None and incl >= mt_incl) or (tilt is not None and tilt >= mt_incl),
     )
 
 
@@ -192,7 +190,8 @@ def evaluate(
     predicted_e = _exceedances(predicted, th, use_caine=False)
     decisions = []
     for source, exc in ((ValueSource.CURRENT, current_e), (ValueSource.PREDICTED, predicted_e)):
-        uni_level = AlertLevel.YELLOW if uni_alerts(exc) else AlertLevel.GREEN
+        any_exceeded = exc.rain or exc.pore or exc.displacement or exc.inclination
+        uni_level = AlertLevel.YELLOW if any_exceeded else AlertLevel.GREEN
         decisions.append(AlertDecision(uni_level, AlertMode.UNI, source, exc, now))
         decisions.append(AlertDecision(multi_level(exc), AlertMode.MULTI, source, exc, now))
     return decisions
@@ -462,6 +461,9 @@ _KEY_BY_KIND = {
     SensorKind.INCLINOMETER: "inclinometer",
     SensorKind.TILTMETER: "tiltmeter",
 }
+# By wire code (an int): a dict lookup keyed by the enum member would run
+# Enum.__hash__, a Python-level call, for every reading.
+_KEY_BY_CODE = {kind._value_: key for kind, key in _KEY_BY_KIND.items()}
 
 
 class _Columns:
@@ -587,13 +589,31 @@ class AlertEngine:
         self._rain_gaps: list[float] = []  # sorted positive gaps between neighbouring rain samples
 
     def observe(self, records) -> None:
-        """Feed newly stored calibrated readings (duplicates already removed)."""
+        """Feed newly stored calibrated readings (duplicates already removed).
+
+        A non-rain reading at or after its window's last time, with room
+        left in the buffer, is written straight into the buffer's tail:
+        the common case of in-order data. Everything else goes through
+        ``_insert``.
+        """
+        series, dirty, cap, now = self._series, self._dirty, self.analysis.max_window_samples, self.now
         for rec in records:
-            key = _KEY_BY_KIND[rec.sensor]
-            self._insert(key, float(rec.timestamp), rec.value)
-            self._dirty.add(key)
-            if rec.timestamp > self.now:
-                self.now = float(rec.timestamp)
+            key = _KEY_BY_CODE[rec.sensor._value_]
+            t = float(rec.timestamp)
+            window = series[key]
+            buf, hi = window.buf, window.hi
+            if key != "rain" and hi < buf.shape[1] and (hi == window.lo or t >= buf[0, hi - 1]):
+                buf[0, hi] = t
+                buf[1, hi] = rec.value
+                window.hi = hi = hi + 1
+                if hi - window.lo > cap:
+                    window.lo += 1
+            else:
+                self._insert(key, t, rec.value)
+            dirty.add(key)
+            if t > now:
+                now = t
+        self.now = now
 
     def _insert(self, key: str, t: float, value: float) -> None:
         window = self._series[key]

@@ -130,6 +130,7 @@ class Repository:
         self._lines = 0                    # complete lines in the file, header included
         self._visible_lines = 0            # lines queries read: those flushed
         self._dirty = False                # lines written since the last flush
+        self._calibration: tuple[tuple, dict] = ((), {})  # see _calibration_table
         self.load_warnings: list[str] = []
         self.rows_seen = 0
         if not read_only:
@@ -265,31 +266,55 @@ class Repository:
         Readings within a payload share its timestamp and occupy consecutive
         sequence numbers starting at ``payload.seq``. The whole batch is
         rejected (nothing stored) if any sensor lacks calibration constants.
+        The new rows go to the file in one write and are flushed once.
         """
-        raws = []
-        for i, (code, raw) in enumerate(payload.readings):
-            sensor = SensorKind.from_code(code)
-            if sensor not in constants:
-                raise MissingConstantsError(
-                    f"no calibration constants for {sensor.name}; batch seq {payload.seq} rejected"
-                )
-            raws.append(
-                RawReading(
-                    node_id=node_id,
-                    seq=payload.seq + i,
-                    timestamp=payload.timestamp,
-                    sensor=sensor,
-                    raw=raw,
-                )
-            )
-        stored = []
-        for r in raws:
-            rec = calibrate(r, constants[r.sensor])
-            if self.append(rec):
-                stored.append(rec)
+        readings = payload.readings
+        table = self._calibration_table(constants)
+        try:
+            cals = [table[code] for code, _ in readings]
+        except KeyError as exc:
+            sensor = SensorKind.from_code(exc.args[0])
+            raise MissingConstantsError(
+                f"no calibration constants for {sensor.name}; batch seq {payload.seq} rejected"
+            ) from None
+        if not readings:
+            return []
+        if self._fh is None:
+            raise StoreError("repository opened read-only")
+        runs = self._index.get(node_id)
+        if runs is None:
+            runs = self._index[node_id] = _SeqRuns()
+        seq, ts = payload.seq, payload.timestamp
+        stored, rows = [], []
+        for (_, raw), (sensor, name, gain, offset) in zip(readings, cals):
+            if runs.add(seq):
+                value = gain * raw + offset
+                stored.append(CalibratedReading(node_id, ts, sensor, value, seq))
+                rows.append(f"{ts},{node_id},{name},{seq},{value!r}\n")
+            seq += 1
         if stored:
+            self._fh.write("".join(rows))
+            self._count += len(stored)
+            self._lines += len(stored)
+            self._dirty = True
             self.flush()
         return stored
+
+    def _calibration_table(self, constants: dict[SensorKind, CalibrationConstants]) -> dict:
+        """Wire code -> (sensor, row name, gain, offset), rebuilt when ``constants`` changes.
+
+        Keyed by int code, so no batch hashes a SensorKind. Constants filed
+        under another sensor's kind are rejected for every batch.
+        """
+        entries = tuple(constants.items())
+        if entries != self._calibration[0]:
+            table = {}
+            for sensor, c in entries:
+                if c.sensor is not sensor:
+                    raise CalibrationError(f"constants for {c.sensor.name} applied to a {sensor.name} reading")
+                table[sensor.value] = (sensor, sensor.name.lower(), c.gain, c.offset)
+            self._calibration = (entries, table)
+        return self._calibration[1]
 
     # -- reads ---------------------------------------------------------------
 

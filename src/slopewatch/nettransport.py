@@ -9,6 +9,7 @@ speedup factor, so multi-day storms can stream in seconds.
 from __future__ import annotations
 
 import logging
+import signal
 import socket
 import socketserver
 import threading
@@ -112,23 +113,55 @@ def run_station(config: Config, listen: str, store_dir: str, ready_event=None, s
         logger.error("cannot bind %s: %s", listen, exc)
         return 1
     host, port = server.server_address[:2]
-    print(f"listening on {host}:{port}", flush=True)
-    if ready_event is not None:
-        ready_event.set()
+    restore_signals = _stop_on_signals()
     try:
+        print(f"listening on {host}:{port}", flush=True)
+        if ready_event is not None:
+            ready_event.set()
         if stop_event is None:
             server.serve_forever(poll_interval=0.2)
         else:
             threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True).start()
-            stop_event.wait()
+            try:
+                stop_event.wait()
+            finally:
+                # shutdown() waits for a running serve_forever to return, so it
+                # belongs here only: in the main thread serve_forever has
+                # returned already, or never started if the signal came first.
+                server.shutdown()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
         server.close_store()
         server.server_close()
         print("store flushed, bye", flush=True)
+        restore_signals()
     return 0
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+def _stop_on_signals():
+    """Make SIGTERM and SIGINT raise KeyboardInterrupt, when in the main thread.
+
+    SIGINT gets Python's default handler back, because a process started in
+    the background by a non-interactive shell inherits it as ignored.
+    Returns a function that puts the previous handlers back.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return lambda: None
+    saved = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, _interrupt)
+
+    def restore() -> None:
+        for sig, handler in saved.items():
+            if handler is not None:  # None: set outside Python, cannot be put back
+                signal.signal(sig, handler)
+
+    return restore
 
 
 class NodeRunner:

@@ -199,6 +199,7 @@ class SendDataPayload:
 
 _READING = struct.Struct(">Bi")
 _SENDDATA_HEAD = struct.Struct(">IIQB")
+_SENSOR_CODES = frozenset(kind.value for kind in SensorKind)
 
 
 def encode_senddata(p: SendDataPayload) -> bytes:
@@ -206,10 +207,8 @@ def encode_senddata(p: SendDataPayload) -> bytes:
         raise PayloadError(f"{len(p.readings)} readings exceed the 255-per-frame cap")
     parts = [_SENDDATA_HEAD.pack(p.session_id, p.seq, p.timestamp, len(p.readings))]
     for code, raw in p.readings:
-        try:
-            SensorKind.from_code(code)  # reject unknown codes at encode time
-        except ValueError:
-            raise PayloadError(f"unknown sensor code 0x{code:02x}") from None
+        if code not in _SENSOR_CODES:  # reject unknown codes at encode time
+            raise PayloadError(f"unknown sensor code 0x{code:02x}")
         parts.append(_READING.pack(code, raw))
     return b"".join(parts)
 
@@ -224,16 +223,12 @@ def decode_senddata(data: bytes) -> SendDataPayload:
             f"SEND_DATA count {count} implies {expected} bytes, payload has {len(data)}",
             _SENDDATA_HEAD.size,
         )
-    readings = []
-    for i in range(count):
-        off = _SENDDATA_HEAD.size + i * _READING.size
-        code, raw = _READING.unpack_from(data, off)
-        try:
-            SensorKind.from_code(code)
-        except ValueError:
-            raise PayloadError(f"unknown sensor code 0x{code:02x}", off) from None
-        readings.append((code, raw))
-    return SendDataPayload(session_id=session_id, seq=seq, timestamp=timestamp, readings=tuple(readings))
+    readings = tuple(_READING.iter_unpack(data[_SENDDATA_HEAD.size :]))
+    for i, (code, _) in enumerate(readings):
+        if code not in _SENSOR_CODES:
+            off = _SENDDATA_HEAD.size + i * _READING.size
+            raise PayloadError(f"unknown sensor code 0x{code:02x}", off)
+    return SendDataPayload(session_id=session_id, seq=seq, timestamp=timestamp, readings=readings)
 
 
 # Small fixed-shape payloads. IPv4 addresses travel as 4 raw bytes.

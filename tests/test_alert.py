@@ -539,6 +539,21 @@ class TestIncrementalEngine:
         assert len(records) / (sum(batch_sizes) / len(batch_sizes)) >= 700
         assert_matches_reference(records, AnalysisConfig(), batch_sizes)
 
+    @pytest.mark.parametrize("kind", [PIEZO, TILT])
+    def test_in_order_appends_across_buffer_growth_and_the_cap(self, kind):
+        # In-order samples are written straight into the buffer's tail. Run
+        # one series past every buffer size (16, 34, 70, ... columns), past
+        # the 512 cap and past a compaction, with repeated timestamps and one
+        # late sample, which takes the sorted-insert path.
+        rng = random.Random(7)
+        ts, records = T0, []
+        for seq in range(1200):
+            ts += rng.choice([600, 600, 1200, 0])
+            records.append(CalibratedReading(1, ts, kind, rng.uniform(-5.0, 80.0), seq))
+        late = records[700]
+        records.insert(760, CalibratedReading(1, late.timestamp - 300, kind, 12.5, 5000))
+        assert_matches_reference(records, AnalysisConfig(), [1, 3, 2, 16])
+
     @settings(max_examples=300, deadline=None)
     @given(
         times=st.lists(st.integers(0, 6), max_size=40),

@@ -394,6 +394,86 @@ def test_sigint_leaves_parseable_store(tmp_path):
     assert repo.load_warnings == []
 
 
+def _store_one_batch(port: int) -> None:
+    """Announce, connect and store one 5-reading batch over TCP; wait for its ack."""
+    import socket
+
+    from slopewatch import wire
+    from slopewatch.wire import Frame, MessageType
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(wire.encode_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(3, "10.77.0.3"))))
+        assert wire.decode_frame(wire.read_frame(rfile)).msg_type is MessageType.SERVER_IP
+        sock.sendall(wire.encode_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(3, 99))))
+        session_id, _ = wire.decode_connack(wire.decode_frame(wire.read_frame(rfile)).payload)
+        readings = tuple((code, 100 * code) for code in range(1, 6))
+        payload = wire.SendDataPayload(session_id, 0, 1_700_000_000, readings)
+        sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))))
+        ack = wire.decode_frame(wire.read_frame(rfile))
+        assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 0
+
+
+def _ignore_sigint() -> None:
+    # As a shell does for a command it starts in the background with ``&``.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+@pytest.mark.parametrize(
+    "sig, preexec",
+    [(signal.SIGTERM, None), (signal.SIGINT, _ignore_sigint)],
+    ids=["sigterm", "sigint inherited as ignored"],
+)
+def test_signal_stops_server_cleanly(tmp_path, sig, preexec):
+    store = tmp_path / "store"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slopewatch.cli", "server", "--config", DEMO,
+         "--store", str(store), "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        preexec_fn=preexec,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert "listening on" in line
+        _store_one_batch(int(line.rsplit(":", 1)[1]))
+        proc.send_signal(sig)
+        out, _ = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert proc.returncode == 0, out
+    assert "store flushed, bye" in out
+    repo = Repository(store, read_only=True)
+    assert repo.load_warnings == []
+    assert len(repo) == 5
+
+
+def test_interrupt_before_the_serve_loop_still_closes_the_store(tmp_path, monkeypatch):
+    # A signal that lands after "listening on" but before serve_forever has
+    # started its loop: stopping must not wait for a loop that never ran.
+    from slopewatch import nettransport
+    from slopewatch.config import load_config
+
+    def interrupted(self, poll_interval=0.5):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(nettransport.StationServer, "serve_forever", interrupted)
+    result = []
+    runner = threading.Thread(
+        target=lambda: result.append(
+            nettransport.run_station(load_config(DEMO), "127.0.0.1:0", str(tmp_path / "store"))
+        ),
+        daemon=True,
+    )
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert result == [0]
+    assert Repository(tmp_path / "store", read_only=True).load_warnings == []
+
+
 def test_import_leaves_statistics_unloaded():
     # statistics pulls decimal and fractions into every station process.
     code = "import sys, slopewatch.cli; print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"

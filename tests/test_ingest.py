@@ -437,3 +437,114 @@ def test_repository_matches_reference_model(ops, data):
             check(repo)
         repo.close()
         check(Repository(store, read_only=True))
+
+
+def oracle_ingest(repo, p, node_id, constants):
+    """``ingest_batch`` as one record at a time: calibrate, append, then one flush."""
+    raws = []
+    for i, (code, value) in enumerate(p.readings):
+        kind = SensorKind.from_code(code)
+        if kind not in constants:
+            raise MissingConstantsError(f"no calibration constants for {kind.name}; batch seq {p.seq} rejected")
+        raws.append(RawReading(node_id, p.seq + i, p.timestamp, kind, value))
+    stored = []
+    for r in raws:
+        rec = calibrate(r, constants[r.sensor])
+        if repo.append(rec):
+            stored.append(rec)
+    if stored:
+        repo.flush()
+    return stored
+
+
+# Without the tiltmeter: a batch carrying one is rejected whole.
+_NO_TILT = {kind: c for kind, c in CONSTANTS.items() if kind is not SensorKind.TILTMETER}
+_DIFF_BATCH = st.tuples(
+    st.integers(1, 3),                                   # node
+    st.integers(0, 40),                                  # first seq: overlaps, gaps, out of order
+    st.integers(0, 50),                                  # timestamp step
+    st.lists(st.tuples(st.integers(1, 5), st.integers(-2**31, 2**31 - 1)), max_size=6),
+)
+
+
+class TestOnePassIngestMatchesRecordAtATime:
+    @staticmethod
+    def run_both(tmp, ops, constants):
+        one_pass = Repository(Path(tmp) / "one_pass", durable=False)
+        oracle = Repository(Path(tmp) / "oracle", durable=False)
+        sent, ts = [], 1000
+        for kind, arg in ops:
+            if kind == "batch":
+                node, seq, step, readings = arg
+                ts += step
+                sent.append((node, payload(seq, readings, ts=ts)))
+                node, p = sent[-1]
+            elif sent:
+                node, p = sent[arg % len(sent)]  # a retransmit of any earlier batch
+            else:
+                continue
+            outcomes = []
+            for repo, ingest in ((one_pass, Repository.ingest_batch), (oracle, oracle_ingest)):
+                try:
+                    outcomes.append(ingest(repo, p, node, constants))
+                except MissingConstantsError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert len(one_pass) == len(oracle)
+            for n in (1, 2, 3):
+                assert one_pass.seq_runs(n) == oracle.seq_runs(n)
+            assert one_pass.path.read_bytes() == oracle.path.read_bytes()
+        one_pass.close()
+        oracle.close()
+        assert one_pass.path.read_bytes() == oracle.path.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("batch"), _DIFF_BATCH),
+                st.tuples(st.just("retransmit"), st.integers(0, 1000)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        all_constants=st.booleans(),
+    )
+    def test_same_records_rows_and_runs(self, ops, all_constants):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.run_both(tmp, ops, CONSTANTS if all_constants else _NO_TILT)
+
+    def test_uncalibrated_sensor_last_touches_nothing(self, tmp_path):
+        repo = Repository(tmp_path / "s", durable=False)
+        repo.ingest_batch(payload(1, [(1, 5), (2, 2300)]), 1, _NO_TILT)
+        before, runs = repo.path.read_bytes(), repo.seq_runs(1)
+        tilt = SensorKind.TILTMETER.value
+        for seq in (3, 2, 1):  # in order, overlapping, all duplicates but the last
+            with pytest.raises(MissingConstantsError, match="TILTMETER"):
+                repo.ingest_batch(payload(seq, [(1, 5), (3, 50), (tilt, 7)]), 1, _NO_TILT)
+            assert repo.path.read_bytes() == before
+            assert repo.seq_runs(1) == runs
+            assert len(repo) == 2
+        repo.close()
+
+    def test_constants_changed_between_batches(self, tmp_path):
+        repo = Repository(tmp_path / "s", durable=False)
+        constants = dict(CONSTANTS)
+        first = repo.ingest_batch(payload(1, [(2, 100)]), 1, constants)
+        constants[SensorKind.PIEZOMETER] = CalibrationConstants(SensorKind.PIEZOMETER, 0.5, 1.0)
+        second = repo.ingest_batch(payload(2, [(2, 100)]), 1, constants)
+        assert [r.value for r in first + second] == [0.01 * 100 - 3.5, 0.5 * 100 + 1.0]
+        del constants[SensorKind.PIEZOMETER]
+        with pytest.raises(MissingConstantsError):
+            repo.ingest_batch(payload(3, [(2, 100)]), 1, constants)
+        repo.close()
+
+    def test_constants_filed_under_another_kind_rejected(self, tmp_path):
+        repo = Repository(tmp_path / "s", durable=False)
+        swapped = dict(CONSTANTS)
+        swapped[SensorKind.RAIN_GAUGE] = CONSTANTS[SensorKind.PIEZOMETER]
+        with pytest.raises(CalibrationError, match="PIEZOMETER applied to a RAIN_GAUGE"):
+            repo.ingest_batch(payload(1, [(1, 5)]), 1, swapped)
+        assert len(repo) == 0 and repo.seq_runs(1) == []
+        assert repo.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS)[0].value == 1.0
+        repo.close()

@@ -199,6 +199,16 @@ class TestSendDataCodec:
         with pytest.raises(PayloadError):
             decode_senddata(bad)
 
+    @pytest.mark.parametrize("position", range(5))
+    def test_unknown_sensor_code_offset(self, position):
+        # 17-byte head (session, seq, timestamp, count), then 5 bytes per reading.
+        readings = tuple((code, 10 * code) for code in range(1, 6))
+        data = bytearray(encode_senddata(SendDataPayload(1, 1, 1, readings)))
+        data[17 + 5 * position] = 0x77
+        with pytest.raises(PayloadError, match="unknown sensor code 0x77") as exc:
+            decode_senddata(bytes(data))
+        assert exc.value.offset == 17 + 5 * position
+
     def test_count_mismatch_rejected(self):
         good = encode_senddata(SendDataPayload(1, 1, 1, ((0x01, 0),)))
         with pytest.raises(PayloadError):
