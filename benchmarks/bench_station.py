@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark one SEND_DATA frame through the station engine at steady state.
 
-Usage: python benchmarks/bench_station.py [--frames 300] [--rounds 5]
+Usage: python benchmarks/bench_station.py [--frames 300] [--rounds 5] [--stream 600s|hourly|both]
 
 A station engine with the demo calibration and thresholds, a store with
 ``durable=False`` (no fsync) and the default 512-sample windows is first
@@ -9,8 +9,17 @@ filled with 600 five-sensor batches, so every window is full. Then
 ``--frames`` more batches are timed through ``ServerEngine.handle_data_frame``.
 Prints µs per frame, and its split into ``decode_senddata``,
 ``ingest_batch`` and ``evaluate_batch``, with the share of the last spent
-in ``ar_forecast_max``. Each figure is the best of ``--rounds`` rounds,
-each on a freshly filled station.
+in ``ar_forecast_max``. "non-AR" is a whole frame less the time spent in
+``ar_forecast_max``, both timed in one more pass. Each figure is the best
+of ``--rounds`` rounds, each pass on a freshly filled station.
+
+Two streams of batches, one reading per sensor each:
+
+* ``600s``: a batch every 600 s, rain raw mostly 0 (0, 0, 0, 1, 2 or 5);
+* ``hourly``: a batch every hour with raws drawn uniformly from the ranges
+  of perfbench's ``tcp_station`` node (``perfbench/loadgen.py``), rain
+  raw 0-2, so two batches in three carry rain and the rain event often
+  spans the whole window.
 """
 
 import argparse
@@ -33,7 +42,25 @@ DEMO_INI = Path(__file__).resolve().parent.parent / "config" / "demo.ini"
 FILL = 600  # batches before timing; more than the 512-sample window cap
 NODE = 1
 T0 = 1_700_000_000
-INTERVAL = 600  # seconds between batches
+# Per stream: seconds between batches, and a function of the stream's rng
+# giving each sensor's raw reading.
+STREAMS = {
+    "600s": (600, {
+        SensorKind.RAIN_GAUGE: lambda rng: rng.choice((0, 0, 0, 1, 2, 5)),
+        SensorKind.PIEZOMETER: lambda rng: 2000 + rng.randrange(-300, 300),
+        SensorKind.EXTENSOMETER: lambda rng: 50 + rng.randrange(-20, 20),
+        SensorKind.INCLINOMETER: lambda rng: 200 + rng.randrange(-50, 50),
+        SensorKind.TILTMETER: lambda rng: 150 + rng.randrange(-50, 50),
+    }),
+    # The raw ranges of perfbench/loadgen.py's RAW_RANGE, inclusive.
+    "hourly": (3600, {
+        SensorKind.RAIN_GAUGE: lambda rng: rng.randint(0, 2),
+        SensorKind.PIEZOMETER: lambda rng: rng.randint(1900, 2100),
+        SensorKind.EXTENSOMETER: lambda rng: rng.randint(40, 60),
+        SensorKind.INCLINOMETER: lambda rng: rng.randint(180, 220),
+        SensorKind.TILTMETER: lambda rng: rng.randint(140, 160),
+    }),
+}
 
 
 class NullSink:
@@ -43,24 +70,19 @@ class NullSink:
         pass
 
 
-def batch_frames(session_id: int, first: int, n: int) -> list[Frame]:
+def batch_frames(stream: str, session_id: int, first: int, n: int) -> list[Frame]:
     """SEND_DATA frames for batches ``first`` .. ``first + n - 1``: one reading per sensor."""
+    interval, raws = STREAMS[stream]
     rng = random.Random(first)
     frames = []
     for k in range(first, first + n):
-        readings = (
-            (SensorKind.RAIN_GAUGE.value, rng.choice((0, 0, 0, 1, 2, 5))),
-            (SensorKind.PIEZOMETER.value, 2000 + rng.randrange(-300, 300)),
-            (SensorKind.EXTENSOMETER.value, 50 + rng.randrange(-20, 20)),
-            (SensorKind.INCLINOMETER.value, 200 + rng.randrange(-50, 50)),
-            (SensorKind.TILTMETER.value, 150 + rng.randrange(-50, 50)),
-        )
-        payload = SendDataPayload(session_id, 5 * k, T0 + INTERVAL * k, readings)
+        readings = tuple((sensor.value, raw(rng)) for sensor, raw in raws.items())
+        payload = SendDataPayload(session_id, 5 * k, T0 + interval * k, readings)
         frames.append(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload)))
     return frames
 
 
-def filled_station(store_dir: str) -> tuple[ServerEngine, int]:
+def filled_station(stream: str, store_dir: str) -> tuple[ServerEngine, int]:
     """A connected station whose windows are full; returns it and the session id."""
     cfg = load_config(DEMO_INI)
     repo = Repository(store_dir, durable=False)
@@ -68,26 +90,52 @@ def filled_station(store_dir: str) -> tuple[ServerEngine, int]:
     engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.1")), 0.0)
     (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)), 0.0)
     session_id, _ = wire.decode_connack(ack.frame.payload)
-    for frame in batch_frames(session_id, 0, FILL):
+    for frame in batch_frames(stream, session_id, 0, FILL):
         engine.handle_data_frame(frame, 0.0)
     return engine, session_id
 
 
-def round_times(frames: int) -> dict[str, float]:
-    """Seconds per frame of one round, per stage."""
+class ArTimer:
+    """Adds the time spent in ``alert.ar_forecast_max`` to ``seconds`` while active."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self._forecast_max = alert_module.ar_forecast_max
+
+    def _timed(self, *args):
+        t0 = time.perf_counter()
+        try:
+            return self._forecast_max(*args)
+        finally:
+            self.seconds += time.perf_counter() - t0
+
+    def __enter__(self):
+        alert_module.ar_forecast_max = self._timed
+        return self
+
+    def __exit__(self, *exc) -> None:
+        alert_module.ar_forecast_max = self._forecast_max
+
+
+def time_frames(engine: ServerEngine, frames: list[Frame]) -> float:
+    start = time.perf_counter()
+    for frame in frames:
+        engine.handle_data_frame(frame, 0.0)
+    return time.perf_counter() - start
+
+
+def round_times(stream: str, frames: int) -> dict[str, float]:
+    """Seconds per frame of one round, per stage; each pass runs on its own filled station."""
     out = {}
-    with tempfile.TemporaryDirectory() as whole_dir, tempfile.TemporaryDirectory() as split_dir:
-        engine, sid = filled_station(whole_dir)
-        timed = batch_frames(sid, FILL, frames)
-        start = time.perf_counter()
-        for frame in timed:
-            engine.handle_data_frame(frame, 0.0)
-        out["handle_data_frame"] = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as whole_dir, tempfile.TemporaryDirectory() as split_dir, \
+            tempfile.TemporaryDirectory() as ar_dir:
+        engine, sid = filled_station(stream, whole_dir)
+        out["handle_data_frame"] = time_frames(engine, batch_frames(stream, sid, FILL, frames))
         engine.repo.close()
 
-        # The same frames again, stage by stage, on a second station.
-        engine, sid = filled_station(split_dir)
-        timed = batch_frames(sid, FILL, frames)
+        # The same frames again, stage by stage.
+        engine, sid = filled_station(stream, split_dir)
+        timed = batch_frames(stream, sid, FILL, frames)
         start = time.perf_counter()
         payloads = [wire.decode_senddata(frame.payload) for frame in timed]
         out["decode_senddata"] = time.perf_counter() - start
@@ -95,26 +143,20 @@ def round_times(frames: int) -> dict[str, float]:
         start = time.perf_counter()
         stored = [repo.ingest_batch(p, NODE, calibration) for p in payloads]
         out["ingest_batch"] = time.perf_counter() - start
-        ar_s = [0.0]
-        forecast_max = alert_module.ar_forecast_max
-
-        def timed_forecast_max(*args):
-            t0 = time.perf_counter()
-            try:
-                return forecast_max(*args)
-            finally:
-                ar_s[0] += time.perf_counter() - t0
-
-        alert_module.ar_forecast_max = timed_forecast_max
-        try:
+        with ArTimer() as ar:
             start = time.perf_counter()
             for records in stored:
                 engine.alert_engine.evaluate_batch(records)
             out["evaluate_batch"] = time.perf_counter() - start
-        finally:
-            alert_module.ar_forecast_max = forecast_max
-        out["  of which AR"] = ar_s[0]
+        out["  of which AR"] = ar.seconds
         repo.close()
+
+        # And whole once more, less the AR share timed in the same pass.
+        engine, sid = filled_station(stream, ar_dir)
+        with ArTimer() as ar:
+            whole = time_frames(engine, batch_frames(stream, sid, FILL, frames))
+        out["non-AR"] = whole - ar.seconds
+        engine.repo.close()
     return {stage: s / frames for stage, s in out.items()}
 
 
@@ -122,15 +164,21 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=300, help="timed frames per round")
     parser.add_argument("--rounds", type=int, default=5, help="rounds; each figure is the best")
+    parser.add_argument("--stream", choices=(*STREAMS, "both"), default="both",
+                        help="batch stream to time (default both)")
     args = parser.parse_args()
-    best: dict[str, float] = {}
+    streams = list(STREAMS) if args.stream == "both" else [args.stream]
+    best = {stream: {} for stream in streams}
     for _ in range(args.rounds):
-        for stage, s in round_times(args.frames).items():
-            best[stage] = min(best.get(stage, s), s)
+        for stream in streams:  # alternated, so host drift hits both alike
+            for stage, s in round_times(stream, args.frames).items():
+                best[stream][stage] = min(best[stream].get(stage, s), s)
     print(f"five sensors, {FILL}-batch fill, 512-sample windows, durable=False, "
           f"best of {args.rounds} x {args.frames} frames; Python {sys.version.split()[0]}")
-    for stage, s in best.items():
-        print(f"{stage:<20} {s * 1e6:8.1f} µs/frame")
+    for stream in streams:
+        print(f"\n{stream} stream (a batch every {STREAMS[stream][0]} s)")
+        for stage, s in best[stream].items():
+            print(f"{stage:<20} {s * 1e6:8.1f} µs/frame")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,9 +30,9 @@ from slopewatch.domain import AlertLevel, SensorKind, level_max
 from slopewatch.analytics import (
     InvalidSeriesError,
     RainEvent,
-    active_event,
     ar_forecast_max,
     exceeds_caine,
+    last_event,
     median_of_sorted,
 )
 
@@ -40,6 +41,16 @@ logger = logging.getLogger(__name__)
 
 class ThresholdError(ValueError):
     pass
+
+
+def _check_finite(settings, error: type[ValueError]) -> None:
+    """Raise ``error`` naming the first float field of ``settings`` that is nan or infinite.
+
+    A nan passes every range check, as each comparison with it is False.
+    """
+    for name, value in vars(settings).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,7 @@ class Thresholds:
     hold_period_s: float
 
     def __post_init__(self) -> None:
+        _check_finite(self, ThresholdError)
         for name in ("mt_rain_mm_per_h", "mt_pore_kpa", "mt_displacement_mm", "mt_inclination_deg"):
             if getattr(self, name) <= 0:
                 raise ThresholdError(f"{name} must be positive, got {getattr(self, name)}")
@@ -445,6 +457,7 @@ class AnalysisConfig:
     intensity_window_s: float = 3600.0  # "current intensity" = rain in the last hour
 
     def __post_init__(self) -> None:
+        _check_finite(self, ValueError)
         if self.ar_order < 1:
             raise ValueError(f"ar_order must be >= 1, got {self.ar_order}")
         for name in ("dry_gap_h", "antecedent_lookback_h", "intensity_window_s"):
@@ -562,12 +575,16 @@ class AlertEngine:
     arrive late after retransmission.
 
     State kept between batches makes a batch cost what it changed: each
-    series' forecast is refitted only after an insert into that series, and
-    the hourly rain bins and the rain sampling interval are updated for the
-    samples inserted or evicted. Windows and bins are numpy buffers, so no
-    step rebuilds a window-sized Python list. Every value is computed as a
-    from-scratch pass over the window would compute it, so the decisions
-    are identical.
+    series' forecast is refitted only after an insert into that series.
+    For rain the engine also keeps the hourly bins, the sorted gaps
+    between neighbouring samples (their median is the sampling interval)
+    and the window's last rain event as (first wet time, last wet time,
+    total mm). An in-order rain sample advances all three from itself and
+    the sample it evicts; a late one, or a change of the interval, has the
+    event recomputed from the window when the next snapshot is built.
+    Windows and bins are numpy buffers, so no step rebuilds a window-sized
+    Python list. Every value is computed as a from-scratch pass over the
+    window would compute it, so the decisions are identical.
     """
 
     def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig, dispatcher: Dispatcher):
@@ -581,39 +598,126 @@ class AlertEngine:
         # Windows with rows (time, value), sorted by time and capped at max_window_samples.
         self._series = {key: _Columns(2) for key in _KEY_BY_KIND.values()}
         self._rain = self._series["rain"]  # (ts, mm)
+        self._rain_end = 0.0  # time of the rain window's last sample, once it has one
         self._forecast: dict[str, float | None] = dict.fromkeys(self._series)
         self._dirty = set(self._series)  # series whose forecast is out of date
         # mm of the rain samples in each hour from the window's first to its last.
         self._bins = _Columns(1)
         self._first_hour = 0
         self._rain_gaps: list[float] = []  # sorted positive gaps between neighbouring rain samples
+        self._dry_gap = analysis.dry_gap_h * 3600.0
+        # The window's last rain event, (first wet t, last wet t, total mm) or
+        # None, as segmented with sampling interval _event_interval. Stale
+        # after a late rain sample or a change of the interval.
+        self._event: tuple[float, float, float] | None = None
+        self._event_interval = self._rain_interval()
+        self._event_stale = False
 
     def observe(self, records) -> None:
         """Feed newly stored calibrated readings (duplicates already removed).
 
-        A non-rain reading at or after its window's last time, with room
-        left in the buffer, is written straight into the buffer's tail:
-        the common case of in-order data. Everything else goes through
-        ``_insert``.
+        A reading at or after its window's last time, the common case of
+        in-order data, is appended at the window's tail: a non-rain one is
+        written straight into the buffer if it has room, a rain one goes
+        through ``_append_rain``. Everything else goes through ``_insert``.
         """
         series, dirty, cap, now = self._series, self._dirty, self.analysis.max_window_samples, self.now
+        rain = self._rain
         for rec in records:
             key = _KEY_BY_CODE[rec.sensor._value_]
             t = float(rec.timestamp)
             window = series[key]
-            buf, hi = window.buf, window.hi
-            if key != "rain" and hi < buf.shape[1] and (hi == window.lo or t >= buf[0, hi - 1]):
-                buf[0, hi] = t
-                buf[1, hi] = rec.value
-                window.hi = hi = hi + 1
-                if hi - window.lo > cap:
-                    window.lo += 1
+            if window is rain:
+                if t >= self._rain_end or rain.hi == rain.lo:
+                    self._append_rain(t, rec.value)
+                else:
+                    self._insert(key, t, rec.value)
             else:
-                self._insert(key, t, rec.value)
+                buf, hi = window.buf, window.hi
+                if hi < buf.shape[1] and (hi == window.lo or t >= buf[0, hi - 1]):
+                    buf[0, hi] = t
+                    buf[1, hi] = rec.value
+                    window.hi = hi = hi + 1
+                    if hi - window.lo > cap:
+                        window.lo += 1
+                else:
+                    self._insert(key, t, rec.value)
             dirty.add(key)
             if t > now:
                 now = t
         self.now = now
+
+    def _append_rain(self, t: float, mm: float) -> None:
+        """Append the rain sample (t, mm), no earlier than the window's last.
+
+        The gap list gains the gap to the previous sample and loses the
+        evicted sample's. The sample's hour bin is ``bin + mm``, or
+        ``0.0 + mm`` for a new hour, the sum ``_rebin`` would compute; the
+        oldest hour is re-summed only if the eviction left samples in it.
+        The cached event is extended or restarted by a wet sample and, if
+        the eviction took its first wet sample, re-summed over the window.
+        """
+        mm = float(mm)
+        rain, bins, gaps = self._rain, self._bins, self._rain_gaps
+        if rain.hi == rain.buf.shape[1]:
+            rain._make_room(1)
+        buf, lo, hi = rain.buf, rain.lo, rain.hi
+        buf[0, hi] = t
+        buf[1, hi] = mm
+        rain.hi = hi + 1
+        hour = int(t // 3600)
+        if hi == lo:  # the first rain sample: the bins start at its hour
+            self._first_hour = hour
+        else:
+            gap = t - self._rain_end
+            if gap > 0:
+                bisect.insort(gaps, gap)
+        self._rain_end = t
+        new_hours = hour - (self._first_hour + bins.hi - bins.lo - 1)
+        if new_hours:
+            bins.extend(new_hours)
+            bins.buf[0, bins.hi - 1] = 0.0 + mm
+        else:
+            bins.buf[0, bins.hi - 1] += mm
+
+        evicted = hi + 1 - lo > self.analysis.max_window_samples
+        if evicted:
+            t0, mm0, t1 = buf.item(0, lo), buf.item(1, lo), buf.item(0, lo + 1)
+            rain.lo = lo + 1
+            gap = t1 - t0
+            if gap > 0:
+                del gaps[bisect.bisect_left(gaps, gap)]
+            first_hour = int(t1 // 3600)
+            if first_hour > self._first_hour:
+                bins.drop_front(first_hour - self._first_hour)
+                self._first_hour = first_hour
+            else:
+                self._rebin(first_hour)
+
+        if self._event_stale:
+            return
+        interval = median_of_sorted(gaps) if gaps else 3600.0
+        if interval != self._event_interval:
+            self._event_stale = True
+            return
+        event = self._event
+        if mm > 0:
+            if event is None or (t - event[1]) - interval >= self._dry_gap:
+                event = self._event = (t, t, mm)
+            else:
+                event = self._event = (event[0], t, event[2] + mm)
+        # Samples at one time always share an event, so a wet sample evicted
+        # at the event's first time is its first wet sample.
+        if evicted and mm0 > 0 and t0 >= event[0]:
+            self._event = self._window_event()
+
+    def _window_event(self) -> tuple[float, float, float] | None:
+        """The event that spans the whole window: its wet samples summed left to right."""
+        times, mm = self._rain.row(0), self._rain.row(1)
+        wet = (mm > 0).nonzero()[0]
+        if not wet.size:
+            return None
+        return times.item(wet[0]), times.item(wet[-1]), float(mm.take(wet).cumsum()[-1])
 
     def _insert(self, key: str, t: float, value: float) -> None:
         window = self._series[key]
@@ -626,12 +730,17 @@ class AlertEngine:
         window.insert(i, t, value)
         # One insert at a time: the window is at most one sample over its cap.
         evict = len(window) > self.analysis.max_window_samples
-        if key == "rain":
-            self._track_rain_gaps(i, t, evict)
+        if key != "rain":
+            if evict:
+                window.drop_front(1)
+            return
+        self._track_rain_gaps(i, t, evict)
+        evicted_hour = None
         if evict:
+            evicted_hour = _hour(float(window.buf[0, window.lo]))
             window.drop_front(1)
-        if key == "rain":
-            self._track_rain_bins(_hour(t), evict)
+        self._track_rain_bins(_hour(t), evicted_hour)
+        self._event_stale = True
 
     def _track_rain_gaps(self, i: int, t: float, evict: bool) -> None:
         """Update the gap list for the sample ``t`` just inserted at ``i`` and
@@ -657,9 +766,9 @@ class AlertEngine:
         if gap > 0:
             del self._rain_gaps[bisect.bisect_left(self._rain_gaps, gap)]
 
-    def _track_rain_bins(self, inserted_hour: int, evicted: bool) -> None:
-        """Fit the bins to the window's hours, then rebin the hours touched
-        by the insert and, on eviction, the oldest hour left."""
+    def _track_rain_bins(self, inserted_hour: int, evicted_hour: int | None) -> None:
+        """Fit the bins to the window's hours, then rebin the hour touched by
+        the insert and the oldest hour if the eviction left samples in it."""
         rain = self._rain
         first, last = _hour(float(rain.buf[0, rain.lo])), _hour(float(rain.buf[0, rain.hi - 1]))
         bins = self._bins
@@ -672,7 +781,7 @@ class AlertEngine:
             bins.extend(last - first + 1 - len(bins))
         if first <= inserted_hour:
             self._rebin(inserted_hour)
-        if evicted and inserted_hour != first:
+        if evicted_hour == first != inserted_hour:
             self._rebin(first)
 
     def _rebin(self, hour: int) -> None:
@@ -693,27 +802,38 @@ class AlertEngine:
 
     def _current_snapshot(self) -> ValueSnapshot:
         intensity = event = None
-        if len(self._rain):
+        rain = self._rain
+        if rain.hi > rain.lo:
             # Half-open window: hourly accumulation samples cover (t-1h, t],
             # so the sample sitting exactly on the lower edge belongs to the
-            # previous hour. No sample lies after ``now``. The sum is a plain
+            # previous hour. No sample lies after ``now``, so the window's
+            # samples are found walking back from the tail. The sum is a plain
             # left-to-right float addition, as the recorded decisions were made.
             window = self.analysis.intensity_window_s
-            first = self._rain.row(0).searchsorted(self.now - window, side="right")
+            buf, lo, first = rain.buf, rain.lo, rain.hi
+            edge = self.now - window
+            while first > lo and buf.item(0, first - 1) > edge:
+                first -= 1
             mm_last_window = 0.0
-            for mm in self._rain.row(1)[first:].tolist():
+            for mm in buf[1, first : rain.hi].tolist():
                 mm_last_window += mm
             intensity = mm_last_window / (window / 3600.0)
-            active = active_event(
-                self._rain.live.T, self.now, self.analysis.dry_gap_h * 3600.0, self._rain_interval()
-            )
-            if active is not None:
-                duration_h = active.duration_h
-                event = RainEvent(
-                    start=self.now - duration_h * 3600.0,
-                    end=self.now,
-                    total_mm=active.mean_intensity_mm_per_h * duration_h,
-                )
+            if self._event_stale:
+                interval = self._event_interval = self._rain_interval()
+                self._event = last_event(rain.row(0), rain.row(1), self._dry_gap, interval)
+                self._event_stale = False
+            if self._event is not None:
+                # Still active: less than dry_gap of dry time since its last
+                # wet sample. It opened one interval before its first wet one.
+                first_wet, end, total = self._event
+                interval = self._event_interval
+                if (self.now - end) - interval < self._dry_gap:
+                    duration_h = (end - (first_wet - interval)) / 3600.0
+                    event = RainEvent(
+                        start=self.now - duration_h * 3600.0,
+                        end=self.now,
+                        total_mm=total / duration_h * duration_h,
+                    )
         return ValueSnapshot(
             rain_intensity_mm_per_h=intensity,
             pore_kpa=self._latest("pore"),
@@ -725,7 +845,8 @@ class AlertEngine:
 
     def _latest(self, key: str) -> float | None:
         window = self._series[key]
-        return float(window.buf[1, window.hi - 1]) if len(window) else None
+        hi = window.hi
+        return window.buf.item(1, hi - 1) if hi > window.lo else None
 
     def _predicted_snapshot(self) -> ValueSnapshot:
         for key, window in self._series.items():

@@ -132,6 +132,28 @@ def antecedent_rainfall(rain: list[tuple[float, float]], now: float, lookback: f
     return sum(mm for t, mm in rain if lo <= t <= now)
 
 
+def last_event(times: np.ndarray, mm: np.ndarray, dry_gap: float, interval: float) -> tuple[float, float, float] | None:
+    """(first wet time, last wet time, total mm) of a time-ordered series' last rain event.
+
+    The event is the last run of wet (mm > 0) samples with no dry span of
+    ``dry_gap`` or more between neighbours, as ``segment_events`` splits
+    them, found with array operations over the two float rows. None if no
+    sample is wet. Neither order nor ``dry_gap`` is checked.
+    """
+    wet = (mm > 0).nonzero()[0]
+    if not wet.size:
+        return None
+    t = times.take(wet)
+    # Dry time between neighbouring wet samples, as segment_events computes it.
+    dry = t[1:] - t[:-1]
+    dry -= interval
+    splits = (dry >= dry_gap).nonzero()[0]
+    first = int(splits[-1]) + 1 if splits.size else 0
+    # cumsum adds left to right, as the event's running total always has.
+    total = float(mm.take(wet[first:]).cumsum()[-1])
+    return float(t[first]), float(t[-1]), total
+
+
 def active_event(
     rain: list[tuple[float, float]] | np.ndarray,
     now: float,
@@ -142,27 +164,18 @@ def active_event(
 
     An event is active when less than ``dry_gap`` of dry time has elapsed
     since its last wet sample. The event is ``segment_events(...)[-1]``,
-    found with array operations over the (timestamp, mm) pairs, which may
-    be a list or an (n, 2) array. The series is not checked for order.
+    found by ``last_event`` over the (timestamp, mm) pairs, which may be a
+    list or an (n, 2) array. The series is not checked for order.
     """
     _check_dry_gap(dry_gap)
     pairs = np.asarray(rain, dtype=float).reshape(-1, 2)
-    mm = pairs[:, 1]
-    wet = (mm > 0).nonzero()[0]
-    if not wet.size:
+    found = last_event(pairs[:, 0], pairs[:, 1], dry_gap, interval)
+    if found is None:
         return None
-    t = pairs[:, 0].take(wet)
-    end = float(t[-1])
+    first, end, total = found
     if (now - end) - interval >= dry_gap:
         return None
-    # Dry time between neighbouring wet samples, as segment_events computes it.
-    dry = t[1:] - t[:-1]
-    dry -= interval
-    splits = (dry >= dry_gap).nonzero()[0]
-    first = int(splits[-1]) + 1 if splits.size else 0
-    # cumsum adds left to right, as the event's running total always has.
-    total = float(mm.take(wet[first:]).cumsum()[-1])
-    return RainEvent(start=float(t[first]) - interval, end=end, total_mm=total)
+    return RainEvent(start=first - interval, end=end, total_mm=total)
 
 
 def compute_rainfall_features(

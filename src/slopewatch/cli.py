@@ -173,8 +173,8 @@ def cmd_analyze(args) -> int:
         return EXIT_RUNTIME
 
     by_kind: dict[SensorKind, list[tuple[int, float]]] = {kind: [] for kind in SensorKind}
-    for rec in repo.all_records():  # the one pass over readings.csv
-        by_kind[rec.sensor].append((rec.timestamp, rec.value))
+    for ts, _, _, sensor, value in repo.sorted_rows():  # the one pass over readings.csv
+        by_kind[sensor].append((ts, value))
     rain = by_kind[SensorKind.RAIN_GAUGE]
     events = segment_events(rain, analysis.dry_gap_h * 3600.0) if rain else []
     rows = []

@@ -116,6 +116,9 @@ def load_config(path: str | Path) -> Config:
             prediction_horizon=t_int("prediction_horizon"),
             hold_period_s=t_float("hold_period_s"),
         )
+    except ValueError as exc:
+        problems.append(str(exc))
+    try:
         analysis = AnalysisConfig(
             dry_gap_h=t_float("dry_gap_h"),
             antecedent_lookback_h=t_float("antecedent_lookback_h"),

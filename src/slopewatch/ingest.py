@@ -358,6 +358,13 @@ class Repository:
             if ts_from <= row[0] <= ts_to and (sensor is None or row[3] is sensor)
         )
 
+    def sorted_rows(self) -> list[tuple[int, int, int, SensorKind, float]]:
+        """Every stored row as a (ts, node_id, seq, sensor, value) tuple, sorted by (ts, node, seq).
+
+        ``all_records`` without a record object per row.
+        """
+        return sorted(self._rows())
+
     def all_records(self) -> list[CalibratedReading]:
         """Every stored record, sorted by (ts, node, seq)."""
         return _sorted_records(self._rows())

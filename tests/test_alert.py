@@ -570,6 +570,151 @@ class TestIncrementalEngine:
         assert alert_module._bisect_right_pairs(columns[0], columns[1], t, v) == expected
 
 
+def rain_records(times, values, kind=RAIN):
+    return [CalibratedReading(1, t, kind, mm, seq) for seq, (t, mm) in enumerate(zip(times, values))]
+
+
+class TestRainAppendPath:
+    """In-order rain samples advance the bins, the gaps and the cached event
+    from the appended and the evicted sample; every snapshot still equals a
+    from-scratch evaluation."""
+
+    CAPS = [8, 16, 512]
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize(
+        "pattern", [[0.4, 1.2, 0.2, 2.6], [0.4, 0.0, 1.2, 0.2, 0.0, 0.0, 3.0, 0.0]], ids=["wet", "showers"]
+    )
+    def test_storm_longer_than_the_window(self, cap, pattern):
+        # Dry spans shorter than dry_gap: the event spans the window, so its
+        # first wet sample is evicted again and again.
+        n = 2 * cap + 40
+        records = rain_records([T0 + 3600 * k for k in range(n)], itertools.islice(itertools.cycle(pattern), n))
+        assert_matches_reference(records, AnalysisConfig(ar_order=1, max_window_samples=cap), [1, 3, 2])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_dry_spell_around_dry_gap(self, cap, delta):
+        # Wet hours, six dry hours, then a wet sample whose dry span from the
+        # last wet one is dry_gap + delta seconds: one event below dry_gap,
+        # two from dry_gap on. A pore reading first moves ``now`` to the same
+        # edge without rain, where the old event stops being active.
+        dry_gap = AnalysisConfig().dry_gap_h * 3600.0
+        last_wet = T0 + 3600 * 9
+        times = [T0 + 3600 * k for k in range(16)]
+        values = [1.5] * 10 + [0.0] * 6
+        edge = int(last_wet + 3600 + dry_gap + delta)
+        records = rain_records(times, values)
+        records.append(CalibratedReading(1, edge, PIEZO, 20.0, 100))
+        records += rain_records([edge] + [edge + 3600 * k for k in range(1, 12)], [0.8, 0.0, 2.2] * 4)
+        assert_matches_reference(records, AnalysisConfig(max_window_samples=cap), [1])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_several_samples_per_hour_and_equal_times(self, cap):
+        offsets = [0, 0, 900, 1800, 1800, 3599]
+        times = [T0 + 3600 * h + off for h in range(14) for off in offsets]
+        values = [0.2 + 0.1 * (k % 7) for k in range(len(times))]
+        assert_matches_reference(rain_records(times, values), AnalysisConfig(max_window_samples=cap), [1, 4, 2])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_zero_negative_zero_and_negative_mm(self, cap):
+        values = [0.0, -0.0, -1.5, 2.0, -0.0, 0.0, 3.0, -0.25, 1.0]
+        times = [T0 + 1800 * k for k in range(90)]
+        records = rain_records(times, itertools.islice(itertools.cycle(values), len(times)))
+        assert_matches_reference(records, AnalysisConfig(ar_order=1, max_window_samples=cap), [1, 2])
+
+    def test_negative_zero_alone_bins_to_positive_zero(self):
+        # A rebin sums from 0.0, and 0.0 + -0.0 is 0.0.
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=8), Dispatcher([ListSink()]))
+        records = rain_records([T0 + 3600 * k for k in range(12)], [-0.0] * 12)
+        engine.observe(records[:1])
+        assert not np.signbit(engine._bins.row(0)).any()
+        engine.observe(records[1:])
+        bins = engine._bins.row(0)
+        assert len(bins) == 8 and not np.signbit(bins).any()
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_jittered_intervals_move_the_median(self, cap):
+        rng = random.Random(cap)
+        t, times = T0, []
+        for _ in range(3 * cap // 2 + 60):
+            t += rng.choice([1800, 3500, 3600, 3600, 3700, 5400, 7 * 3600, 0])
+            times.append(t)
+        values = [rng.choice([0.0, 0.0, 0.2, 0.4, 1.6, 6.0]) for _ in times]
+        assert_matches_reference(rain_records(times, values), AnalysisConfig(max_window_samples=cap), [1, 3])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("late_mm", [0.0, 2.5])
+    def test_late_sample_after_a_run_of_appends(self, cap, late_mm):
+        # Two events split by a long dry spell; the late sample lands in the
+        # spell, dry or wet (which joins the two events).
+        n = cap + 30
+        values = [1.0 if k % 30 < 10 else 0.0 for k in range(n)]
+        records = rain_records([T0 + 3600 * k for k in range(n)], values)
+        spell = next(k for k in range(n - 10, 0, -1) if k % 30 == 15)
+        late = CalibratedReading(1, T0 + 3600 * spell + 1200, RAIN, late_mm, 1000)
+        records.insert(n - 4, late)
+        assert_matches_reference(records, AnalysisConfig(max_window_samples=cap), [1])
+
+    @pytest.mark.parametrize("late_offset", [600, 3000])
+    def test_late_sample_evicts_inside_an_hour(self, late_offset):
+        # Three samples an hour at the cap, the window's first at the start of
+        # its hour: a late sample evicts it, and the two left in that hour are
+        # re-summed. The window spans six hours, enough bins for a forecast.
+        times = [T0 + 3600 * h + off for h in range(8) for off in (0, 1200, 2400)] + [T0 + 3600 * 8]
+        records = rain_records(times, [0.3 + 0.1 * (k % 5) for k in range(len(times))])
+        late = CalibratedReading(1, T0 + 3600 * 6 + late_offset, RAIN, 0.7, 1000)
+        assert_matches_reference(records + [late], AnalysisConfig(ar_order=1, max_window_samples=16), [1])
+
+    def counted_engine(self, cap):
+        return AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+
+    def test_steady_stream_segments_nothing(self):
+        # Hourly samples past the cap, steady interval: the event is never
+        # segmented from the window. In an all-wet storm every append past
+        # the cap evicts the event's first wet sample, which is all that
+        # re-sums the window; dry hours in front of the event do not.
+        cap, n = 16, 120
+        engine = self.counted_engine(cap)
+        window_event = AlertEngine._window_event
+        with mock.patch.object(alert_module, "last_event", wraps=alert_module.last_event) as segment, \
+                mock.patch.object(AlertEngine, "_window_event", autospec=True, side_effect=window_event) as resum:
+            for k in range(n):
+                engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.6]))
+            assert segment.call_count == 0
+            assert resum.call_count == n - cap
+            resum.reset_mock()
+            # Ten dry hours: each evicts the event's first wet sample. Then a
+            # new event opens, and evicting the old one's samples or dry ones
+            # leaves it as it is.
+            for k in range(n, n + 10):
+                engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.0]))
+            for k in range(n + 10, n + 10 + cap):
+                engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.0 if k % 2 else 1.0]))
+            assert segment.call_count == 0
+            assert resum.call_count == 10
+
+    def test_late_sample_or_new_interval_segments_once(self):
+        engine = self.counted_engine(16)
+        with mock.patch.object(alert_module, "last_event", wraps=alert_module.last_event) as segment:
+            for k in range(40):
+                engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.6]))
+            assert segment.call_count == 0
+            engine.evaluate_batch(rain_records([T0 + 3600 * 30 + 600], [0.4]))  # late
+            assert segment.call_count == 1
+            engine.evaluate_batch(rain_records([T0 + 3600 * 40], [0.4]))
+            assert segment.call_count == 1
+            # Half-hour samples move the median gap, in one batch or more:
+            # each batch that moves it segments once.
+            moved = 0
+            for k in range(12):
+                before = engine._rain_interval()
+                engine.evaluate_batch(rain_records([T0 + 3600 * 40 + 1800 * (k + 1)], [0.4]))
+                moved += engine._rain_interval() != before
+            assert moved >= 1
+            assert segment.call_count == 1 + moved
+
+
 class TestBatchWithoutNewData:
     def storm_engine(self):
         sink = ListSink()

@@ -77,6 +77,19 @@ def test_invalid_analysis_setting_exits_two(line, bad, tmp_path, capsys):
     assert out == ""
 
 
+def test_non_finite_settings_exit_two(tmp_path, capsys):
+    # Accepted, these two would move the seed-7 storm's YELLOW from h73 to h84.
+    text = Path(DEMO).read_text()
+    edited = tmp_path / "demo.ini"
+    edited.write_text(text.replace("mt_rain_mm_per_h = 5.0", "mt_rain_mm_per_h = nan")
+                      .replace("dry_gap_h = 6.0", "dry_gap_h = inf"))
+    code, out, err = run_cli(["replay", "--config", str(edited), "--scenario", "seven_day_rain",
+                              "--seed", "7", "--store", str(tmp_path / "s")], capsys)
+    assert code == EXIT_CONFIG
+    assert "mt_rain_mm_per_h must be finite" in err and "dry_gap_h must be finite" in err
+    assert out == ""
+
+
 def test_missing_scenario_exit_two(tmp_path, capsys):
     code, _, err = run_cli(["replay", "--config", DEMO, "--scenario", "nope",
                             "--store", str(tmp_path / "s")], capsys)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from slopewatch.alert import AnalysisConfig
+from slopewatch.alert import AnalysisConfig, ThresholdError, Thresholds
 from slopewatch.config import ConfigError, build_sinks, load_config, resolve_config_path
 from slopewatch.domain import SensorKind
 
@@ -102,6 +102,44 @@ class TestAnalysisSettings:
     def test_field_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             AnalysisConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["mt_rain_mm_per_h", "mt_pore_kpa", "mt_displacement_mm", "mt_inclination_deg",
+         "hold_period_s", "dry_gap_h", "antecedent_lookback_h"],
+    )
+    def test_non_finite_ini_value_is_config_error(self, tmp_path, key, value):
+        # nan <= 0 is False, so a range check alone lets a nan through.
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in MINIMAL.splitlines()]
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+
+    def test_non_finite_values_in_both_sections_reported_together(self, tmp_path):
+        body = MINIMAL.replace("mt_rain_mm_per_h = 5.0", "mt_rain_mm_per_h = nan")
+        body = body.replace("dry_gap_h = 6.0", "dry_gap_h = inf")
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, body))
+        assert "mt_rain_mm_per_h" in str(exc.value) and "dry_gap_h" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["dry_gap_h", "antecedent_lookback_h", "intensity_window_s"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AnalysisConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["mt_rain_mm_per_h", "mt_pore_kpa", "mt_displacement_mm", "mt_inclination_deg", "hold_period_s"],
+    )
+    def test_non_finite_threshold_rejected(self, field, value):
+        fields = dict(mt_rain_mm_per_h=5.0, mt_pore_kpa=50.0, mt_displacement_mm=5.0,
+                      mt_inclination_deg=5.0, prediction_horizon=6, hold_period_s=1800.0)
+        fields[field] = value
+        with pytest.raises(ThresholdError, match=f"{field} must be finite"):
+            Thresholds(**fields)
 
     def test_smallest_valid_values_accepted(self):
         AnalysisConfig(dry_gap_h=1e-9, antecedent_lookback_h=1e-9, ar_order=1,

@@ -378,6 +378,7 @@ def test_repository_matches_reference_model(ops, data):
             records = ref.records()
             assert len(r) == len(records)
             assert r.all_records() == records
+            assert r.sorted_rows() == [(x.timestamp, x.node_id, x.seq, x.sensor, x.value) for x in records]
             for node in (1, 2, 3):
                 assert r.seq_runs(node) == ref.runs(node)
             lo = data.draw(st.integers(900, 1130), label="ts_from")
