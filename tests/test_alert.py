@@ -570,8 +570,8 @@ class TestIncrementalEngine:
         assert alert_module._bisect_right_pairs(columns[0], columns[1], t, v) == expected
 
 
-def rain_records(times, values, kind=RAIN):
-    return [CalibratedReading(1, t, kind, mm, seq) for seq, (t, mm) in enumerate(zip(times, values))]
+def rain_records(times, values):
+    return [CalibratedReading(1, t, RAIN, mm, seq) for seq, (t, mm) in enumerate(zip(times, values))]
 
 
 class TestRainAppendPath:
