@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark one SEND_DATA frame through the station engine at steady state.
 
-Usage: python benchmarks/bench_station.py [--frames 300] [--rounds 5] [--stream 600s|hourly|both]
+Usage: python benchmarks/bench_station.py [--frames 300] [--rounds 5]
 
 A station engine with the demo calibration and thresholds, a store with
 ``durable=False`` (no fsync) and the default 512-sample windows is first
@@ -13,7 +13,7 @@ in ``ar_forecast_max``. "non-AR" is a whole frame less the time spent in
 ``ar_forecast_max``, both timed in one more pass. Each figure is the best
 of ``--rounds`` rounds, each pass on a freshly filled station.
 
-Two streams of batches, one reading per sensor each:
+Two streams of batches, one reading per sensor each, alternated round by round:
 
 * ``600s``: a batch every 600 s, rain raw mostly 0 (0, 0, 0, 1, 2 or 5);
 * ``hourly``: a batch every hour with raws drawn uniformly from the ranges
@@ -164,18 +164,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=300, help="timed frames per round")
     parser.add_argument("--rounds", type=int, default=5, help="rounds; each figure is the best")
-    parser.add_argument("--stream", choices=(*STREAMS, "both"), default="both",
-                        help="batch stream to time (default both)")
     args = parser.parse_args()
-    streams = list(STREAMS) if args.stream == "both" else [args.stream]
-    best = {stream: {} for stream in streams}
+    best = {stream: {} for stream in STREAMS}
     for _ in range(args.rounds):
-        for stream in streams:  # alternated, so host drift hits both alike
+        for stream in STREAMS:  # alternated, so host drift hits both alike
             for stage, s in round_times(stream, args.frames).items():
                 best[stream][stage] = min(best[stream].get(stage, s), s)
     print(f"five sensors, {FILL}-batch fill, 512-sample windows, durable=False, "
           f"best of {args.rounds} x {args.frames} frames; Python {sys.version.split()[0]}")
-    for stream in streams:
+    for stream in STREAMS:
         print(f"\n{stream} stream (a batch every {STREAMS[stream][0]} s)")
         for stage, s in best[stream].items():
             print(f"{stage:<20} {s * 1e6:8.1f} µs/frame")

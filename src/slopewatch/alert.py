@@ -658,7 +658,7 @@ class AlertEngine:
         the eviction took its first wet sample, re-summed over the window.
         """
         mm = float(mm)
-        rain, bins, gaps = self._rain, self._bins, self._rain_gaps
+        rain, bins = self._rain, self._bins
         if rain.hi == rain.buf.shape[1]:
             rain._make_room(1)
         buf, lo, hi = rain.buf, rain.lo, rain.hi
@@ -669,9 +669,7 @@ class AlertEngine:
         if hi == lo:  # the first rain sample: the bins start at its hour
             self._first_hour = hour
         else:
-            gap = t - self._rain_end
-            if gap > 0:
-                bisect.insort(gaps, gap)
+            self._add_gap(self._rain_end, t)
         self._rain_end = t
         new_hours = hour - (self._first_hour + bins.hi - bins.lo - 1)
         if new_hours:
@@ -684,9 +682,7 @@ class AlertEngine:
         if evicted:
             t0, mm0, t1 = buf.item(0, lo), buf.item(1, lo), buf.item(0, lo + 1)
             rain.lo = lo + 1
-            gap = t1 - t0
-            if gap > 0:
-                del gaps[bisect.bisect_left(gaps, gap)]
+            self._drop_gap(t0, t1)
             first_hour = int(t1 // 3600)
             if first_hour > self._first_hour:
                 bins.drop_front(first_hour - self._first_hour)
@@ -696,7 +692,7 @@ class AlertEngine:
 
         if self._event_stale:
             return
-        interval = median_of_sorted(gaps) if gaps else 3600.0
+        interval = self._rain_interval()
         if interval != self._event_interval:
             self._event_stale = True
             return
@@ -707,17 +703,11 @@ class AlertEngine:
             else:
                 event = self._event = (event[0], t, event[2] + mm)
         # Samples at one time always share an event, so a wet sample evicted
-        # at the event's first time is its first wet sample.
+        # at the event's first time is its first wet sample. Every wet sample
+        # left in the window then belongs to the event, and segmenting the
+        # window again only re-sums it.
         if evicted and mm0 > 0 and t0 >= event[0]:
-            self._event = self._window_event()
-
-    def _window_event(self) -> tuple[float, float, float] | None:
-        """The event that spans the whole window: its wet samples summed left to right."""
-        times, mm = self._rain.row(0), self._rain.row(1)
-        wet = (mm > 0).nonzero()[0]
-        if not wet.size:
-            return None
-        return times.item(wet[0]), times.item(wet[-1]), float(mm.take(wet).cumsum()[-1])
+            self._event = last_event(rain.row(0), rain.row(1), self._dry_gap, interval)
 
     def _insert(self, key: str, t: float, value: float) -> None:
         window = self._series[key]

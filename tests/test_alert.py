@@ -669,21 +669,18 @@ class TestRainAppendPath:
     def counted_engine(self, cap):
         return AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
 
-    def test_steady_stream_segments_nothing(self):
-        # Hourly samples past the cap, steady interval: the event is never
-        # segmented from the window. In an all-wet storm every append past
-        # the cap evicts the event's first wet sample, which is all that
-        # re-sums the window; dry hours in front of the event do not.
+    def test_steady_stream_recomputes_event_only_on_first_wet_eviction(self):
+        # Hourly samples past the cap, steady interval: the snapshot never
+        # recomputes the event from the window. In an all-wet storm every
+        # append past the cap evicts the event's first wet sample, which is
+        # all that recomputes it; dry hours in front of the event do not.
         cap, n = 16, 120
         engine = self.counted_engine(cap)
-        window_event = AlertEngine._window_event
-        with mock.patch.object(alert_module, "last_event", wraps=alert_module.last_event) as segment, \
-                mock.patch.object(AlertEngine, "_window_event", autospec=True, side_effect=window_event) as resum:
+        with mock.patch.object(alert_module, "last_event", wraps=alert_module.last_event) as recompute:
             for k in range(n):
                 engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.6]))
-            assert segment.call_count == 0
-            assert resum.call_count == n - cap
-            resum.reset_mock()
+            assert recompute.call_count == n - cap
+            recompute.reset_mock()
             # Ten dry hours: each evicts the event's first wet sample. Then a
             # new event opens, and evicting the old one's samples or dry ones
             # leaves it as it is.
@@ -691,25 +688,25 @@ class TestRainAppendPath:
                 engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.0]))
             for k in range(n + 10, n + 10 + cap):
                 engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.0 if k % 2 else 1.0]))
-            assert segment.call_count == 0
-            assert resum.call_count == 10
+            assert recompute.call_count == 10
 
     def test_late_sample_or_new_interval_segments_once(self):
-        engine = self.counted_engine(16)
+        # The cap is above the 26 samples, so no eviction recomputes the event.
+        engine = self.counted_engine(32)
         with mock.patch.object(alert_module, "last_event", wraps=alert_module.last_event) as segment:
-            for k in range(40):
+            for k in range(12):
                 engine.evaluate_batch(rain_records([T0 + 3600 * k], [0.6]))
             assert segment.call_count == 0
-            engine.evaluate_batch(rain_records([T0 + 3600 * 30 + 600], [0.4]))  # late
+            engine.evaluate_batch(rain_records([T0 + 3600 * 8 + 600], [0.4]))  # late
             assert segment.call_count == 1
-            engine.evaluate_batch(rain_records([T0 + 3600 * 40], [0.4]))
+            engine.evaluate_batch(rain_records([T0 + 3600 * 12], [0.4]))
             assert segment.call_count == 1
             # Half-hour samples move the median gap, in one batch or more:
             # each batch that moves it segments once.
             moved = 0
             for k in range(12):
                 before = engine._rain_interval()
-                engine.evaluate_batch(rain_records([T0 + 3600 * 40 + 1800 * (k + 1)], [0.4]))
+                engine.evaluate_batch(rain_records([T0 + 3600 * 12 + 1800 * (k + 1)], [0.4]))
                 moved += engine._rain_interval() != before
             assert moved >= 1
             assert segment.call_count == 1 + moved
