@@ -10,8 +10,12 @@ filled with 600 five-sensor batches, so every window is full. Then
 Prints µs per frame, and its split into ``decode_senddata``,
 ``ingest_batch`` and ``evaluate_batch``, with the share of the last spent
 in ``ar_forecast_max``. "non-AR" is a whole frame less the time spent in
-``ar_forecast_max``, both timed in one more pass. Each figure is the best
-of ``--rounds`` rounds, each pass on a freshly filled station.
+``ar_forecast_max``, both timed in one more pass. A last pass sleeps
+10 ms before each frame, as perfbench's ``tcp_station`` node does at its
+100/s rung, and times the whole frame and its ``ar_forecast_max`` share
+in thread CPU time: after an idle gap, caches are cold and a frame costs
+more than back to back. Each figure is the best of ``--rounds`` rounds,
+each pass on a freshly filled station.
 
 Two streams of batches, one reading per sensor each, alternated round by round:
 
@@ -42,6 +46,7 @@ DEMO_INI = Path(__file__).resolve().parent.parent / "config" / "demo.ini"
 FILL = 600  # batches before timing; more than the 512-sample window cap
 NODE = 1
 T0 = 1_700_000_000
+IDLE_S = 0.010  # the gap before each frame of the idle pass: 100 frames/s
 # Per stream: seconds between batches, and a function of the stream's rng
 # giving each sensor's raw reading.
 STREAMS = {
@@ -96,18 +101,19 @@ def filled_station(stream: str, store_dir: str) -> tuple[ServerEngine, int]:
 
 
 class ArTimer:
-    """Adds the time spent in ``alert.ar_forecast_max`` to ``seconds`` while active."""
+    """Adds the time spent in ``alert.ar_forecast_max``, read on ``clock``, to ``seconds`` while active."""
 
-    def __init__(self):
+    def __init__(self, clock=time.perf_counter):
         self.seconds = 0.0
+        self.clock = clock
         self._forecast_max = alert_module.ar_forecast_max
 
     def _timed(self, *args):
-        t0 = time.perf_counter()
+        t0 = self.clock()
         try:
             return self._forecast_max(*args)
         finally:
-            self.seconds += time.perf_counter() - t0
+            self.seconds += self.clock() - t0
 
     def __enter__(self):
         alert_module.ar_forecast_max = self._timed
@@ -128,7 +134,7 @@ def round_times(stream: str, frames: int) -> dict[str, float]:
     """Seconds per frame of one round, per stage; each pass runs on its own filled station."""
     out = {}
     with tempfile.TemporaryDirectory() as whole_dir, tempfile.TemporaryDirectory() as split_dir, \
-            tempfile.TemporaryDirectory() as ar_dir:
+            tempfile.TemporaryDirectory() as ar_dir, tempfile.TemporaryDirectory() as idle_dir:
         engine, sid = filled_station(stream, whole_dir)
         out["handle_data_frame"] = time_frames(engine, batch_frames(stream, sid, FILL, frames))
         engine.repo.close()
@@ -157,6 +163,20 @@ def round_times(stream: str, frames: int) -> dict[str, float]:
             whole = time_frames(engine, batch_frames(stream, sid, FILL, frames))
         out["non-AR"] = whole - ar.seconds
         engine.repo.close()
+
+        # Whole again, each frame after an idle gap, in thread CPU time.
+        engine, sid = filled_station(stream, idle_dir)
+        whole = 0.0
+        with ArTimer(time.thread_time) as ar:
+            for frame in batch_frames(stream, sid, FILL, frames):
+                time.sleep(IDLE_S)
+                start = time.thread_time()
+                engine.handle_data_frame(frame, 0.0)
+                whole += time.thread_time() - start
+        out["idle: frame"] = whole
+        out["idle:   of which AR"] = ar.seconds
+        out["idle: non-AR"] = whole - ar.seconds
+        engine.repo.close()
     return {stage: s / frames for stage, s in out.items()}
 
 
@@ -172,6 +192,7 @@ def main() -> None:
                 best[stream][stage] = min(best[stream].get(stage, s), s)
     print(f"five sensors, {FILL}-batch fill, 512-sample windows, durable=False, "
           f"best of {args.rounds} x {args.frames} frames; Python {sys.version.split()[0]}")
+    print(f"idle: each frame after a {IDLE_S * 1e3:.0f} ms sleep, in thread CPU time")
     for stream in STREAMS:
         print(f"\n{stream} stream (a batch every {STREAMS[stream][0]} s)")
         for stage, s in best[stream].items():

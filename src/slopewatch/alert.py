@@ -532,16 +532,6 @@ class _Columns:
         self.buf[:, self.hi : self.hi + k] = 0.0
         self.hi += k
 
-    def extend_front(self, k: int) -> None:
-        """Add ``k`` zero columns before the live ones."""
-        if self.lo < k:
-            n = self.hi - self.lo
-            grown = np.empty((self.buf.shape[0], 2 * (n + k)))
-            grown[:, k : k + n] = self.live
-            self.buf, self.lo, self.hi = grown, k, k + n
-        self.lo -= k
-        self.buf[:, self.lo : self.lo + k] = 0.0
-
     def drop_front(self, k: int) -> None:
         self.lo = min(self.lo + k, self.hi)
 
@@ -563,10 +553,6 @@ def _bisect_right_pairs(times: np.ndarray, values: np.ndarray, t: float, v: floa
     return lo
 
 
-def _hour(t: float) -> int:
-    return int(t // 3600)
-
-
 class AlertEngine:
     """Consumes ingested readings, evaluates, steps the ladder, dispatches.
 
@@ -580,11 +566,13 @@ class AlertEngine:
     between neighbouring samples (their median is the sampling interval)
     and the window's last rain event as (first wet time, last wet time,
     total mm). An in-order rain sample advances all three from itself and
-    the sample it evicts; a late one, or a change of the interval, has the
-    event recomputed from the window when the next snapshot is built.
-    Windows and bins are numpy buffers, so no step rebuilds a window-sized
-    Python list. Every value is computed as a from-scratch pass over the
-    window would compute it, so the decisions are identical.
+    the sample it evicts. A late one is inserted into the window, and the
+    gaps and bins are then rebuilt from the window in one pass; after it,
+    or after a change of the interval, the event is recomputed from the
+    window when the next snapshot is built. Windows and bins are numpy
+    buffers, so no in-order step rebuilds a window-sized Python list.
+    Every value is computed as a from-scratch pass over the window would
+    compute it, so the decisions are identical.
     """
 
     def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig, dispatcher: Dispatcher):
@@ -618,8 +606,9 @@ class AlertEngine:
 
         A reading at or after its window's last time, the common case of
         in-order data, is appended at the window's tail: a non-rain one is
-        written straight into the buffer if it has room, a rain one goes
-        through ``_append_rain``. Everything else goes through ``_insert``.
+        written straight into the buffer, a rain one goes through
+        ``_append_rain``. A late reading goes through ``_insert``; a late
+        rain one then has the rain state rebuilt by ``_rebuild_rain``.
         """
         series, dirty, cap, now = self._series, self._dirty, self.analysis.max_window_samples, self.now
         rain = self._rain
@@ -631,17 +620,21 @@ class AlertEngine:
                 if t >= self._rain_end or rain.hi == rain.lo:
                     self._append_rain(t, rec.value)
                 else:
-                    self._insert(key, t, rec.value)
+                    self._insert(rain, t, rec.value)
+                    self._rebuild_rain()
             else:
                 buf, hi = window.buf, window.hi
-                if hi < buf.shape[1] and (hi == window.lo or t >= buf[0, hi - 1]):
+                if hi == window.lo or t >= buf[0, hi - 1]:
+                    if hi == buf.shape[1]:
+                        window._make_room(1)
+                        buf, hi = window.buf, window.hi
                     buf[0, hi] = t
                     buf[1, hi] = rec.value
                     window.hi = hi = hi + 1
                     if hi - window.lo > cap:
                         window.lo += 1
                 else:
-                    self._insert(key, t, rec.value)
+                    self._insert(window, t, rec.value)
             dirty.add(key)
             if t > now:
                 now = t
@@ -709,42 +702,30 @@ class AlertEngine:
         if evicted and mm0 > 0 and t0 >= event[0]:
             self._event = last_event(rain.row(0), rain.row(1), self._dry_gap, interval)
 
-    def _insert(self, key: str, t: float, value: float) -> None:
-        window = self._series[key]
-        # Retransmitted batches can arrive out of order; keep the window sorted
-        # where a list of (ts, value) pairs would be.
-        if len(window) and t < window.buf[0, window.hi - 1]:
-            i = _bisect_right_pairs(window.row(0), window.row(1), t, value)
-        else:
-            i = len(window)
-        window.insert(i, t, value)
-        # One insert at a time: the window is at most one sample over its cap.
-        evict = len(window) > self.analysis.max_window_samples
-        if key != "rain":
-            if evict:
-                window.drop_front(1)
-            return
-        self._track_rain_gaps(i, t, evict)
-        evicted_hour = None
-        if evict:
-            evicted_hour = _hour(float(window.buf[0, window.lo]))
+    def _insert(self, window: _Columns, t: float, value: float) -> None:
+        """Insert the late sample (t, value), earlier than the window's last,
+        where a sorted list of (t, value) pairs would put it; then cap the window."""
+        window.insert(_bisect_right_pairs(window.row(0), window.row(1), t, value), t, value)
+        if len(window) > self.analysis.max_window_samples:
             window.drop_front(1)
-        self._track_rain_bins(_hour(t), evicted_hour)
-        self._event_stale = True
 
-    def _track_rain_gaps(self, i: int, t: float, evict: bool) -> None:
-        """Update the gap list for the sample ``t`` just inserted at ``i`` and
-        for evicting the oldest sample if ``evict``."""
-        times = self._rain.row(0)
-        last = len(times) - 1
-        if 0 < i < last:
-            self._drop_gap(float(times[i - 1]), float(times[i + 1]))
-        if i > 0:
-            self._add_gap(float(times[i - 1]), t)
-        if i < last:
-            self._add_gap(t, float(times[i + 1]))
-        if evict:
-            self._drop_gap(float(times[0]), float(times[1]))
+    def _rebuild_rain(self) -> None:
+        """Recompute the gaps, the window's ends and the bins from the rain
+        window, as appending its samples to an empty engine would, and mark
+        the event stale."""
+        times, mms = self._rain.row(0).tolist(), self._rain.row(1).tolist()
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        self._rain_gaps = sorted(gap for gap in gaps if gap > 0)
+        self._first_hour = first_hour = int(times[0] // 3600)
+        self._rain_end = times[-1]
+        totals = [0.0] * (int(times[-1] // 3600) - first_hour + 1)
+        for t, mm in zip(times, mms):
+            totals[int(t // 3600) - first_hour] += mm
+        bins = self._bins
+        bins.drop_front(len(bins))
+        bins.extend(len(totals))
+        bins.row(0)[:] = totals
+        self._event_stale = True
 
     def _add_gap(self, earlier: float, later: float) -> None:
         gap = later - earlier
@@ -755,24 +736,6 @@ class AlertEngine:
         gap = later - earlier
         if gap > 0:
             del self._rain_gaps[bisect.bisect_left(self._rain_gaps, gap)]
-
-    def _track_rain_bins(self, inserted_hour: int, evicted_hour: int | None) -> None:
-        """Fit the bins to the window's hours, then rebin the hour touched by
-        the insert and the oldest hour if the eviction left samples in it."""
-        rain = self._rain
-        first, last = _hour(float(rain.buf[0, rain.lo])), _hour(float(rain.buf[0, rain.hi - 1]))
-        bins = self._bins
-        if first < self._first_hour:
-            bins.extend_front(self._first_hour - first)
-        elif first > self._first_hour:
-            bins.drop_front(first - self._first_hour)
-        self._first_hour = first
-        if len(bins) <= last - first:
-            bins.extend(last - first + 1 - len(bins))
-        if first <= inserted_hour:
-            self._rebin(inserted_hour)
-        if evicted_hour == first != inserted_hour:
-            self._rebin(first)
 
     def _rebin(self, hour: int) -> None:
         # Re-sum in window order from 0.0, as a rebuild of every bin would.

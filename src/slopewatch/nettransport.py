@@ -71,36 +71,39 @@ class _StationHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: StationServer = self.server  # type: ignore[assignment]
         peer_node: int | None = None
-        while True:
-            try:
-                raw = wire.read_frame(self.rfile)
-            except (wire.FrameError, ConnectionError, OSError):
-                break
-            if raw is None:
-                break
-            try:
-                frame = wire.decode_frame(raw)
-            except wire.FrameError as exc:
-                logger.warning("dropping bad frame from %s: %s", self.client_address, exc)
-                continue
-            now = time.time()
-            with server.engine_lock:
-                if frame.msg_type in CONTROL_TYPES:
-                    out = server.engine.handle_control_frame(frame, now)
-                else:
-                    out = server.engine.handle_data_frame(frame, now)
+        try:
+            while True:
+                try:
+                    raw = wire.read_frame(self.rfile)
+                except (wire.FrameError, ConnectionError, OSError):
+                    break
+                if raw is None:
+                    break
+                try:
+                    frame = wire.decode_frame(raw)
+                except wire.FrameError as exc:
+                    logger.warning("dropping bad frame from %s: %s", self.client_address, exc)
+                    continue
+                now = time.time()
+                with server.engine_lock:
+                    if frame.msg_type in CONTROL_TYPES:
+                        out = server.engine.handle_control_frame(frame, now)
+                    else:
+                        out = server.engine.handle_data_frame(frame, now)
+                if not out:
+                    continue
                 if frame.msg_type is wire.MessageType.REQ_CONN:
-                    peer_node = wire.decode_reqconn(frame.payload)[0]
-            if not out:
-                continue
-            try:
-                # One write per handled frame, so its replies leave in one segment.
-                self.wfile.write(b"".join(wire.encode_frame(ob.frame) for ob in out))
-            except (ConnectionError, OSError):
-                break
-        if peer_node is not None:
-            with server.engine_lock:
-                server.engine.handle_link_down(peer_node, time.time())
+                    peer_node = out[0].node_id  # the node the CONN_ACK goes to
+                try:
+                    # One write per handled frame, so its replies leave in one segment.
+                    self.wfile.write(b"".join(wire.encode_frame(ob.frame) for ob in out))
+                except (ConnectionError, OSError):
+                    break
+        finally:
+            # Also when the engine raised: the node's session must not stay CONNECTED.
+            if peer_node is not None:
+                with server.engine_lock:
+                    server.engine.handle_link_down(peer_node, time.time())
 
 
 def run_station(config: Config, listen: str, store_dir: str, ready_event=None, stop_event=None) -> int:

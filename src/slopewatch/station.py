@@ -81,6 +81,16 @@ class ServerEngine:
         self._session_to_node[sid] = node_id
         return sid
 
+    def _decode(self, decode, frame: Frame):
+        """``decode(frame.payload)``, or None for a malformed payload, which
+        counts as a violation: the frame gets no reply, so nothing is acked."""
+        try:
+            return decode(frame.payload)
+        except wire.PayloadError as exc:
+            self.violations += 1
+            logger.warning("malformed %s payload: %s", frame.msg_type.name, exc)
+            return None
+
     def _step(self, node_id: int, event, now: float) -> list[Outbound]:
         state = self._state_of(node_id)
         new_state, actions = server_step(state, event, now, self.server_ip)
@@ -115,11 +125,16 @@ class ServerEngine:
         """Control-channel frames: IP acquisition and address announcements."""
         if frame.msg_type is MessageType.REQ_IP:
             # Stand-in for the carrier: assign a synthetic address.
-            node_id = wire.decode_reqip(frame.payload)
+            node_id = self._decode(wire.decode_reqip, frame)
+            if node_id is None:
+                return []
             reply = Frame(MessageType.IP_ASSIGN, wire.encode_ipassign(self.synthetic_ip_for(node_id)))
             return [Outbound(reply, Channel.CONTROL, node_id)]
         if frame.msg_type is MessageType.SEND_IP:
-            node_id, ip = wire.decode_sendip(frame.payload)
+            announced = self._decode(wire.decode_sendip, frame)
+            if announced is None:
+                return []
+            node_id, ip = announced
             self.registry[node_id] = ip
             return self._step(node_id, AnnounceReceived(node_id, ip), now)
         logger.warning("unexpected %s on control channel", frame.msg_type.name)
@@ -128,11 +143,16 @@ class ServerEngine:
     def handle_data_frame(self, frame: Frame, now: float, node_hint: int | None = None) -> list[Outbound]:
         """Data-channel frames: connection requests, batches, heartbeats."""
         if frame.msg_type is MessageType.REQ_CONN:
-            node_id, nonce = wire.decode_reqconn(frame.payload)
+            request = self._decode(wire.decode_reqconn, frame)
+            if request is None:
+                return []
+            node_id, nonce = request
             sid = self._alloc_session(node_id)
             return self._step(node_id, ReqConnReceived(node_id, nonce, sid), now)
         if frame.msg_type is MessageType.SEND_DATA:
-            payload = wire.decode_senddata(frame.payload)
+            payload = self._decode(wire.decode_senddata, frame)
+            if payload is None:
+                return []
             node_id = self._session_to_node.get(payload.session_id)
             if node_id is None:
                 self.violations += 1

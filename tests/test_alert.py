@@ -712,6 +712,123 @@ class TestRainAppendPath:
             assert segment.call_count == 1 + moved
 
 
+class TestLateRainRebuild:
+    """A late rain sample is inserted into the window, and the gaps, the
+    bins and the window's ends are rebuilt from the window; every snapshot,
+    including those of the in-order samples after it, still equals a
+    from-scratch evaluation."""
+
+    CAPS = TestRainAppendPath.CAPS
+
+    @staticmethod
+    def hourly(hours, offsets=(0,)):
+        times = [T0 + 3600 * h + off for h in hours for off in offsets]
+        return rain_records(times, [0.2 + 0.3 * (k % 5) for k in range(len(times))])
+
+    def then_in_order(self, records, late, cap):
+        """``records``, the ``late`` samples, then in-order hours past the cap again."""
+        last_hour = int(records[-1].timestamp - T0) // 3600
+        return records + late + self.hourly(range(last_hour + 1, last_hour + cap + 4))
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("fill", ["below the cap", "at the cap"])
+    def test_older_than_every_sample_in_the_window(self, cap, fill):
+        # Below the cap it becomes the window's first sample, hours before
+        # its first bin; at the cap it is evicted again at once.
+        n = cap // 2 if fill == "below the cap" else cap + 5
+        records = self.hourly(range(n), offsets=(600,))
+        late = rain_records([T0 - 3 * 3600 + 1200, T0 - 3600], [1.4, 0.0])
+        records = self.then_in_order(records, late, cap)
+        assert_matches_reference(records, AnalysisConfig(ar_order=1, max_window_samples=cap), [1, 2])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("offsets", [(0,), (0, 1200, 2400)], ids=["one an hour", "three an hour"])
+    def test_late_sample_that_evicts(self, cap, offsets):
+        # At the cap the late sample evicts the window's first: its hour's
+        # bin goes with it, or is re-summed over the samples left in it.
+        records = self.hourly(range(cap // len(offsets) + 3), offsets)
+        last = records[-1].timestamp
+        late = rain_records([last - 5 * 3600 + 300, last - 7 * 3600 + 1500], [0.9, 2.1])
+        records = self.then_in_order(records, late, cap)
+        assert_matches_reference(records, AnalysisConfig(ar_order=1, max_window_samples=cap), [1])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_late_sample_into_an_hour_with_samples(self, cap):
+        # Every fourth hour has no samples; cap is a multiple of 4. The late
+        # samples go into the empty hour cap + 3, whose bin was 0.0, and
+        # into hours cap + 1 and cap that have samples.
+        records = self.hourly([h for h in range(cap + 6) if h % 4 != 3], offsets=(0, 1800))
+        late = rain_records(
+            [T0 + 3600 * (cap + 3) + 900, T0 + 3600 * (cap + 1) + 10, T0 + 3600 * cap + 2000], [0.7, 0.5, 1.3]
+        )
+        records = self.then_in_order(records, late, cap)
+        assert_matches_reference(records, AnalysisConfig(max_window_samples=cap), [1, 3])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("late_mm", [0.1, 0.5, 0.9], ids=["below", "equal", "above"])
+    def test_late_sample_at_an_equal_time(self, cap, late_mm):
+        # The window's first and a middle sample share their time with the
+        # late ones, which go before or after them by value, as a sorted
+        # list of (time, value) pairs puts them.
+        n = cap + 4
+        first, middle = n - cap, n - cap // 2
+        values = [0.5 if k in (first, middle) else 0.2 + 0.3 * (k % 5) for k in range(n)]
+        records = rain_records([T0 + 3600 * k for k in range(n)], values)
+        late = rain_records([T0 + 3600 * first, T0 + 3600 * middle], [late_mm, late_mm])
+        records = self.then_in_order(records, late, cap)
+        assert_matches_reference(records, AnalysisConfig(ar_order=1, max_window_samples=cap), [1])
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_late_negative_zero(self, cap):
+        # Into an hour with no samples, whose rebuilt bin is 0.0 + -0.0 = 0.0,
+        # and into one with samples.
+        records = self.hourly([h for h in range(cap + 4) if h != cap])
+        late = rain_records([T0 + 3600 * cap + 100, T0 + 3600 * (cap - 2) + 100], [-0.0, -0.0])
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+        engine.observe(records + late[:1])
+        assert not np.signbit(engine._bins.row(0)).any()
+        records = self.then_in_order(records, late, cap)
+        assert_matches_reference(records, AnalysisConfig(max_window_samples=cap), [1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.integers(0, 12 * 3600), min_size=1, max_size=30),
+        values=st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7, 3.0]), min_size=31, max_size=31),
+        late=st.tuples(st.integers(-3 * 3600, 12 * 3600), st.sampled_from([0.0, -0.0, 0.1, 0.7])),
+        cap=st.sampled_from([4, 8, 64]),
+    )
+    def test_rebuilt_state_equals_appending_the_window(self, times, values, late, cap):
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+        times = sorted(times)
+        engine.observe(rain_records([T0 + t for t in times], values))
+        engine.observe(rain_records([T0 + late[0]], [late[1]]))
+        fresh = AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+        window = engine._rain.row(0).tolist(), engine._rain.row(1).tolist()
+        fresh.observe(rain_records(*window))
+        assert engine._rain_gaps == fresh._rain_gaps
+        assert (engine._first_hour, engine._rain_end) == (fresh._first_hour, fresh._rain_end)
+        assert engine._bins.row(0).tobytes() == fresh._bins.row(0).tobytes()
+
+    def test_rebuild_runs_once_per_late_rain_sample(self):
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=16), Dispatcher([ListSink()]))
+        original = AlertEngine._rebuild_rain
+        with mock.patch.object(AlertEngine, "_rebuild_rain", autospec=True, side_effect=original) as rebuild:
+            # In order past the cap, with equal times and late non-rain readings.
+            for k in range(40):
+                t = T0 + 1800 * (k - k % 3)
+                engine.evaluate_batch(rain_records([t], [0.4 * (k % 2)]))
+                engine.evaluate_batch([CalibratedReading(1, t - 7200 * (k % 2), PIEZO, 20.0 + k, k)])
+            assert rebuild.call_count == 0
+            # Two late rain samples in one batch, one more in the next.
+            engine.evaluate_batch(rain_records([T0 + 1800 * 30 + 60, T0 + 1800 * 31 + 60], [0.2, 0.0]))
+            assert rebuild.call_count == 2
+            engine.evaluate_batch(rain_records([T0 + 1800 * 36 + 60], [0.3]))
+            assert rebuild.call_count == 3
+            for k in range(40, 60):
+                engine.evaluate_batch(rain_records([T0 + 1800 * k], [0.6]))
+            assert rebuild.call_count == 3
+
+
 class TestBatchWithoutNewData:
     def storm_engine(self):
         sink = ListSink()

@@ -359,6 +359,68 @@ class TestSocketTransport:
             server.close_store()
             server.server_close()
 
+    def test_malformed_send_data_leaves_the_connection_served(self, tmp_path):
+        # A SEND_DATA with a valid CRC but an unknown sensor code gets no ack;
+        # the next good batch on the same connection is stored and acked.
+        import socket
+
+        from slopewatch import wire
+        from slopewatch.config import load_config
+        from slopewatch.nettransport import StationServer
+        from slopewatch.session import ServerPhase
+        from slopewatch.wire import Frame, MessageType
+
+        server = StationServer(("127.0.0.1", 0), load_config(DEMO), str(tmp_path / "store"))
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as sock, \
+                    sock.makefile("rb") as rfile:
+                session_id = _announce_and_connect(sock, rfile)
+                readings = tuple((code, 100 * code) for code in range(1, 6))
+                bad = wire.encode_senddata(wire.SendDataPayload(session_id, 0, 1_700_000_000, readings))
+                bad = bad[:17] + b"\x77" + bad[18:]  # the first reading's sensor code
+                sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, bad)))
+                good = wire.SendDataPayload(session_id, 5, 1_700_000_600, readings)
+                sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(good))))
+                ack = wire.decode_frame(wire.read_frame(rfile))
+                assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 5
+                with server.engine_lock:
+                    assert (server.engine.violations, server.engine.records_stored) == (1, 5)
+                    assert server.engine.sessions[3].phase is ServerPhase.CONNECTED
+        finally:
+            server.shutdown()
+            server.close_store()
+            server.server_close()
+
+    def test_engine_failure_still_ends_the_session(self, tmp_path):
+        # Whatever the engine raises, closing the connection steps the node's
+        # server session out of CONNECTED.
+        import socket
+
+        from slopewatch import wire
+        from slopewatch.config import load_config
+        from slopewatch.nettransport import StationServer
+        from slopewatch.session import ServerPhase
+        from slopewatch.wire import Frame, MessageType
+
+        server = StationServer(("127.0.0.1", 0), load_config(DEMO), str(tmp_path / "store"))
+        server.handle_error = lambda request, client_address: None  # no traceback on stderr
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as sock, \
+                    sock.makefile("rb") as rfile:
+                session_id = _announce_and_connect(sock, rfile)
+                server.engine.alert_engine.evaluate_batch = _raise_runtime_error
+                payload = wire.SendDataPayload(session_id, 0, 1_700_000_000, ((1, 5),))
+                sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))))
+                assert wire.read_frame(rfile) is None  # the handler died and closed the connection
+            with server.engine_lock:
+                assert server.engine.sessions[3].phase is ServerPhase.KNOWN_CLIENT
+        finally:
+            server.shutdown()
+            server.close_store()
+            server.server_close()
+
     def test_both_ends_disable_nagle(self, tmp_path):
         import socket
 
@@ -407,6 +469,21 @@ def test_sigint_leaves_parseable_store(tmp_path):
     assert repo.load_warnings == []
 
 
+def _announce_and_connect(sock, rfile) -> int:
+    """Announce node 3 and open a session over ``sock``; returns the session id."""
+    from slopewatch import wire
+    from slopewatch.wire import Frame, MessageType
+
+    sock.sendall(wire.encode_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(3, "10.77.0.3"))))
+    assert wire.decode_frame(wire.read_frame(rfile)).msg_type is MessageType.SERVER_IP
+    sock.sendall(wire.encode_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(3, 99))))
+    return wire.decode_connack(wire.decode_frame(wire.read_frame(rfile)).payload)[0]
+
+
+def _raise_runtime_error(*args):
+    raise RuntimeError("engine failure")
+
+
 def _store_one_batch(port: int) -> None:
     """Announce, connect and store one 5-reading batch over TCP; wait for its ack."""
     import socket
@@ -415,10 +492,7 @@ def _store_one_batch(port: int) -> None:
     from slopewatch.wire import Frame, MessageType
 
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock, sock.makefile("rb") as rfile:
-        sock.sendall(wire.encode_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(3, "10.77.0.3"))))
-        assert wire.decode_frame(wire.read_frame(rfile)).msg_type is MessageType.SERVER_IP
-        sock.sendall(wire.encode_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(3, 99))))
-        session_id, _ = wire.decode_connack(wire.decode_frame(wire.read_frame(rfile)).payload)
+        session_id = _announce_and_connect(sock, rfile)
         readings = tuple((code, 100 * code) for code in range(1, 6))
         payload = wire.SendDataPayload(session_id, 0, 1_700_000_000, readings)
         sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))))
