@@ -55,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_server.add_argument("--config", help="config file (or set EWS_CONFIG)")
     p_server.add_argument("--store", help="store directory (default from config)")
     p_server.add_argument("--listen", default="127.0.0.1:9470", help="bind address host:port")
-    p_server.add_argument("--sim", action="store_true",
-                          help="in-process simulated transport instead of sockets (needs --scenario)")
-    p_server.add_argument("--scenario", help="scenario for --sim mode")
-    p_server.add_argument("--seed", type=int, default=0, help="link rng seed for --sim")
 
     p_replay = sub.add_parser("replay", help="run node + simulated link + server to completion")
     p_replay.add_argument("--config", help="config file (or set EWS_CONFIG)")
@@ -99,40 +95,32 @@ def cmd_node(args) -> int:
 
 def cmd_server(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
-    store = args.store or cfg.store_dir
-    if args.sim:
-        if not args.scenario:
-            print("error: --sim requires --scenario", file=sys.stderr)
-            return EXIT_CONFIG
-        return _run_replay(cfg, args.scenario, store, seed=args.seed, speedup=0.0,
-                           node_id=1, force_disconnects=0)
     from slopewatch.nettransport import run_station
 
-    return run_station(cfg, args.listen, store)
+    return run_station(cfg, args.listen, args.store or cfg.store_dir)
 
 
-def _run_replay(cfg, scenario_arg, store, *, seed, speedup, node_id, force_disconnects,
-                trace_path=None) -> int:
+def cmd_replay(args) -> int:
     from slopewatch.replay import SimReplay
     from slopewatch.session import TraceLog
 
-    scenario = load_scenario(resolve_scenario(scenario_arg))
-    offsets = tuple(
-        scenario.duration * (i + 1) / (force_disconnects + 1) for i in range(force_disconnects)
-    )
+    cfg = load_config(resolve_config_path(args.config))
+    scenario = load_scenario(resolve_scenario(args.scenario))
+    n = args.force_disconnects
+    offsets = tuple(scenario.duration * (i + 1) / (n + 1) for i in range(n))
     sim = SimReplay(
         scenario,
         cfg,
-        store,
-        seed=seed,
-        node_id=node_id,
-        speedup=speedup,
+        args.store,
+        seed=args.seed,
+        node_id=args.node_id,
+        speedup=args.speedup,
         force_disconnect_at=offsets,
-        trace=TraceLog() if trace_path else None,
+        trace=TraceLog() if args.trace else None,
     )
     summary = sim.run()
-    if trace_path:
-        sim.trace.write(trace_path)
+    if args.trace:
+        sim.trace.write(args.trace)
     print(summary.format())
     if summary.records_stored != summary.readings_generated:
         print(
@@ -141,20 +129,6 @@ def _run_replay(cfg, scenario_arg, store, *, seed, speedup, node_id, force_disco
         )
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def cmd_replay(args) -> int:
-    cfg = load_config(resolve_config_path(args.config))
-    return _run_replay(
-        cfg,
-        args.scenario,
-        args.store,
-        seed=args.seed,
-        speedup=args.speedup,
-        node_id=args.node_id,
-        force_disconnects=args.force_disconnects,
-        trace_path=args.trace,
-    )
 
 
 def _analysis_config(args) -> AnalysisConfig:

@@ -16,31 +16,23 @@ import threading
 import time
 
 from slopewatch import wire
-from slopewatch.alert import AlertEngine, Dispatcher
 from slopewatch.config import Config, build_sinks
-from slopewatch.ingest import Repository
 from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
-    ConnAckReceived,
-    DataAckReceived,
-    IpAssigned,
     LinkDown,
     LogWarning,
-    NodeEvent,
     NodeState,
     ReadingsAvailable,
     SendFrame,
-    ServerIpReceived,
     SessionTiming,
     SetTimer,
     TimerFired,
+    node_event_for,
     node_step,
 )
 from slopewatch.station import ServerEngine
 
 logger = logging.getLogger(__name__)
-
-CONTROL_TYPES = (wire.MessageType.REQ_IP, wire.MessageType.SEND_IP)
 
 
 class StationServer(socketserver.ThreadingTCPServer):
@@ -51,11 +43,7 @@ class StationServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, addr: tuple[str, int], config: Config, store_dir: str):
         self.engine_lock = threading.Lock()
-        repo = Repository(store_dir)
-        alert_engine = AlertEngine(
-            config.thresholds, config.analysis, Dispatcher(build_sinks(config, store_dir))
-        )
-        self.engine = ServerEngine(repo, config.calibration, alert_engine)
+        self.engine = ServerEngine.open(config, store_dir, build_sinks(config, store_dir))
         super().__init__(addr, _StationHandler)
 
     def close_store(self) -> None:
@@ -70,7 +58,7 @@ class _StationHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server: StationServer = self.server  # type: ignore[assignment]
-        peer_node: int | None = None
+        peer: tuple[int, int] | None = None  # (node id, session id) of the CONN_ACK sent
         try:
             while True:
                 try:
@@ -86,24 +74,22 @@ class _StationHandler(socketserver.StreamRequestHandler):
                     continue
                 now = time.time()
                 with server.engine_lock:
-                    if frame.msg_type in CONTROL_TYPES:
-                        out = server.engine.handle_control_frame(frame, now)
-                    else:
-                        out = server.engine.handle_data_frame(frame, now)
+                    out = server.engine.handle_frame(frame, now)
                 if not out:
                     continue
                 if frame.msg_type is wire.MessageType.REQ_CONN:
-                    peer_node = out[0].node_id  # the node the CONN_ACK goes to
+                    peer = out[0].to_node, wire.decode_connack(out[0].frame.payload)[0]
                 try:
                     # One write per handled frame, so its replies leave in one segment.
-                    self.wfile.write(b"".join(wire.encode_frame(ob.frame) for ob in out))
+                    self.wfile.write(b"".join(wire.encode_frame(send.frame) for send in out))
                 except (ConnectionError, OSError):
                     break
         finally:
             # Also when the engine raised: the node's session must not stay CONNECTED.
-            if peer_node is not None:
+            # A session a newer connection took over is left to that connection.
+            if peer is not None:
                 with server.engine_lock:
-                    server.engine.handle_link_down(peer_node, time.time())
+                    server.engine.handle_link_down(peer[0], time.time(), session_id=peer[1])
 
 
 def run_station(config: Config, listen: str, store_dir: str, ready_event=None, stop_event=None) -> int:
@@ -279,27 +265,13 @@ class NodeRunner:
             if raw is None:
                 return
             try:
-                event = _frame_event(wire.decode_frame(raw))
+                event = node_event_for(wire.decode_frame(raw))
             except wire.FrameError as exc:
                 # The header delimited it: drop it and read on, as the station does.
                 logger.warning("dropping bad frame from %s: %s", self.addr, exc)
                 continue
             if event is not None:
                 self._event(event)
-
-
-def _frame_event(frame: wire.Frame) -> NodeEvent | None:
-    """The node event a frame from the station carries, if any."""
-    t = frame.msg_type
-    if t is wire.MessageType.IP_ASSIGN:
-        return IpAssigned(wire.decode_ipassign(frame.payload))
-    if t is wire.MessageType.SERVER_IP:
-        return ServerIpReceived(wire.decode_serverip(frame.payload))
-    if t is wire.MessageType.CONN_ACK:
-        return ConnAckReceived(*wire.decode_connack(frame.payload))
-    if t is wire.MessageType.DATA_ACK:
-        return DataAckReceived(wire.decode_dataack(frame.payload))
-    return None
 
 
 def _try_split(buf: bytes) -> tuple[bytes | None, bytes]:

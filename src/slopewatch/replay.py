@@ -14,18 +14,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from slopewatch import wire
-from slopewatch.alert import AlertEngine, Dispatcher
 from slopewatch.analytics import segment_events
 from slopewatch.config import Config, build_sinks
 from slopewatch.domain import SensorKind
-from slopewatch.ingest import Repository
 from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
     Channel,
-    ConnAckReceived,
-    DataAckReceived,
     Delivered,
-    IpAssigned,
     LinkDown,
     LinkSevered,
     LogWarning,
@@ -35,14 +30,14 @@ from slopewatch.session import (
     NodeState,
     ReadingsAvailable,
     SendFrame,
-    ServerIpReceived,
     SessionTiming,
     SetTimer,
     TimerFired,
     TraceLog,
+    node_event_for,
     node_step,
 )
-from slopewatch.station import Outbound, ServerEngine
+from slopewatch.station import ServerEngine
 
 logger = logging.getLogger(__name__)
 
@@ -142,9 +137,7 @@ class SimReplay:
         self.pre_restart_records = None
 
     def _make_server(self) -> ServerEngine:
-        repo = Repository(self.store_dir)
-        engine = AlertEngine(self.config.thresholds, self.config.analysis, Dispatcher(self._sinks))
-        return ServerEngine(repo, self.config.calibration, engine, trace=self._trace)
+        return ServerEngine.open(self.config, self.store_dir, self._sinks, trace=self._trace)
 
     # -- event queue -------------------------------------------------------------
 
@@ -194,14 +187,14 @@ class SimReplay:
     def _transmit_from_node(self, action: SendFrame) -> None:
         raw = wire.encode_frame(action.frame)
         if action.channel is Channel.CONTROL:
-            self._schedule(self.now + CONTROL_LATENCY_S, lambda: self._server_control(raw))
+            self._schedule(self.now + CONTROL_LATENCY_S, lambda: self._server_receive(raw))
             return
         # A fresh connection attempt re-establishes the severed carrier.
         if action.frame.msg_type is MessageType.REQ_CONN and not self.link.up:
             self.link.reconnect()
         outcome = self.link.deliver(raw, self.now, "up")
         if isinstance(outcome, Delivered):
-            self._schedule(outcome.at, lambda: self._server_data(raw))
+            self._schedule(outcome.at, lambda: self._server_receive(raw))
         elif isinstance(outcome, LinkSevered):
             self._link_down()
 
@@ -214,18 +207,14 @@ class SimReplay:
 
     # -- server plumbing ---------------------------------------------------------
 
-    def _server_control(self, raw: bytes) -> None:
+    def _server_receive(self, raw: bytes) -> None:
         frame = wire.decode_frame(raw)
-        self._dispatch_outbound(self.server.handle_control_frame(frame, self.now))
+        self._dispatch_outbound(self.server.handle_frame(frame, self.now))
 
-    def _server_data(self, raw: bytes) -> None:
-        frame = wire.decode_frame(raw)
-        self._dispatch_outbound(self.server.handle_data_frame(frame, self.now))
-
-    def _dispatch_outbound(self, outbound: list[Outbound]) -> None:
-        for ob in outbound:
-            raw = wire.encode_frame(ob.frame)
-            if ob.channel is Channel.CONTROL:
+    def _dispatch_outbound(self, outbound: list[SendFrame]) -> None:
+        for send in outbound:
+            raw = wire.encode_frame(send.frame)
+            if send.channel is Channel.CONTROL:
                 self._schedule(self.now + CONTROL_LATENCY_S, lambda raw=raw: self._node_receive(raw))
             else:
                 outcome = self.link.deliver(raw, self.now, "down")
@@ -236,18 +225,11 @@ class SimReplay:
 
     def _node_receive(self, raw: bytes) -> None:
         frame = wire.decode_frame(raw)
-        t = frame.msg_type
-        if t is MessageType.IP_ASSIGN:
-            self._node_event(IpAssigned(wire.decode_ipassign(frame.payload)))
-        elif t is MessageType.SERVER_IP:
-            self._node_event(ServerIpReceived(wire.decode_serverip(frame.payload)))
-        elif t is MessageType.CONN_ACK:
-            sid, nonce = wire.decode_connack(frame.payload)
-            self._node_event(ConnAckReceived(sid, nonce))
-        elif t is MessageType.DATA_ACK:
-            self._node_event(DataAckReceived(wire.decode_dataack(frame.payload)))
+        event = node_event_for(frame)
+        if event is None:
+            logger.warning("node received unexpected %s", frame.msg_type.name)
         else:
-            logger.warning("node received unexpected %s", t.name)
+            self._node_event(event)
 
     # -- scenario sampling ---------------------------------------------------------
 

@@ -245,6 +245,23 @@ def _queue_batch(state: NodeState, event: ReadingsAvailable) -> NodeState:
     return replace(state, pending=state.pending + (pending,))
 
 
+def node_event_for(frame: Frame) -> NodeEvent | None:
+    """The node event a frame from the station carries; None for any other type.
+
+    Raises ``wire.PayloadError`` for a malformed payload.
+    """
+    t = frame.msg_type
+    if t is MessageType.IP_ASSIGN:
+        return IpAssigned(wire.decode_ipassign(frame.payload))
+    if t is MessageType.SERVER_IP:
+        return ServerIpReceived(wire.decode_serverip(frame.payload))
+    if t is MessageType.CONN_ACK:
+        return ConnAckReceived(*wire.decode_connack(frame.payload))
+    if t is MessageType.DATA_ACK:
+        return DataAckReceived(wire.decode_dataack(frame.payload))
+    return None
+
+
 def node_step(
     state: NodeState, event: NodeEvent, now: float, timing: SessionTiming = SessionTiming()
 ) -> tuple[NodeState, list[Action]]:

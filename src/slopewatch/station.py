@@ -3,17 +3,19 @@
 Decodes protocol frames, drives the per-node server state machines,
 allocates session ids, forwards batches to the repository and triggers one
 alert evaluation per ingested batch. Transport-agnostic: both the
-discrete-event replay harness and the socket server feed it frames and
-transmit whatever it returns.
+discrete-event replay harness and the socket server start it with
+``ServerEngine.open``, feed it frames through ``handle_frame`` and transmit
+the ``SendFrame`` replies it returns.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from pathlib import Path
 
 from slopewatch import wire
-from slopewatch.alert import AlertEngine
+from slopewatch.alert import AlertEngine, Dispatcher
+from slopewatch.config import Config
 from slopewatch.domain import CalibrationConstants, SensorKind
 from slopewatch.ingest import MissingConstantsError, Repository
 from slopewatch.session import (
@@ -32,15 +34,6 @@ from slopewatch.session import (
 from slopewatch.wire import Frame, MessageType
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Outbound:
-    """A frame the engine wants transmitted."""
-
-    frame: Frame
-    channel: Channel
-    node_id: int
 
 
 class ServerEngine:
@@ -68,6 +61,13 @@ class ServerEngine:
         self.duplicates_skipped = 0
         self.violations = 0
 
+    @classmethod
+    def open(cls, config: Config, store_dir: str | Path, sinks: list,
+             trace: TraceLog | None = None) -> ServerEngine:
+        """The engine over the store in ``store_dir``, alerting through ``sinks``."""
+        alert_engine = AlertEngine(config.thresholds, config.analysis, Dispatcher(sinks))
+        return cls(Repository(store_dir), config.calibration, alert_engine, trace=trace)
+
     # -- helpers ---------------------------------------------------------------
 
     def _state_of(self, node_id: int) -> ServerSessionState:
@@ -91,13 +91,13 @@ class ServerEngine:
             logger.warning("malformed %s payload: %s", frame.msg_type.name, exc)
             return None
 
-    def _step(self, node_id: int, event, now: float) -> list[Outbound]:
+    def _step(self, node_id: int, event, now: float) -> list[SendFrame]:
         state = self._state_of(node_id)
         new_state, actions = server_step(state, event, now, self.server_ip)
         self.sessions[node_id] = new_state
         if self.trace is not None:
             self.trace.record(now, "server", node_id, new_state.phase.value, event, actions)
-        out: list[Outbound] = []
+        out: list[SendFrame] = []
         for action in actions:
             if isinstance(action, ForwardToIngest):
                 try:
@@ -110,7 +110,7 @@ class ServerEngine:
                 self.duplicates_skipped += len(action.payload.readings) - len(stored)
                 self.alert_engine.evaluate_batch(stored)
             elif isinstance(action, SendFrame):
-                out.append(Outbound(action.frame, action.channel, action.to_node or node_id))
+                out.append(action)
             elif isinstance(action, LogWarning):
                 self.violations += 1
                 logger.warning(action.message)
@@ -121,7 +121,13 @@ class ServerEngine:
     def synthetic_ip_for(self, node_id: int) -> str:
         return f"10.77.{(node_id >> 8) & 0xFF}.{node_id & 0xFF}"
 
-    def handle_control_frame(self, frame: Frame, now: float) -> list[Outbound]:
+    def handle_frame(self, frame: Frame, now: float) -> list[SendFrame]:
+        """Any frame from a node; each reply names the node it goes to."""
+        if frame.msg_type in (MessageType.REQ_IP, MessageType.SEND_IP):
+            return self.handle_control_frame(frame, now)
+        return self.handle_data_frame(frame, now)
+
+    def handle_control_frame(self, frame: Frame, now: float) -> list[SendFrame]:
         """Control-channel frames: IP acquisition and address announcements."""
         if frame.msg_type is MessageType.REQ_IP:
             # Stand-in for the carrier: assign a synthetic address.
@@ -129,7 +135,7 @@ class ServerEngine:
             if node_id is None:
                 return []
             reply = Frame(MessageType.IP_ASSIGN, wire.encode_ipassign(self.synthetic_ip_for(node_id)))
-            return [Outbound(reply, Channel.CONTROL, node_id)]
+            return [SendFrame(reply, Channel.CONTROL, to_node=node_id)]
         if frame.msg_type is MessageType.SEND_IP:
             announced = self._decode(wire.decode_sendip, frame)
             if announced is None:
@@ -140,7 +146,7 @@ class ServerEngine:
         logger.warning("unexpected %s on control channel", frame.msg_type.name)
         return []
 
-    def handle_data_frame(self, frame: Frame, now: float, node_hint: int | None = None) -> list[Outbound]:
+    def handle_data_frame(self, frame: Frame, now: float) -> list[SendFrame]:
         """Data-channel frames: connection requests, batches, heartbeats."""
         if frame.msg_type is MessageType.REQ_CONN:
             request = self._decode(wire.decode_reqconn, frame)
@@ -164,5 +170,11 @@ class ServerEngine:
         logger.warning("unexpected %s on data channel", frame.msg_type.name)
         return []
 
-    def handle_link_down(self, node_id: int, now: float) -> list[Outbound]:
+    def handle_link_down(self, node_id: int, now: float, session_id: int | None = None) -> list[SendFrame]:
+        """The node's link is gone. With ``session_id``, only if that session
+        is still the node's live one: an old connection closing must not end
+        the session a newer connection holds."""
+        state = self.sessions.get(node_id)
+        if session_id is not None and (state is None or state.session_id != session_id):
+            return []
         return self._step(node_id, LinkDown(), now)

@@ -148,24 +148,6 @@ class TestReplayCommand:
         assert severs >= 2
 
 
-class TestServerSimMode:
-    def test_sim_transport_runs_replay(self, tmp_path, capsys):
-        code, out, _ = run_cli(
-            ["server", "--config", DEMO, "--sim", "--scenario", "three_day_rain",
-             "--store", str(tmp_path / "s"), "--seed", "2"],
-            capsys,
-        )
-        assert code == EXIT_OK
-        assert "records stored      138" in out
-
-    def test_sim_requires_scenario(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["server", "--config", DEMO, "--sim", "--store", str(tmp_path / "s")], capsys
-        )
-        assert code == EXIT_CONFIG
-        assert "--scenario" in err
-
-
 class TestAnalyzeCommand:
     @pytest.fixture()
     def store(self, tmp_path, capsys):
@@ -416,6 +398,52 @@ class TestSocketTransport:
                 assert wire.read_frame(rfile) is None  # the handler died and closed the connection
             with server.engine_lock:
                 assert server.engine.sessions[3].phase is ServerPhase.KNOWN_CLIENT
+        finally:
+            server.shutdown()
+            server.close_store()
+            server.server_close()
+
+    def test_closing_an_old_connection_keeps_the_new_session(self, tmp_path):
+        # Connection A holds node 3's session, connection B opens a new one;
+        # A closing must not end B's session.
+        import socket
+
+        from slopewatch import wire
+        from slopewatch.config import load_config
+        from slopewatch.nettransport import StationServer
+        from slopewatch.session import ServerPhase
+        from slopewatch.wire import Frame, MessageType
+
+        server = StationServer(("127.0.0.1", 0), load_config(DEMO), str(tmp_path / "store"))
+        link_down = server.engine.handle_link_down
+        a_closed = threading.Event()
+
+        def spy(*args, **kwargs):
+            try:
+                return link_down(*args, **kwargs)
+            finally:
+                a_closed.set()
+
+        server.engine.handle_link_down = spy
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+        try:
+            addr = server.server_address[:2]
+            with socket.create_connection(addr, timeout=10) as b, b.makefile("rb") as b_in:
+                with socket.create_connection(addr, timeout=10) as a, a.makefile("rb") as a_in:
+                    old = _announce_and_connect(a, a_in)
+                    b.sendall(wire.encode_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(3, 100))))
+                    new = wire.decode_connack(wire.decode_frame(wire.read_frame(b_in)).payload)[0]
+                    assert new != old
+                assert a_closed.wait(5.0)  # A's handler has run its link-down
+                with server.engine_lock:
+                    assert server.engine.sessions[3].phase is ServerPhase.CONNECTED
+                b.settimeout(1.0)
+                payload = wire.SendDataPayload(new, 0, 1_700_000_000, ((1, 5),))
+                b.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))))
+                ack = wire.decode_frame(wire.read_frame(b_in))
+                assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 0
+            with server.engine_lock:
+                assert server.engine.violations == 0
         finally:
             server.shutdown()
             server.close_store()

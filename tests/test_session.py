@@ -36,10 +36,12 @@ from slopewatch.session import (
     SetTimer,
     TimerFired,
     backoff_delay,
+    node_event_for,
     node_step,
     server_step,
 )
-from slopewatch.wire import MessageType, SendDataPayload, decode_senddata
+from slopewatch import wire
+from slopewatch.wire import Frame, MessageType, SendDataPayload, decode_senddata
 
 T = SessionTiming()
 
@@ -300,3 +302,25 @@ class TestLossyLink:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
             LinkConfig(drop_probability=1.5)
+
+
+class TestNodeEventFor:
+    @pytest.mark.parametrize("frame, event", [
+        (Frame(MessageType.IP_ASSIGN, wire.encode_ipassign("10.77.0.3")), IpAssigned("10.77.0.3")),
+        (Frame(MessageType.SERVER_IP, wire.encode_serverip("10.0.0.1")), ServerIpReceived("10.0.0.1")),
+        (Frame(MessageType.CONN_ACK, wire.encode_connack(42, 7)), ConnAckReceived(42, 7)),
+        (Frame(MessageType.DATA_ACK, wire.encode_dataack(65535)), DataAckReceived(65535)),
+    ], ids=lambda v: v.msg_type.name if isinstance(v, Frame) else "")
+    def test_station_frames_map_to_their_events(self, frame, event):
+        assert node_event_for(frame) == event
+
+    @pytest.mark.parametrize("msg_type", [
+        MessageType.REQ_IP, MessageType.SEND_IP, MessageType.REQ_CONN,
+        MessageType.SEND_DATA, MessageType.HEARTBEAT,
+    ], ids=lambda t: t.name)
+    def test_node_to_station_types_carry_no_event(self, msg_type):
+        assert node_event_for(Frame(msg_type, b"\x00" * 4)) is None
+
+    def test_short_data_ack_payload_raises(self):
+        with pytest.raises(wire.PayloadError):
+            node_event_for(Frame(MessageType.DATA_ACK, wire.encode_dataack(5)[:-1]))

@@ -1,0 +1,144 @@
+"""Station engine entry points shared by both transports: open, handle_frame, link-down."""
+
+from pathlib import Path
+
+import pytest
+
+from slopewatch import replay, wire
+from slopewatch.config import load_config
+from slopewatch.nodesim import load_scenario, resolve_scenario
+from slopewatch.replay import SimReplay
+from slopewatch.session import Channel, SendFrame, ServerPhase, TraceLog
+from slopewatch.station import ServerEngine
+from slopewatch.wire import Frame, MessageType, SendDataPayload
+
+DEMO = Path(__file__).resolve().parent.parent / "config" / "demo.ini"
+NODE = 3
+CONTROL_TYPES = {MessageType.REQ_IP, MessageType.SEND_IP}
+
+
+class NullSink:
+    name = "null"
+
+    def send(self, note) -> None:
+        pass
+
+
+@pytest.fixture
+def engine(tmp_path):
+    engine = ServerEngine.open(load_config(DEMO), tmp_path / "store", [NullSink()])
+    yield engine
+    engine.repo.close()
+
+
+def announce(engine: ServerEngine) -> None:
+    engine.handle_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
+
+
+def connect(engine: ServerEngine, nonce: int) -> int:
+    (ack,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, nonce)), 0.0)
+    return wire.decode_connack(ack.frame.payload)[0]
+
+
+def send_data(session_id: int, seq: int) -> Frame:
+    payload = SendDataPayload(session_id, seq, 1_700_000_000 + 600 * seq, ((1, 100),))
+    return Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))
+
+
+def test_open_builds_the_engine_over_the_store(tmp_path):
+    trace = TraceLog()
+    engine = ServerEngine.open(load_config(DEMO), tmp_path / "store", [NullSink()], trace=trace)
+    try:
+        announce(engine)
+        connect(engine, 1)
+        engine.handle_frame(send_data(1, 0), 1.0)
+        assert engine.records_stored == 1
+        assert trace.records
+    finally:
+        engine.repo.close()
+    assert (tmp_path / "store" / "readings.csv").exists()
+
+
+@pytest.mark.parametrize("msg_type", list(MessageType), ids=lambda t: t.name)
+def test_handle_frame_routes_like_the_channels(msg_type, engine, monkeypatch):
+    # Patched on the class, as a benchmark's wrapper is: handle_frame must
+    # look both handlers up through ``self``.
+    reached = []
+    monkeypatch.setattr(ServerEngine, "handle_control_frame",
+                        lambda self, frame, now: reached.append("control") or [])
+    monkeypatch.setattr(ServerEngine, "handle_data_frame",
+                        lambda self, frame, now: reached.append("data") or [])
+    assert engine.handle_frame(Frame(msg_type, b""), 0.0) == []
+    assert reached == ["control" if msg_type in CONTROL_TYPES else "data"]
+
+
+def test_replies_name_their_node(engine):
+    (ip,) = engine.handle_frame(Frame(MessageType.REQ_IP, wire.encode_reqip(NODE)), 0.0)
+    assert ip == SendFrame(Frame(MessageType.IP_ASSIGN, wire.encode_ipassign("10.77.0.3")),
+                           Channel.CONTROL, to_node=NODE)
+    (server_ip,) = engine.handle_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
+    (conn,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 5)), 0.0)
+    (ack,) = engine.handle_frame(send_data(wire.decode_connack(conn.frame.payload)[0], 0), 1.0)
+    assert [(s.frame.msg_type, s.channel, s.to_node) for s in (server_ip, conn, ack)] == [
+        (MessageType.SERVER_IP, Channel.CONTROL, NODE),
+        (MessageType.CONN_ACK, Channel.DATA, NODE),
+        (MessageType.DATA_ACK, Channel.DATA, NODE),
+    ]
+
+
+def test_node_sends_control_types_on_the_control_channel(tmp_path, monkeypatch):
+    # Replay used to route by channel; routing by type is the same only if
+    # the node puts exactly REQ_IP and SEND_IP on the control channel.
+    sends = []
+    step = replay.node_step
+
+    def recording_step(*args, **kwargs):
+        state, actions = step(*args, **kwargs)
+        sends.extend(a for a in actions if isinstance(a, SendFrame))
+        return state, actions
+
+    monkeypatch.setattr(replay, "node_step", recording_step)
+    scenario = load_scenario(resolve_scenario("three_day_rain"))
+    sim = SimReplay(scenario, load_config(DEMO), str(tmp_path / "store"), seed=4,
+                    force_disconnect_at=(scenario.duration / 3,), server_restart_at=scenario.duration / 2,
+                    sinks=[NullSink()])
+    sim.run()
+    assert {s.frame.msg_type for s in sends} >= set(MessageType) - {
+        MessageType.IP_ASSIGN, MessageType.SERVER_IP, MessageType.CONN_ACK, MessageType.DATA_ACK}
+    for s in sends:
+        assert (s.channel is Channel.CONTROL) == (s.frame.msg_type in CONTROL_TYPES), s
+
+
+class TestStaleLinkDown:
+    """A link-down for a session the node no longer holds leaves its live one alone."""
+
+    def test_old_session_link_down_keeps_the_new_session(self, engine):
+        announce(engine)
+        old = connect(engine, 1)
+        new = connect(engine, 2)
+        assert new != old
+        assert engine.handle_link_down(NODE, 1.0, session_id=old) == []
+        state = engine.sessions[NODE]
+        assert (state.phase, state.session_id) == (ServerPhase.CONNECTED, new)
+        (ack,) = engine.handle_frame(send_data(new, 0), 2.0)
+        assert ack.frame.msg_type is MessageType.DATA_ACK
+        assert engine.violations == 0
+
+    def test_live_session_link_down_ends_it(self, engine):
+        announce(engine)
+        sid = connect(engine, 1)
+        engine.handle_link_down(NODE, 1.0, session_id=sid)
+        assert engine.sessions[NODE].phase is ServerPhase.KNOWN_CLIENT
+        assert engine.handle_frame(send_data(sid, 0), 2.0) == []
+
+    def test_link_down_without_a_session_ends_the_live_one(self, engine):
+        # The replay's link-down ends whichever session is live.
+        announce(engine)
+        connect(engine, 1)
+        connect(engine, 2)
+        engine.handle_link_down(NODE, 1.0)
+        assert engine.sessions[NODE].phase is ServerPhase.KNOWN_CLIENT
+
+    def test_unknown_node_link_down_with_a_session_is_ignored(self, engine):
+        assert engine.handle_link_down(NODE, 1.0, session_id=1) == []
+        assert NODE not in engine.sessions
