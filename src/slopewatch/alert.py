@@ -96,7 +96,7 @@ class ValueSource(str, Enum):
     PREDICTED = "predicted"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExceedanceSet:
     """Which monitored parameters are at or over their thresholds."""
 
@@ -114,7 +114,7 @@ class ExceedanceSet:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ValueSnapshot:
     """Latest (or forecast) values per monitored parameter.
 
@@ -131,7 +131,7 @@ class ValueSnapshot:
     active_event: RainEvent | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AlertDecision:
     level: AlertLevel
     mode: AlertMode
@@ -214,14 +214,14 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AlertState:
     active_level: AlertLevel = AlertLevel.GREEN
     since: float = 0.0
     below_since: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Notification:
     """One ladder transition to fan out to the sinks.
 
@@ -395,7 +395,7 @@ class SmsOutboxSink:
             fh.write(note.message + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DispatchResult:
     sink: str
     ok: bool
@@ -582,7 +582,6 @@ class AlertEngine:
         self.state = AlertState()
         self.now = 0.0
         self.timeline: list[tuple[float, AlertLevel]] = []  # ladder transitions
-        self.dispatch_log: list[tuple[Notification, list[DispatchResult]]] = []
         # Windows with rows (time, value), sorted by time and capped at max_window_samples.
         self._series = {key: _Columns(2) for key in _KEY_BY_KIND.values()}
         self._rain = self._series["rain"]  # (ts, mm)
@@ -846,5 +845,5 @@ class AlertEngine:
             self.timeline.append((self.now, new_state.active_level))
         self.state = new_state
         for note in notes:
-            self.dispatch_log.append((note, self.dispatcher.dispatch(note)))
+            self.dispatcher.dispatch(note)
         return notes

@@ -39,7 +39,7 @@ class CaineDomainError(AnalyticsError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RainEvent:
     """A maximal wet period bounded by dry gaps.
 

@@ -1,7 +1,8 @@
 """Shared vocabulary types for the slopewatch telemetry stack.
 
 Every other module imports from here -- no module imports from a peer.
-All types are immutable values and safe to share across threads.
+Values are never changed after construction; step functions return new
+states. They are slotted, not frozen: a frozen init costs 3-4x as much.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ _BY_NAME = {k.name.lower().replace("_", ""): k for k in SensorKind}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RawReading:
     """One uncalibrated sample as produced on the node.
 
@@ -93,7 +94,7 @@ class RawReading:
     raw: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CalibratedReading:
     """An engineering-unit sample, produced at the base station."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
 from typing import Union
@@ -51,38 +51,38 @@ class Channel(Enum):
     CONTROL = "control"  # lossless out-of-band path (the "text message" route)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IpAssigned:
     ip: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServerIpReceived:
     ip: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConnAckReceived:
     session_id: int
     nonce: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DataAckReceived:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkDown:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimerFired:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadingsAvailable:
     """A batch of readings sharing one timestamp, in seq order."""
 
@@ -95,13 +95,13 @@ NodeEvent = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AnnounceReceived:
     node_id: int
     ip: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReqConnReceived:
     """Connection request; ``session_id`` is pre-allocated by the caller."""
 
@@ -110,7 +110,7 @@ class ReqConnReceived:
     session_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendDataReceived:
     payload: SendDataPayload
 
@@ -118,7 +118,7 @@ class SendDataReceived:
 ServerEvent = Union[AnnounceReceived, ReqConnReceived, SendDataReceived, LinkDown]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendFrame:
     """Transmit ``frame`` on ``channel``; ``to_node`` addresses server->node sends."""
 
@@ -127,19 +127,19 @@ class SendFrame:
     to_node: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer:
     """Arm the session timer for ``delay`` seconds, replacing any pending timer."""
 
     delay: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogWarning:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ForwardToIngest:
     payload: SendDataPayload
 
@@ -179,7 +179,7 @@ class NodePhase(Enum):
     BACKOFF = "Backoff"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PendingBatch:
     """An unacknowledged batch, retransmitted until its DATA_ACK arrives."""
 
@@ -199,7 +199,7 @@ class SessionTiming:
     heartbeat_interval: float = 300.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeState:
     node_id: int
     phase: NodePhase = NodePhase.BOOT
@@ -209,16 +209,11 @@ class NodeState:
     conn_nonce: int = 0
     attempt: int = 0           # consecutive failed connection attempts
     resume_at: float = 0.0     # backoff expiry (informational; timer drives it)
-    pending: tuple[PendingBatch, ...] = field(default_factory=tuple)
+    pending: tuple[PendingBatch, ...] = ()
 
 
 def _senddata_frame(state: NodeState, batch: PendingBatch) -> Frame:
-    payload = SendDataPayload(
-        session_id=state.session_id,
-        seq=batch.seq,
-        timestamp=batch.timestamp,
-        readings=batch.readings,
-    )
+    payload = SendDataPayload(state.session_id, batch.seq, batch.timestamp, batch.readings)
     return Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))
 
 
@@ -381,7 +376,7 @@ class ServerPhase(Enum):
     CONNECTED = "Connected"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServerSessionState:
     """Per-node view held by the base station."""
 
@@ -466,17 +461,17 @@ class LinkConfig:
             raise ValueError("latency_ms must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivered:
     at: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Dropped:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkSevered:
     pass
 
@@ -532,7 +527,7 @@ class LossyLink:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     ts: float
     side: str

@@ -47,6 +47,10 @@ class MessageType(IntEnum):
     HEARTBEAT = 0x09    # node -> server: idle keepalive
 
 
+# By code: calling MessageType(code) costs ten times a dict lookup.
+_MESSAGE_TYPES = {t.value: t for t in MessageType}
+
+
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------
@@ -96,7 +100,7 @@ class PayloadError(FrameError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     """One protocol message: type plus opaque payload bytes."""
 
@@ -136,12 +140,10 @@ def decode_frame(data: bytes) -> Frame:
     actual = crc16(body)
     if stated_crc != actual:
         raise CrcMismatch(f"crc 0x{stated_crc:04x} != computed 0x{actual:04x}", HEADER_LEN + plen)
-    type_code = data[3]
-    try:
-        msg_type = MessageType(type_code)
-    except ValueError:
-        raise UnknownType(f"unknown message type 0x{type_code:02x}", 3) from None
-    return Frame(msg_type=msg_type, payload=bytes(data[HEADER_LEN : HEADER_LEN + plen]))
+    msg_type = _MESSAGE_TYPES.get(data[3])
+    if msg_type is None:
+        raise UnknownType(f"unknown message type 0x{data[3]:02x}", 3)
+    return Frame(msg_type, bytes(data[HEADER_LEN : HEADER_LEN + plen]))
 
 
 def read_frame(stream: BinaryIO) -> bytes | None:
@@ -182,7 +184,7 @@ def _read_exact(stream: BinaryIO, n: int) -> bytes | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendDataPayload:
     """Body of a SEND_DATA frame: one batch of readings.
 

@@ -17,6 +17,7 @@ import pytest
 from slopewatch.alert import (
     AlertMode,
     AnalysisConfig,
+    Dispatcher,
     Thresholds,
     ValueSnapshot,
     ValueSource,
@@ -172,10 +173,19 @@ def test_c6_ar_predictor_recovery():
         assert ar_forecast(const_model, [5.0] * 5, 5) == [5.0] * 5
 
 
-def test_c7_storm_escalation(tmp_path):
+def test_c7_storm_escalation(tmp_path, monkeypatch):
     demo = os.path.join(os.path.dirname(__file__), "..", "config", "demo.ini")
     cfg = load_config(demo)
     scenario = load_scenario(resolve_scenario("seven_day_rain"))
+    dispatched = []  # (dispatcher, notification, results), in dispatch order
+    real_dispatch = Dispatcher.dispatch
+
+    def spy(self, note):
+        results = real_dispatch(self, note)
+        dispatched.append((self, note, results))
+        return results
+
+    monkeypatch.setattr(Dispatcher, "dispatch", spy)
     with criterion("7. Storm escalation reproduction", budget_s=30.0):
         sim = SimReplay(scenario, cfg, str(tmp_path / "store"), seed=7)
         summary = sim.run()
@@ -186,8 +196,9 @@ def test_c7_storm_escalation(tmp_path):
         assert numeric == sorted(numeric)
         # one notification per escalation per sink
         engine = sim.server.alert_engine
-        assert len(engine.dispatch_log) == 3  # YELLOW, ORANGE, RED
-        for note, results in engine.dispatch_log:
+        assert len(dispatched) == 3  # YELLOW, ORANGE, RED
+        for dispatcher, note, results in dispatched:
+            assert dispatcher is engine.dispatcher
             assert [r.sink for r in results] == ["console", "file", "sms"]
             assert all(r.ok for r in results)
         ndjson = (tmp_path / "store" / "alerts.ndjson").read_text().splitlines()

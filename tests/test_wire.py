@@ -149,6 +149,17 @@ class TestFrameCodec:
             decode_frame(blob)
         assert exc.value.offset == 3
 
+    def test_every_unused_type_code_is_unknown_type(self):
+        unused = [0x00, *range(0x0A, 0x100)]
+        assert set(range(0x100)) - set(unused) == {t.value for t in MessageType}
+        for code in unused:
+            body = bytes([0x01, code, 0x00, 0x01, 0xAB])
+            blob = wire.MAGIC + body + wire.crc16(body).to_bytes(2, "big")
+            with pytest.raises(UnknownType) as exc:
+                decode_frame(blob)
+            assert exc.value.offset == 3
+            assert str(exc.value) == f"unknown message type 0x{code:02x} (at byte 3)"
+
     def test_oversize_payload_rejected_at_encode(self):
         with pytest.raises(FrameTooLarge):
             encode_frame(Frame(MessageType.SEND_DATA, b"\x00" * 65536))
