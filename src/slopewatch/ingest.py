@@ -347,17 +347,6 @@ class Repository:
                     continue  # the header, a blank or an unparseable row
                 yield row
 
-    def query_range(
-        self, ts_from: int, ts_to: int, sensor: SensorKind | None = None
-    ) -> list[CalibratedReading]:
-        """Records with ts_from <= timestamp <= ts_to, sorted by (ts, node, seq)."""
-        if ts_from > ts_to:
-            raise StoreError(f"invalid range: from {ts_from} > to {ts_to}")
-        return _sorted_records(
-            row for row in self._rows()
-            if ts_from <= row[0] <= ts_to and (sensor is None or row[3] is sensor)
-        )
-
     def sorted_rows(self) -> list[tuple[int, int, int, SensorKind, float]]:
         """Every stored row as a (ts, node_id, seq, sensor, value) tuple, sorted by (ts, node, seq).
 

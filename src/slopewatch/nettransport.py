@@ -20,15 +20,12 @@ from slopewatch.config import Config, build_sinks
 from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
     LinkDown,
-    LogWarning,
+    NodeDriver,
     NodeState,
     ReadingsAvailable,
     SendFrame,
     SessionTiming,
-    SetTimer,
     TimerFired,
-    node_event_for,
-    node_step,
 )
 from slopewatch.station import ServerEngine
 
@@ -59,18 +56,17 @@ class _StationHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: StationServer = self.server  # type: ignore[assignment]
         peer: tuple[int, int] | None = None  # (node id, session id) of the CONN_ACK sent
+        splitter = wire.FrameSplitter()
         try:
             while True:
                 try:
-                    raw = wire.read_frame(self.rfile)
+                    frame = wire.read_frame(self.rfile, splitter)
                 except (wire.FrameError, ConnectionError, OSError):
                     break
-                if raw is None:
+                if frame is None:
                     break
-                try:
-                    frame = wire.decode_frame(raw)
-                except wire.FrameError as exc:
-                    logger.warning("dropping bad frame from %s: %s", self.client_address, exc)
+                if isinstance(frame, wire.FrameError):
+                    logger.warning("dropping bad frame from %s: %s", self.client_address, frame)
                     continue
                 now = time.time()
                 with server.engine_lock:
@@ -176,10 +172,16 @@ class NodeRunner:
         self.start_wall = time.monotonic()
         self.start_ts = int(time.time())
         self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=self.start_ts)
-        self.state = NodeState(node_id=node_id)
+        self.driver = NodeDriver(NodeState(node_id=node_id), self.timing, send=self._send,
+                                 set_timer=self._set_timer)
         self.sock: socket.socket | None = None
+        self._splitter = wire.FrameSplitter()
         self._timer_at: float | None = None
-        self._buffer = b""
+
+    @property
+    def state(self) -> NodeState:
+        """The node's current state."""
+        return self.driver.state
 
     # sim-time now: scenario seconds elapsed
     def _sim_now(self) -> float:
@@ -187,18 +189,18 @@ class NodeRunner:
 
     def run(self) -> int:
         self._connect_socket()
-        self._event(TimerFired())  # boot
+        self.driver.feed(TimerFired(), self._sim_now())  # boot
         end_ts = self.start_ts + self.scenario.duration
         next_tick = float(self.start_ts)
-        while not (self.player.exhausted and not self.state.pending):
+        while not (self.player.exhausted and not self.driver.state.pending):
             now = self._sim_now()
             if now >= next_tick:
                 for batch in group_batches(self.player.emit_readings(min(now, end_ts))):
-                    self._event(ReadingsAvailable(batch))
+                    self.driver.feed(ReadingsAvailable(batch), self._sim_now())
                 next_tick += self.scenario.sample_interval
             if self._timer_at is not None and time.monotonic() >= self._timer_at:
                 self._timer_at = None
-                self._event(TimerFired())
+                self.driver.feed(TimerFired(), self._sim_now())
             self._poll_socket()
         logger.info("scenario complete: %d readings emitted", self.player.emitted)
         if self.sock:
@@ -208,6 +210,7 @@ class NodeRunner:
     def _connect_socket(self) -> None:
         if self.sock is not None:
             self.sock.close()
+        self._splitter = wire.FrameSplitter()  # bytes left from the old connection are void
         try:
             self.sock = socket.create_connection(self.addr, timeout=5.0)
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -215,24 +218,9 @@ class NodeRunner:
         except OSError:
             self.sock = None
 
-    def _event(self, event) -> None:
-        state, actions = node_step(self.state, event, self._sim_now(), self.timing)
-        self.state = state
-        sends = []
-        for action in actions:
-            if isinstance(action, SetTimer):
-                # Protocol timers run on the wall clock, scaled like the scenario.
-                self._timer_at = time.monotonic() + action.delay / self.speedup
-            elif isinstance(action, LogWarning):
-                logger.warning(action.message)
-            elif isinstance(action, SendFrame):
-                sends.append(action)
-        # Transmit after all state bookkeeping so a failure maps to exactly
-        # one LinkDown event and cannot be overridden by a later SetTimer.
-        for action in sends:
-            if not self._send(action):
-                self._event(LinkDown())
-                break
+    def _set_timer(self, delay: float) -> None:
+        # Protocol timers run on the wall clock, scaled like the scenario.
+        self._timer_at = time.monotonic() + delay / self.speedup
 
     def _send(self, action: SendFrame) -> bool:
         if action.frame.msg_type is wire.MessageType.REQ_CONN:
@@ -250,37 +238,16 @@ class NodeRunner:
             time.sleep(0.02)
             return
         try:
-            header = self.sock.recv(4096)
+            data = self.sock.recv(4096)
         except socket.timeout:
             return
         except OSError:
-            self._event(LinkDown())
+            data = b""
+        if not data:
+            self.driver.feed(LinkDown(), self._sim_now())
             return
-        if not header:
-            self._event(LinkDown())
-            return
-        self._buffer += header
-        while True:
-            raw, self._buffer = _try_split(self._buffer)
-            if raw is None:
-                return
-            try:
-                event = node_event_for(wire.decode_frame(raw))
-            except wire.FrameError as exc:
-                # The header delimited it: drop it and read on, as the station does.
-                logger.warning("dropping bad frame from %s: %s", self.addr, exc)
-                continue
-            if event is not None:
-                self._event(event)
-
-
-def _try_split(buf: bytes) -> tuple[bytes | None, bytes]:
-    """Cut the bytes of one frame, as its header delimits them, off a stream
-    buffer, or signal more bytes needed."""
-    if len(buf) < wire.HEADER_LEN:
-        return None, buf
-    plen = int.from_bytes(buf[4:6], "big")
-    total = wire.HEADER_LEN + plen + wire.TRAILER_LEN
-    if len(buf) < total:
-        return None, buf
-    return buf[:total], buf[total:]
+        for item in self._splitter.feed(data):
+            if isinstance(item, wire.FrameError):
+                logger.warning("dropping bad frame from %s: %s", self.addr, item)
+            else:
+                self.driver.receive(item, self._sim_now())

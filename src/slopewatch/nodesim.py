@@ -110,11 +110,6 @@ def resolve_scenario(name_or_path: str) -> Path:
     raise ScenarioError(f"scenario not found: {name_or_path!r} (no such file or bundled fixture)")
 
 
-def bundled_scenarios() -> list[str]:
-    bundled = importlib.resources.files("slopewatch").joinpath("scenarios")
-    return sorted(p.name[: -len(".csv")] for p in bundled.iterdir() if p.name.endswith(".csv"))
-
-
 @dataclass
 class ScenarioPlayer:
     """Stateful cursor over a scenario; emits each step exactly once.

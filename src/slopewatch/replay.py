@@ -23,18 +23,16 @@ from slopewatch.session import (
     Delivered,
     LinkDown,
     LinkSevered,
-    LogWarning,
     LossyLink,
     MessageType,
+    NodeDriver,
     NodePhase,
     NodeState,
     ReadingsAvailable,
     SendFrame,
     SessionTiming,
-    SetTimer,
     TimerFired,
     TraceLog,
-    node_event_for,
     node_step,
 )
 from slopewatch.station import ServerEngine
@@ -122,7 +120,10 @@ class SimReplay:
 
         self.link = LossyLink(replace(config.link, rng_seed=seed))
         self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=start_ts)
-        self.node = NodeState(node_id=node_id)
+        # Stepped through this module's ``node_step``, so that a wrapper
+        # installed here sees every node step.
+        self.driver = NodeDriver(NodeState(node_id=node_id), self.timing, send=self._transmit_from_node,
+                                 set_timer=self._set_node_timer, observe=self._observe_node, step=node_step)
         self._node_timer_gen = 0
         self._node_phase: NodePhase | None = None
         self._saw_backoff = False
@@ -136,6 +137,11 @@ class SimReplay:
         self.server_restart_at = server_restart_at
         self.pre_restart_records = None
 
+    @property
+    def node(self) -> NodeState:
+        """The node's current state."""
+        return self.driver.state
+
     def _make_server(self) -> ServerEngine:
         return ServerEngine.open(self.config, self.store_dir, self._sinks, trace=self._trace)
 
@@ -147,19 +153,10 @@ class SimReplay:
 
     # -- node plumbing -------------------------------------------------------------
 
-    def _node_event(self, event) -> None:
-        state, actions = node_step(self.node, event, self.now, self.timing)
-        self.node = state
+    def _observe_node(self, now: float, state: NodeState, event, actions) -> None:
         if self._trace is not None:
-            self._trace.record(self.now, "node", state.node_id, state.phase.value, event, actions)
+            self._trace.record(now, "node", state.node_id, state.phase.value, event, actions)
         self._observe_phase(state.phase)
-        for action in actions:
-            if isinstance(action, SendFrame):
-                self._transmit_from_node(action)
-            elif isinstance(action, SetTimer):
-                self._set_node_timer(action.delay)
-            elif isinstance(action, LogWarning):
-                logger.warning(action.message)
 
     def _observe_phase(self, phase: NodePhase) -> None:
         """Count phase changes: a reconnect attempt is Backoff -> Connecting,
@@ -182,61 +179,52 @@ class SimReplay:
 
     def _node_timer_fired(self, gen: int) -> None:
         if gen == self._node_timer_gen:  # stale timers were replaced
-            self._node_event(TimerFired())
+            self.driver.feed(TimerFired(), self.now)
 
-    def _transmit_from_node(self, action: SendFrame) -> None:
-        raw = wire.encode_frame(action.frame)
-        if action.channel is Channel.CONTROL:
-            self._schedule(self.now + CONTROL_LATENCY_S, lambda: self._server_receive(raw))
-            return
+    def _transmit_from_node(self, action: SendFrame) -> bool:
+        """Always True: ``_link_down`` reports a severed link to both ends, on the event queue."""
         # A fresh connection attempt re-establishes the severed carrier.
         if action.frame.msg_type is MessageType.REQ_CONN and not self.link.up:
             self.link.reconnect()
-        outcome = self.link.deliver(raw, self.now, "up")
-        if isinstance(outcome, Delivered):
-            self._schedule(outcome.at, lambda: self._server_receive(raw))
-        elif isinstance(outcome, LinkSevered):
-            self._link_down()
+        self._carry(action, "up", self._server_receive)
+        return True
+
+    def _carry(self, send: SendFrame, direction: str, receive) -> None:
+        """Put a frame's bytes on its channel; ``receive(frame, now)`` runs when they arrive."""
+        raw = wire.encode_frame(send.frame)
+        if send.channel is Channel.CONTROL:
+            at = self.now + CONTROL_LATENCY_S
+        else:
+            outcome = self.link.deliver(raw, self.now, direction)
+            if isinstance(outcome, LinkSevered):
+                self._link_down()
+            if not isinstance(outcome, Delivered):
+                return
+            at = outcome.at
+        self._schedule(at, lambda: receive(wire.decode_frame(raw), self.now))
 
     def _link_down(self) -> None:
         self.link.sever()
         node_id = self.node.node_id
-        self._schedule(self.now, lambda: self._node_event(LinkDown()))
+        self._schedule(self.now, lambda: self.driver.feed(LinkDown(), self.now))
         self._schedule(self.now, lambda: self._dispatch_outbound(
             self.server.handle_link_down(node_id, self.now)))
 
     # -- server plumbing ---------------------------------------------------------
 
-    def _server_receive(self, raw: bytes) -> None:
-        frame = wire.decode_frame(raw)
-        self._dispatch_outbound(self.server.handle_frame(frame, self.now))
+    def _server_receive(self, frame: wire.Frame, now: float) -> None:
+        self._dispatch_outbound(self.server.handle_frame(frame, now))
 
     def _dispatch_outbound(self, outbound: list[SendFrame]) -> None:
         for send in outbound:
-            raw = wire.encode_frame(send.frame)
-            if send.channel is Channel.CONTROL:
-                self._schedule(self.now + CONTROL_LATENCY_S, lambda raw=raw: self._node_receive(raw))
-            else:
-                outcome = self.link.deliver(raw, self.now, "down")
-                if isinstance(outcome, Delivered):
-                    self._schedule(outcome.at, lambda raw=raw: self._node_receive(raw))
-                elif isinstance(outcome, LinkSevered):
-                    self._link_down()
-
-    def _node_receive(self, raw: bytes) -> None:
-        frame = wire.decode_frame(raw)
-        event = node_event_for(frame)
-        if event is None:
-            logger.warning("node received unexpected %s", frame.msg_type.name)
-        else:
-            self._node_event(event)
+            self._carry(send, "down", self.driver.receive)
 
     # -- scenario sampling ---------------------------------------------------------
 
     def _sample_tick(self) -> None:
         readings = self.player.emit_readings(self.now)
         for batch in group_batches(readings):
-            self._node_event(ReadingsAvailable(batch))
+            self.driver.feed(ReadingsAvailable(batch), self.now)
 
     def _restart_server(self) -> None:
         """Kill-and-restart: in-memory state is lost, the store is reloaded."""
@@ -245,7 +233,7 @@ class SimReplay:
                  self.server.duplicates_skipped)
         self.server.repo.close()
         self.link.sever()
-        self._node_event(LinkDown())
+        self.driver.feed(LinkDown(), self.now)
         self.server = self._make_server()
         (self.server.batches_ingested, self.server.records_stored,
          self.server.duplicates_skipped) = carry
@@ -277,7 +265,7 @@ class SimReplay:
                     time.sleep((at - self.now) / self.speedup)
                 self.now = max(self.now, at)
                 fn()
-                if self.player.exhausted and not self.node.pending and self.now >= end_ts:
+                if self.now >= end_ts and self.player.exhausted and not self.driver.state.pending:
                     break
         finally:
             self.server.repo.close()

@@ -9,8 +9,9 @@ acknowledge batches, and hand payloads to ingest.
 
 Both step functions are pure: (state, event, now) fully determines
 (state', actions). Side effects (frames on the wire, timers, ingest) are
-returned as action values and executed by a driver -- the discrete-event
-replay harness or the socket transport.
+returned as action values; on the node side ``NodeDriver`` executes them
+through callbacks of the transport -- the discrete-event replay harness or
+the socket runner.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
-from typing import Union
+from typing import Callable, Union
 
 from slopewatch.domain import RawReading
 from slopewatch import wire
@@ -230,6 +231,13 @@ def _enter_backoff(state: NodeState, now: float) -> tuple[NodeState, list[Action
     return state, [SetTimer(delay)]
 
 
+def _with_pending(state: NodeState, pending: tuple[PendingBatch, ...]) -> NodeState:
+    """``state`` with ``pending`` in place of its queue; built directly, at a
+    third of ``dataclasses.replace``'s cost, as it runs once per batch and ack."""
+    return NodeState(state.node_id, state.phase, state.node_ip, state.server_ip, state.session_id,
+                     state.conn_nonce, state.attempt, state.resume_at, pending)
+
+
 def _queue_batch(state: NodeState, event: ReadingsAvailable) -> NodeState:
     batch = event.batch
     pending = PendingBatch(
@@ -237,7 +245,7 @@ def _queue_batch(state: NodeState, event: ReadingsAvailable) -> NodeState:
         timestamp=batch[0].timestamp,
         readings=tuple((r.sensor.code, r.raw) for r in batch),
     )
-    return replace(state, pending=state.pending + (pending,))
+    return _with_pending(state, state.pending + (pending,))
 
 
 def node_event_for(frame: Frame) -> NodeEvent | None:
@@ -283,10 +291,13 @@ def node_step(
     # Acks are accepted in any phase; a late ack for a batch already sent is
     # still a valid receipt.
     if isinstance(event, DataAckReceived):
-        remaining = tuple(b for b in state.pending if b.seq != event.seq)
-        if len(remaining) == len(state.pending):
+        pending = state.pending
+        if pending and pending[0].seq == event.seq:  # the usual case; seqs in pending are unique
+            return _with_pending(state, pending[1:]), []
+        remaining = tuple(b for b in pending if b.seq != event.seq)
+        if len(remaining) == len(pending):
             return state, [LogWarning(f"ack for unknown batch seq {event.seq}")]
-        return replace(state, pending=remaining), []
+        return _with_pending(state, remaining), []
 
     if phase is NodePhase.BOOT:
         if isinstance(event, TimerFired):
@@ -363,6 +374,55 @@ def node_step(
             return state, []  # already down
 
     return state, [LogWarning(f"ignoring {describe(event)} in {phase.value}")]
+
+
+@dataclass(slots=True)
+class NodeDriver:
+    """Runs the node machine for a transport, through two of its callbacks:
+    ``send(SendFrame) -> bool`` (False: the link failed) and ``set_timer(delay)``,
+    which replaces any pending timer. Timers and warnings are applied before
+    any send, so a failed send maps to one ``LinkDown`` that no later
+    ``SetTimer`` of the step overrides. ``observe(now, state, event, actions)``
+    sees each step; ``step`` lets a caller pass in its own name for ``node_step``.
+    """
+
+    state: NodeState
+    timing: SessionTiming
+    send: Callable[[SendFrame], bool]
+    set_timer: Callable[[float], None]
+    observe: Callable | None = None
+    step: Callable = node_step
+
+    def feed(self, event: NodeEvent, now: float) -> None:
+        state, actions = self.step(self.state, event, now, self.timing)
+        self.state = state
+        if self.observe is not None:
+            self.observe(now, state, event, actions)
+        sends = []
+        for action in actions:
+            if isinstance(action, SendFrame):
+                sends.append(action)
+            elif isinstance(action, SetTimer):
+                self.set_timer(action.delay)
+            elif isinstance(action, LogWarning):
+                logger.warning(action.message)
+        for action in sends:
+            if not self.send(action):
+                self.feed(LinkDown(), now)
+                break
+
+    def receive(self, frame: Frame, now: float) -> None:
+        """Feed the event that a frame from the station carries. A frame of
+        another type, or with a malformed payload, is logged and dropped."""
+        try:
+            event = node_event_for(frame)
+        except wire.PayloadError as exc:
+            logger.warning("dropping bad frame: %s", exc)
+            return
+        if event is None:
+            logger.warning("node received unexpected %s", frame.msg_type.name)
+            return
+        self.feed(event, now)
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +610,6 @@ class TraceLog:
         labels = [describe(a) for a in actions] or ["-"]
         for label in labels:
             self.records.append(TraceRecord(ts, side, node_id, state, describe(event), label))
-
-    def phases(self, side: str = "node") -> list[str]:
-        """Distinct consecutive states observed for one side."""
-        seen: list[str] = []
-        for rec in self.records:
-            if rec.side == side and (not seen or seen[-1] != rec.state):
-                seen.append(rec.state)
-        return seen
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

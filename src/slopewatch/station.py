@@ -54,7 +54,7 @@ class ServerEngine:
         self.trace = trace
         self.sessions: dict[int, ServerSessionState] = {}
         self.registry: dict[int, str] = {}  # node_id -> last announced IP
-        self._session_to_node: dict[int, int] = {}
+        self._session_to_node: dict[int, int] = {}  # each node's latest accepted session
         self._next_session_id = 1
         self.batches_ingested = 0
         self.records_stored = 0
@@ -74,12 +74,6 @@ class ServerEngine:
         if node_id not in self.sessions:
             self.sessions[node_id] = ServerSessionState(node_id=node_id)
         return self.sessions[node_id]
-
-    def _alloc_session(self, node_id: int) -> int:
-        sid = self._next_session_id
-        self._next_session_id += 1
-        self._session_to_node[sid] = node_id
-        return sid
 
     def _decode(self, decode, frame: Frame):
         """``decode(frame.payload)``, or None for a malformed payload, which
@@ -153,8 +147,16 @@ class ServerEngine:
             if request is None:
                 return []
             node_id, nonce = request
-            sid = self._alloc_session(node_id)
-            return self._step(node_id, ReqConnReceived(node_id, nonce, sid), now)
+            # Each request takes an id, also one the node's state refuses.
+            sid = self._next_session_id
+            self._next_session_id += 1
+            out = self._step(node_id, ReqConnReceived(node_id, nonce, sid), now)
+            if self.sessions[node_id].session_id == sid:
+                # Accepted: it replaces the node's older session, whose late
+                # frames are then from an unknown session.
+                self._session_to_node = {s: n for s, n in self._session_to_node.items() if n != node_id}
+                self._session_to_node[sid] = node_id
+            return out
         if frame.msg_type is MessageType.SEND_DATA:
             payload = self._decode(wire.decode_senddata, frame)
             if payload is None:

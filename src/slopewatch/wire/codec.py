@@ -146,37 +146,80 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(msg_type, bytes(data[HEADER_LEN : HEADER_LEN + plen]))
 
 
-def read_frame(stream: BinaryIO) -> bytes | None:
-    """Read one frame's raw bytes from a blocking stream.
+class FrameSplitter:
+    """Cuts the frames out of a byte stream; the caller does the reading.
 
-    Returns None on clean EOF before any byte of a frame; raises
-    LengthMismatch if the stream ends mid-frame. Used by the socket
-    transport; the in-process simulator hands frames around whole.
+    ``feed`` returns, in stream order, each frame and each bad frame (as its
+    ``FrameError``) that the bytes so far complete. A bad frame is reported
+    once, and splitting resumes at the next ``MAGIC`` after its first byte;
+    bytes skipped on the way to the next good frame are not reported again.
     """
-    header = _read_exact(stream, HEADER_LEN)
-    if header is None:
-        return None
-    if len(header) < HEADER_LEN:
-        raise LengthMismatch("stream ended inside frame header", len(header))
-    (plen,) = struct.unpack_from(">H", header, 4)
-    rest = _read_exact(stream, plen + TRAILER_LEN)
-    if rest is None or len(rest) < plen + TRAILER_LEN:
-        raise LengthMismatch("stream ended inside frame body", HEADER_LEN + len(rest or b""))
-    return header + rest
+
+    __slots__ = ("_buf", "_synced", "_unread")
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._synced = True  # False from a reported error to the next good frame
+        self._unread: list[Frame | FrameError] = []  # fed, not yet returned by read_frame
+
+    def feed(self, data: bytes) -> list[Frame | FrameError]:
+        buf = self._buf
+        buf += data
+        end = len(buf)
+        out: list[Frame | FrameError] = []
+        pos = 0
+        while pos < end:
+            if not buf.startswith(MAGIC, pos):
+                if end - pos < len(MAGIC) and MAGIC.startswith(buf[pos:]):
+                    break  # the first byte of a magic
+                error: FrameError = BadMagic(f"expected magic {MAGIC.hex()}, got {buf[pos:pos + 2].hex()}")
+            elif end - pos < HEADER_LEN:
+                break
+            elif buf[pos + 2] != VERSION:  # bad at once: its length field means nothing
+                error = BadVersion(f"unsupported version 0x{buf[pos + 2]:02x}", 2)
+            else:
+                total = HEADER_LEN + int.from_bytes(buf[pos + 4 : pos + 6], "big") + TRAILER_LEN
+                if end - pos < total:
+                    break
+                try:
+                    frame = decode_frame(buf[pos : pos + total])
+                except FrameError as exc:
+                    error = exc
+                else:
+                    out.append(frame)
+                    self._synced = True
+                    pos += total
+                    continue
+            if self._synced:
+                out.append(error)
+                self._synced = False
+            pos = buf.find(MAGIC, pos + 1)
+            if pos < 0:  # keep a last byte that may start a magic
+                pos = end - 1 if buf.endswith(MAGIC[:1]) else end
+        del buf[:pos]
+        return out
 
 
-def _read_exact(stream: BinaryIO, n: int) -> bytes | None:
-    if n == 0:
-        return b""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = stream.read(n - got)
-        if not chunk:
-            return b"".join(chunks) if chunks else None
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+def read_frame(stream: BinaryIO, splitter: FrameSplitter | None = None) -> Frame | FrameError | None:
+    """The next frame, or bad frame, that ``splitter`` cuts from a blocking stream.
+
+    Reads only the bytes that the frame begun in the splitter still lacks, so
+    it never reads past a good frame; without a splitter it reads one frame.
+    Returns None on EOF at a frame boundary; raises LengthMismatch on EOF
+    inside a frame.
+    """
+    splitter = splitter or FrameSplitter()
+    buf, unread = splitter._buf, splitter._unread
+    while not unread:
+        have = len(buf)
+        want = HEADER_LEN if have < HEADER_LEN else HEADER_LEN + int.from_bytes(buf[4:6], "big") + TRAILER_LEN
+        data = stream.read(want - have)
+        if not data:
+            if buf:
+                raise LengthMismatch("stream ended inside a frame", have)
+            return None
+        unread.extend(splitter.feed(data))
+    return unread.pop(0)
 
 
 # ---------------------------------------------------------------------------

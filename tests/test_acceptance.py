@@ -45,6 +45,11 @@ def criterion(name: str, budget_s: float):
     print(f"PASS  {name}  ({elapsed:.2f}s < {budget_s:.0f}s)")
 
 
+def query_range(repo, ts_from, ts_to):
+    """Stored records with ts_from <= timestamp <= ts_to, in the store's (ts, node, seq) order."""
+    return [r for r in repo.all_records() if ts_from <= r.timestamp <= ts_to]
+
+
 def make_config(link: LinkConfig, hold_period_s: float = 1800.0) -> Config:
     calibration = {kind: CalibrationConstants(kind, 0.01, 0.0) for kind in SensorKind}
     calibration[SensorKind.RAIN_GAUGE] = CalibrationConstants(SensorKind.RAIN_GAUGE, 0.2, 0.0)
@@ -230,6 +235,6 @@ def test_c8_durability_across_restart(tmp_path):
         # post-restart store = pre-kill records plus post-restart ingest, nothing else
         post_keys = final_keys - pre_keys
         assert len(pre_keys) + len(post_keys) == summary.readings_generated == 1500
-        span = reloaded.query_range(0, 2**62)
+        span = query_range(reloaded, 0, 2**62)
         merged = sorted(final, key=lambda r: (r.timestamp, r.node_id, r.seq))
         assert span == merged

@@ -364,7 +364,7 @@ class TestSocketTransport:
                 sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, bad)))
                 good = wire.SendDataPayload(session_id, 5, 1_700_000_600, readings)
                 sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(good))))
-                ack = wire.decode_frame(wire.read_frame(rfile))
+                ack = wire.read_frame(rfile)
                 assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 5
                 with server.engine_lock:
                     assert (server.engine.violations, server.engine.records_stored) == (1, 5)
@@ -432,7 +432,7 @@ class TestSocketTransport:
                 with socket.create_connection(addr, timeout=10) as a, a.makefile("rb") as a_in:
                     old = _announce_and_connect(a, a_in)
                     b.sendall(wire.encode_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(3, 100))))
-                    new = wire.decode_connack(wire.decode_frame(wire.read_frame(b_in)).payload)[0]
+                    new = wire.decode_connack(wire.read_frame(b_in).payload)[0]
                     assert new != old
                 assert a_closed.wait(5.0)  # A's handler has run its link-down
                 with server.engine_lock:
@@ -440,7 +440,7 @@ class TestSocketTransport:
                 b.settimeout(1.0)
                 payload = wire.SendDataPayload(new, 0, 1_700_000_000, ((1, 5),))
                 b.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))))
-                ack = wire.decode_frame(wire.read_frame(b_in))
+                ack = wire.read_frame(b_in)
                 assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 0
             with server.engine_lock:
                 assert server.engine.violations == 0
@@ -503,9 +503,9 @@ def _announce_and_connect(sock, rfile) -> int:
     from slopewatch.wire import Frame, MessageType
 
     sock.sendall(wire.encode_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(3, "10.77.0.3"))))
-    assert wire.decode_frame(wire.read_frame(rfile)).msg_type is MessageType.SERVER_IP
+    assert wire.read_frame(rfile).msg_type is MessageType.SERVER_IP
     sock.sendall(wire.encode_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(3, 99))))
-    return wire.decode_connack(wire.decode_frame(wire.read_frame(rfile)).payload)[0]
+    return wire.decode_connack(wire.read_frame(rfile).payload)[0]
 
 
 def _raise_runtime_error(*args):
@@ -524,7 +524,7 @@ def _store_one_batch(port: int) -> None:
         readings = tuple((code, 100 * code) for code in range(1, 6))
         payload = wire.SendDataPayload(session_id, 0, 1_700_000_000, readings)
         sock.sendall(wire.encode_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))))
-        ack = wire.decode_frame(wire.read_frame(rfile))
+        ack = wire.read_frame(rfile)
         assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 0
 
 

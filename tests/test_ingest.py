@@ -22,6 +22,11 @@ CONSTANTS = {
 }
 
 
+def query_range(repo, ts_from, ts_to):
+    """Stored records with ts_from <= timestamp <= ts_to, in the store's (ts, node, seq) order."""
+    return [r for r in repo.all_records() if ts_from <= r.timestamp <= ts_to]
+
+
 def raw(seq, sensor=SensorKind.RAIN_GAUGE, value=5, ts=1000, node=1):
     return RawReading(node_id=node, seq=seq, timestamp=ts, sensor=sensor, raw=value)
 
@@ -91,49 +96,18 @@ class TestIngestBatch:
         assert len(repo) == 2
 
 
-class TestQueryRange:
-    def test_empty_store(self, tmp_path):
-        repo = Repository(tmp_path / "s")
-        assert repo.query_range(0, 10_000) == []
-
-    def test_inclusive_bounds(self, tmp_path):
-        repo = Repository(tmp_path / "s")
-        for i, ts in enumerate((1000, 2000, 3000), start=1):
-            repo.ingest_batch(payload(i, [(1, i)], ts=ts), 1, CONSTANTS)
-        assert [r.timestamp for r in repo.query_range(2000, 3000)] == [2000, 3000]
-
-    def test_sensor_filter(self, tmp_path):
-        repo = Repository(tmp_path / "s")
-        repo.ingest_batch(payload(1, [(1, 5), (2, 100)]), 1, CONSTANTS)
-        rows = repo.query_range(0, 10_000, sensor=SensorKind.PIEZOMETER)
-        assert [r.sensor for r in rows] == [SensorKind.PIEZOMETER]
-
-    def test_sorted_by_ts_node_seq(self, tmp_path):
-        repo = Repository(tmp_path / "s")
-        repo.ingest_batch(payload(5, [(1, 1)], ts=3000), 2, CONSTANTS)
-        repo.ingest_batch(payload(9, [(1, 1)], ts=1000), 2, CONSTANTS)
-        repo.ingest_batch(payload(1, [(1, 1)], ts=3000), 1, CONSTANTS)
-        keys = [(r.timestamp, r.node_id, r.seq) for r in repo.query_range(0, 10_000)]
-        assert keys == sorted(keys)
-
-    def test_invalid_range(self, tmp_path):
-        repo = Repository(tmp_path / "s")
-        with pytest.raises(StoreError):
-            repo.query_range(10, 5)
-
-
 class TestPersistence:
     def test_reload_preserves_queries_and_dedup(self, tmp_path):
         store = tmp_path / "s"
         repo = Repository(store)
         repo.ingest_batch(payload(1, [(1, 5), (2, 2300)]), 1, CONSTANTS)
         repo.ingest_batch(payload(3, [(3, 120)], ts=2500), 1, CONSTANTS)
-        before = repo.query_range(0, 10_000)
+        before = query_range(repo, 0, 10_000)
         csv_before = (store / "readings.csv").read_bytes()
         repo.close()
 
         reloaded = Repository(store)
-        assert reloaded.query_range(0, 10_000) == before
+        assert query_range(reloaded, 0, 10_000) == before
         # a retransmission arriving after restart is still recognized
         assert reloaded.ingest_batch(payload(1, [(1, 5), (2, 2300)]), 1, CONSTANTS) == []
         reloaded.close()
@@ -381,12 +355,6 @@ def test_repository_matches_reference_model(ops, data):
             assert r.sorted_rows() == [(x.timestamp, x.node_id, x.seq, x.sensor, x.value) for x in records]
             for node in (1, 2, 3):
                 assert r.seq_runs(node) == ref.runs(node)
-            lo = data.draw(st.integers(900, 1130), label="ts_from")
-            hi = data.draw(st.integers(lo, 1150), label="ts_to")
-            kind = data.draw(st.sampled_from([None, *SensorKind]), label="sensor")
-            assert r.query_range(lo, hi, kind) == [
-                x for x in records if lo <= x.timestamp <= hi and kind in (None, x.sensor)
-            ]
             kind = data.draw(st.sampled_from(list(SensorKind)), label="series sensor")
             limit = data.draw(st.sampled_from([None, 0, 1, 3, 50]), label="limit")
             pairs = [(x.timestamp, x.value) for x in records if x.sensor is kind]

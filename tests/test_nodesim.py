@@ -1,5 +1,7 @@
 """Scenario loading and replay cursor tests."""
 
+import importlib.resources
+
 import pytest
 
 from slopewatch.nodesim import (
@@ -7,11 +9,16 @@ from slopewatch.nodesim import (
     ScenarioError,
     ScenarioPlayer,
     ScenarioStep,
-    bundled_scenarios,
     load_scenario,
     resolve_scenario,
 )
 from slopewatch.domain import SensorKind
+
+
+def bundled_scenarios() -> list[str]:
+    """Names of the scenario fixtures shipped in the package."""
+    bundled = importlib.resources.files("slopewatch").joinpath("scenarios")
+    return sorted(p.name[: -len(".csv")] for p in bundled.iterdir() if p.name.endswith(".csv"))
 
 
 def write_scenario(tmp_path, body, name="s.csv"):

@@ -137,7 +137,7 @@ class TestForcedDisconnects:
         assert summary.recoveries >= 1
         assert summary.records_stored == summary.readings_generated
         assert sim.trace.records
-        phases = sim.trace.phases("node")
+        phases = trace_phases(sim.trace, "node")
         assert "Backoff" in phases
         backoff_idx = phases.index("Backoff")
         assert "Connecting" in phases[backoff_idx:]
@@ -166,6 +166,15 @@ class TestForcedDisconnects:
         for rec in sim.trace.records:
             if rec.side == "server" and "DATA_ACK" in rec.action:
                 assert rec.event.startswith("SendDataReceived")
+
+
+def trace_phases(trace: TraceLog, side: str) -> list[str]:
+    """Distinct consecutive states the trace records for one side."""
+    seen: list[str] = []
+    for rec in trace.records:
+        if rec.side == side and (not seen or seen[-1] != rec.state):
+            seen.append(rec.state)
+    return seen
 
 
 def counts_from_phases(phases: list[str]) -> tuple[int, int]:
@@ -203,7 +212,7 @@ class TestTraceOnRequest:
         assert store_files(tmp_path / "traced") == store_files(tmp_path / "plain")
         assert plain.trace.records == []
         assert traced.trace.records
-        assert counts_from_phases(traced.trace.phases("node")) == (
+        assert counts_from_phases(trace_phases(traced.trace, "node")) == (
             traced_summary.reconnect_attempts, traced_summary.recoveries
         )
         return traced_summary

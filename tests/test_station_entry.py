@@ -142,3 +142,46 @@ class TestStaleLinkDown:
     def test_unknown_node_link_down_with_a_session_is_ignored(self, engine):
         assert engine.handle_link_down(NODE, 1.0, session_id=1) == []
         assert NODE not in engine.sessions
+
+
+class TestSessionMap:
+    """The station maps each node's latest accepted session only."""
+
+    def test_refused_req_conn_adds_no_entry(self, engine):
+        # Unannounced: the request is refused, yet it takes a session id.
+        assert engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 1)), 0.0) == []
+        assert engine._session_to_node == {}
+        announce(engine)
+        assert connect(engine, 2) == 2
+        assert engine._session_to_node == {2: NODE}
+
+    def test_replaced_session_is_unknown(self, engine, caplog):
+        announce(engine)
+        old = connect(engine, 1)
+        new = connect(engine, 2)
+        assert engine._session_to_node == {new: NODE}
+        with caplog.at_level("WARNING", logger="slopewatch.station"):
+            assert engine.handle_frame(send_data(old, 0), 1.0) == []
+        assert engine.violations == 1
+        assert engine.records_stored == 0
+        assert any(f"unknown session {old}" in r.getMessage() for r in caplog.records)
+
+    def test_link_down_keeps_the_entry_until_the_next_session(self, engine):
+        # A late frame of the session just ended still reads as "outside a session".
+        announce(engine)
+        sid = connect(engine, 1)
+        engine.handle_link_down(NODE, 1.0)
+        assert engine._session_to_node == {sid: NODE}
+        assert engine.handle_frame(send_data(sid, 0), 2.0) == []
+        assert engine.violations == 1
+
+    def test_forced_disconnect_replay_ends_with_one_entry_per_node(self, tmp_path):
+        scenario = load_scenario(resolve_scenario("seven_day_rain"))
+        n = 10
+        offsets = tuple(scenario.duration * (i + 1) / (n + 1) for i in range(n))
+        sim = SimReplay(scenario, load_config(DEMO), str(tmp_path / "store"), seed=7,
+                        force_disconnect_at=offsets, sinks=[NullSink()])
+        sim.run()
+        entries = sim.server._session_to_node
+        assert sim.reconnect_attempts >= n  # many sessions were opened
+        assert len(entries) <= 1 and set(entries.values()) <= {sim.node.node_id}
