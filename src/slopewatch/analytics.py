@@ -60,14 +60,6 @@ class RainEvent:
         return self.total_mm / self.duration_h
 
 
-@dataclass(frozen=True)
-class RainfallFeatures:
-    total_mm: float
-    antecedent_mm: float
-    event_duration_h: float | None  # None when no event is active
-    event_intensity_mm_per_h: float | None
-
-
 def _check_ordered(series: list[tuple[float, float]]) -> None:
     for (t1, _), (t2, _) in zip(series, series[1:]):
         if t2 < t1:
@@ -93,11 +85,7 @@ def _infer_interval(series: list[tuple[float, float]]) -> float:
     return median_of_sorted(gaps) if gaps else 3600.0
 
 
-def segment_events(
-    rain: list[tuple[float, float]],
-    dry_gap: float,
-    sample_interval: float | None = None,
-) -> list[RainEvent]:
+def segment_events(rain: list[tuple[float, float]], dry_gap: float) -> list[RainEvent]:
     """Split a (timestamp, mm) series into rain events.
 
     Two wet samples belong to the same event unless the zero-rain span
@@ -109,7 +97,7 @@ def segment_events(
     wet = [(t, mm) for t, mm in rain if mm > 0]
     if not wet:
         return []
-    interval = sample_interval if sample_interval is not None else _infer_interval(rain)
+    interval = _infer_interval(rain)
     events: list[RainEvent] = []
     run_start, _ = wet[0]
     run_total = 0.0
@@ -152,49 +140,6 @@ def last_event(times: np.ndarray, mm: np.ndarray, dry_gap: float, interval: floa
     # cumsum adds left to right, as the event's running total always has.
     total = float(mm.take(wet[first:]).cumsum()[-1])
     return float(t[first]), float(t[-1]), total
-
-
-def active_event(
-    rain: list[tuple[float, float]] | np.ndarray,
-    now: float,
-    dry_gap: float,
-    interval: float,
-) -> RainEvent | None:
-    """The last rain event of a time-ordered series, if it is still active.
-
-    An event is active when less than ``dry_gap`` of dry time has elapsed
-    since its last wet sample. The event is ``segment_events(...)[-1]``,
-    found by ``last_event`` over the (timestamp, mm) pairs, which may be a
-    list or an (n, 2) array. The series is not checked for order.
-    """
-    _check_dry_gap(dry_gap)
-    pairs = np.asarray(rain, dtype=float).reshape(-1, 2)
-    found = last_event(pairs[:, 0], pairs[:, 1], dry_gap, interval)
-    if found is None:
-        return None
-    first, end, total = found
-    if (now - end) - interval >= dry_gap:
-        return None
-    return RainEvent(start=first - interval, end=end, total_mm=total)
-
-
-def compute_rainfall_features(
-    rain: list[tuple[float, float]],
-    now: float,
-    lookback: float,
-    dry_gap: float,
-    sample_interval: float | None = None,
-) -> RainfallFeatures:
-    """Window totals plus the active event's (duration, intensity), if any."""
-    _check_ordered(rain)
-    interval = sample_interval if sample_interval is not None else _infer_interval(rain)
-    event = active_event(rain, now, dry_gap, interval)
-    return RainfallFeatures(
-        total_mm=sum(mm for _, mm in rain),
-        antecedent_mm=antecedent_rainfall(rain, now, lookback),
-        event_duration_h=event.duration_h if event is not None else None,
-        event_intensity_mm_per_h=event.mean_intensity_mm_per_h if event is not None else None,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -207,29 +207,29 @@ def cmd_report(args) -> int:
         print(f"error: store directory not found: {store}", file=sys.stderr)
         return EXIT_RUNTIME
     alerts_path = store / "alerts.ndjson"
-    records = []
+    rows = []
     bad = 0
     if alerts_path.exists():
-        with open(alerts_path, encoding="utf-8") as fh:
+        # A byte that is not UTF-8 reads as a backslash escape, which no JSON line parses.
+        with open(alerts_path, encoding="utf-8", errors="backslashreplace") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
+                    r = json.loads(line)
+                    if not isinstance(r, dict):
+                        raise ValueError("not a JSON object")
+                    rows.append((f"{r.get('ts', 0):.0f}", r.get("level", "?"), r.get("mode", "?"),
+                                 r.get("source", "?"), r.get("message", "")))
+                except (ValueError, TypeError):  # not JSON, not an object, or a ts that is no number
                     bad += 1
                     print(f"warning: alerts.ndjson line {lineno}: unparseable", file=sys.stderr)
-    if bad and not records:
+    if bad and not rows:
         print("error: no parseable alert records", file=sys.stderr)
         return EXIT_RUNTIME
 
     header = ("ts", "level", "mode", "source", "message")
-    rows = [
-        (f"{r.get('ts', 0):.0f}", r.get("level", "?"), r.get("mode", "?"),
-         r.get("source", "?"), r.get("message", ""))
-        for r in records
-    ]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
@@ -240,7 +240,8 @@ def cmd_report(args) -> int:
         _print_table(header, rows)
     outbox = store / "sms_outbox.txt"
     if outbox.exists():
-        n = sum(1 for line in open(outbox, encoding="utf-8") if line.strip())
+        with open(outbox, encoding="utf-8", errors="backslashreplace") as fh:
+            n = sum(1 for line in fh if line.strip())
         print(f"\nsms outbox: {n} messages")
     return EXIT_OK
 

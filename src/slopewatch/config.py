@@ -75,7 +75,9 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

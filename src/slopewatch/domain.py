@@ -38,11 +38,6 @@ class SensorKind(Enum):
         """1-byte wire code for this sensor kind."""
         return self.value
 
-    @property
-    def units(self) -> str:
-        """Engineering units of the calibrated value."""
-        return _UNITS[self]
-
     @classmethod
     def from_code(cls, code: int) -> "SensorKind":
         try:
@@ -62,14 +57,6 @@ class SensorKind(Enum):
         except KeyError:
             raise ValueError(f"unknown sensor name {name!r}") from None
 
-
-_UNITS = {
-    SensorKind.RAIN_GAUGE: "mm",       # mm per bucket tip
-    SensorKind.PIEZOMETER: "kPa",      # pore water pressure
-    SensorKind.EXTENSOMETER: "mm",     # displacement
-    SensorKind.INCLINOMETER: "deg",    # slope inclination
-    SensorKind.TILTMETER: "deg",
-}
 
 _BY_NAME = {k.name.lower().replace("_", ""): k for k in SensorKind}
 

@@ -16,7 +16,7 @@ import logging
 import os
 from pathlib import Path
 
-from slopewatch.domain import CalibratedReading, CalibrationConstants, CalibrationError, RawReading, SensorKind
+from slopewatch.domain import CalibratedReading, CalibrationConstants, CalibrationError, SensorKind
 from slopewatch.wire import SendDataPayload
 
 logger = logging.getLogger(__name__)
@@ -27,26 +27,11 @@ _SENSOR_BY_NAME = {k.name.lower(): k for k in SensorKind}  # as rows are written
 
 
 class StoreError(RuntimeError):
-    """Raised for unusable store directories or invalid queries."""
+    """Raised for unusable store directories and writes to a read-only store."""
 
 
 class MissingConstantsError(CalibrationError):
     """No calibration constants configured for a sensor in a batch."""
-
-
-def calibrate(reading: RawReading, constants: CalibrationConstants) -> CalibratedReading:
-    """Apply the linear correction value = gain * raw + offset."""
-    if constants.sensor is not reading.sensor:
-        raise CalibrationError(
-            f"constants for {constants.sensor.name} applied to a {reading.sensor.name} reading"
-        )
-    return CalibratedReading(
-        node_id=reading.node_id,
-        timestamp=reading.timestamp,
-        sensor=reading.sensor,
-        value=constants.gain * reading.raw + constants.offset,
-        seq=reading.seq,
-    )
 
 
 def _parse_row(line: str) -> tuple[int, int, int, SensorKind, float]:
@@ -107,8 +92,8 @@ class Repository:
     are stored. Queries read ``readings.csv`` as a stream, in their own
     file handle.
 
-    Single writer, many readers: ``append``/``ingest_batch`` are called by
-    the ingest task only; queries may run from other threads. A query reads
+    Single writer, many readers: ``ingest_batch`` is called by the ingest
+    task only; queries may run from other threads. A query reads
     the rows up to the last ``flush`` (``ingest_batch`` flushes each batch
     it stores) and never a row written after that, so it sees every flushed
     batch whole. A read-only store reads the rows that were there when it
@@ -123,7 +108,6 @@ class Repository:
             raise StoreError(f"store directory not found: {self.store_dir}")
         self.path = self.store_dir / READINGS_FILE
         self.durable = durable
-        self.read_only = read_only
         self._index: dict[int, _SeqRuns] = {}
         self._count = 0
         self._dup_lines: set[int] = set()  # line numbers of rows repeating an earlier key
@@ -182,7 +166,9 @@ class Repository:
         """Build the index from every parseable row; the rows themselves are not kept."""
         if not self.path.exists():
             return
-        with open(self.path, encoding="utf-8") as fh:
+        # A byte that is not UTF-8 reads as a backslash escape, which no field
+        # parses: its row is skipped with a warning that shows the byte.
+        with open(self.path, encoding="utf-8", errors="backslashreplace") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):
                     # Only a read-only open gets here: a torn last row, whose
@@ -216,13 +202,6 @@ class Repository:
         self._count += 1
         return True
 
-    def _write_row(self, rec: CalibratedReading) -> None:
-        self._fh.write(
-            f"{rec.timestamp},{rec.node_id},{rec.sensor.name.lower()},{rec.seq},{rec.value!r}\n"
-        )
-        self._lines += 1
-        self._dirty = True
-
     def flush(self) -> None:
         """Push the rows written since the last flush to the file, and to disk if durable.
 
@@ -242,18 +221,6 @@ class Repository:
             self._fh.close()
 
     # -- writes --------------------------------------------------------------
-
-    def append(self, rec: CalibratedReading) -> bool:
-        """Store one record unless its (node_id, seq) was already seen.
-
-        Queries see the record after the next ``flush``.
-        """
-        if self._fh is None:
-            raise StoreError("repository opened read-only")
-        if not self._add(rec.node_id, rec.seq):
-            return False
-        self._write_row(rec)
-        return True
 
     def ingest_batch(
         self,
@@ -335,7 +302,7 @@ class Repository:
         end, dup_lines = self._visible_lines, self._dup_lines
         if end == 0:
             return
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, encoding="utf-8", errors="backslashreplace") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if lineno > end:
                     break
@@ -358,8 +325,7 @@ class Repository:
         """Every stored record, sorted by (ts, node, seq)."""
         return _sorted_records(self._rows())
 
-    def series(self, sensor: SensorKind, limit: int | None = None) -> list[tuple[int, float]]:
+    def series(self, sensor: SensorKind) -> list[tuple[int, float]]:
         """(timestamp, value) pairs for one sensor kind, oldest first."""
         rows = sorted(row for row in self._rows() if row[3] is sensor)
-        pairs = [(ts, value) for ts, _, _, _, value in rows]
-        return pairs[-limit:] if limit else pairs
+        return [(ts, value) for ts, _, _, _, value in rows]

@@ -31,6 +31,12 @@ from slopewatch.station import ServerEngine
 
 logger = logging.getLogger(__name__)
 
+# Wall-clock pacing: protocol timers stay snappy relative to sim time.
+NODE_TIMING = SessionTiming(
+    ip_retry=2.0, announce_timeout=2.0, connect_timeout=5.0,
+    retransmit_interval=5.0, heartbeat_interval=30.0,
+)
+
 
 class StationServer(socketserver.ThreadingTCPServer):
     """One engine shared by all client connections, guarded by a lock."""
@@ -88,7 +94,7 @@ class _StationHandler(socketserver.StreamRequestHandler):
                     server.engine.handle_link_down(peer[0], time.time(), session_id=peer[1])
 
 
-def run_station(config: Config, listen: str, store_dir: str, ready_event=None, stop_event=None) -> int:
+def run_station(config: Config, listen: str, store_dir: str) -> int:
     """Serve until interrupted; flush the store on the way out."""
     host, _, port_s = listen.partition(":")
     addr = (host or "127.0.0.1", int(port_s or 0))
@@ -101,19 +107,7 @@ def run_station(config: Config, listen: str, store_dir: str, ready_event=None, s
     restore_signals = _stop_on_signals()
     try:
         print(f"listening on {host}:{port}", flush=True)
-        if ready_event is not None:
-            ready_event.set()
-        if stop_event is None:
-            server.serve_forever(poll_interval=0.2)
-        else:
-            threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True).start()
-            try:
-                stop_event.wait()
-            finally:
-                # shutdown() waits for a running serve_forever to return, so it
-                # belongs here only: in the main thread serve_forever has
-                # returned already, or never started if the signal came first.
-                server.shutdown()
+        server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:
         pass
     finally:
@@ -158,30 +152,19 @@ class NodeRunner:
         node_id: int,
         connect: str,
         speedup: float = 3600.0,
-        timing: SessionTiming | None = None,
     ):
         host, _, port_s = connect.partition(":")
         self.addr = (host or "127.0.0.1", int(port_s))
         self.scenario = scenario
         self.speedup = max(speedup, 1e-9)
-        # Wall-clock pacing: keep protocol timers snappy relative to sim time.
-        self.timing = timing or SessionTiming(
-            ip_retry=2.0, announce_timeout=2.0, connect_timeout=5.0,
-            retransmit_interval=5.0, heartbeat_interval=30.0,
-        )
         self.start_wall = time.monotonic()
         self.start_ts = int(time.time())
         self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=self.start_ts)
-        self.driver = NodeDriver(NodeState(node_id=node_id), self.timing, send=self._send,
+        self.driver = NodeDriver(NodeState(node_id=node_id), NODE_TIMING, send=self._send,
                                  set_timer=self._set_timer)
         self.sock: socket.socket | None = None
         self._splitter = wire.FrameSplitter()
         self._timer_at: float | None = None
-
-    @property
-    def state(self) -> NodeState:
-        """The node's current state."""
-        return self.driver.state
 
     # sim-time now: scenario seconds elapsed
     def _sim_now(self) -> float:

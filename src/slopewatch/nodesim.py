@@ -55,8 +55,12 @@ def load_scenario(path: str | Path) -> Scenario:
     steps: list[ScenarioStep] = []
     sample_interval: float | None = None
     with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path.name}: not UTF-8 text ({exc})") from None
         header: list[str] | None = None
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(rows, start=1):
             if not row or not row[0].strip():
                 continue
             if row[0].lstrip().startswith("#"):

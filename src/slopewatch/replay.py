@@ -40,9 +40,12 @@ from slopewatch.station import ServerEngine
 logger = logging.getLogger(__name__)
 
 # 2010-04-02 00:00 UTC, the onset of the seven-day-rain storm fixture.
-DEFAULT_START_TS = 1270166400
+START_TS = 1270166400
 
 CONTROL_LATENCY_S = 0.01
+
+# Sim-time protocol timers: a heartbeat every half hour of storm time.
+TIMING = SessionTiming(heartbeat_interval=1800.0)
 
 
 @dataclass
@@ -95,8 +98,6 @@ class SimReplay:
         *,
         seed: int = 0,
         node_id: int = 1,
-        start_ts: int = DEFAULT_START_TS,
-        timing: SessionTiming | None = None,
         force_disconnect_at: tuple[float, ...] = (),
         server_restart_at: float | None = None,
         sinks: list | None = None,
@@ -107,22 +108,20 @@ class SimReplay:
         self.config = config
         self.store_dir = store_dir
         self.seed = seed
-        self.start_ts = start_ts
         self.speedup = speedup
-        self.timing = timing or SessionTiming(heartbeat_interval=1800.0)
         # Records go to a trace only when the caller passes one; sim.trace is
         # that log, or else an empty one that stays empty.
         self._trace = trace
         self.trace = trace if trace is not None else TraceLog()
-        self.now = float(start_ts)
+        self.now = float(START_TS)
         self._queue: list[tuple[float, int, object]] = []
         self._counter = 0
 
         self.link = LossyLink(replace(config.link, rng_seed=seed))
-        self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=start_ts)
+        self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=START_TS)
         # Stepped through this module's ``node_step``, so that a wrapper
         # installed here sees every node step.
-        self.driver = NodeDriver(NodeState(node_id=node_id), self.timing, send=self._transmit_from_node,
+        self.driver = NodeDriver(NodeState(node_id=node_id), TIMING, send=self._transmit_from_node,
                                  set_timer=self._set_node_timer, observe=self._observe_node, step=node_step)
         self._node_timer_gen = 0
         self._node_phase: NodePhase | None = None
@@ -135,7 +134,6 @@ class SimReplay:
 
         self.force_disconnect_at = force_disconnect_at
         self.server_restart_at = server_restart_at
-        self.pre_restart_records = None
 
     @property
     def node(self) -> NodeState:
@@ -228,7 +226,6 @@ class SimReplay:
 
     def _restart_server(self) -> None:
         """Kill-and-restart: in-memory state is lost, the store is reloaded."""
-        self.pre_restart_records = self.server.repo.all_records()
         carry = (self.server.batches_ingested, self.server.records_stored,
                  self.server.duplicates_skipped)
         self.server.repo.close()
@@ -241,17 +238,17 @@ class SimReplay:
     # -- main loop -------------------------------------------------------------------
 
     def run(self) -> ReplaySummary:
-        end_ts = self.start_ts + self.scenario.duration
+        end_ts = START_TS + self.scenario.duration
         interval = max(self.scenario.sample_interval, 1e-9)
-        t = float(self.start_ts)
+        t = float(START_TS)
         while t < end_ts:
             self._schedule(t, self._sample_tick)
             t += interval
         self._schedule(end_ts, self._sample_tick)
         for offset in self.force_disconnect_at:
-            self._schedule(self.start_ts + offset, self._link_down)
+            self._schedule(START_TS + offset, self._link_down)
         if self.server_restart_at is not None:
-            self._schedule(self.start_ts + self.server_restart_at, self._restart_server)
+            self._schedule(START_TS + self.server_restart_at, self._restart_server)
         self._set_node_timer(0.0)  # boot
 
         deadline = end_ts + 30 * 86400.0  # hard stop against pathological configs
@@ -273,7 +270,7 @@ class SimReplay:
 
     def _summary(self) -> ReplaySummary:
         timeline = [(0.0, "GREEN")] + [
-            (ts - self.start_ts, level.name) for ts, level in self.server.alert_engine.timeline
+            (ts - START_TS, level.name) for ts, level in self.server.alert_engine.timeline
         ]
         rain = self.server.repo.series(SensorKind.RAIN_GAUGE)
         rain_events = (
@@ -282,7 +279,7 @@ class SimReplay:
         return ReplaySummary(
             scenario=self.scenario.name,
             seed=self.seed,
-            sim_duration_s=self.now - self.start_ts,
+            sim_duration_s=self.now - START_TS,
             readings_generated=self.player.emitted,
             records_stored=self.server.records_stored,
             batches_ingested=self.server.batches_ingested,

@@ -30,6 +30,7 @@ from slopewatch.wire import Frame, MessageType, SendDataPayload
 logger = logging.getLogger(__name__)
 
 MAX_BACKOFF_S = 60.0
+SERVER_IP = "10.0.0.1"  # the station's address in every SERVER_IP reply
 # The first doubling exponent whose delay reaches the cap; capping the
 # exponent too keeps 2.0 ** exponent from overflowing on long outages.
 _MAX_BACKOFF_EXPONENT = math.ceil(math.log2(MAX_BACKOFF_S))
@@ -447,7 +448,7 @@ class ServerSessionState:
 
 
 def server_step(
-    state: ServerSessionState, event: ServerEvent, now: float, server_ip: str = "10.0.0.1"
+    state: ServerSessionState, event: ServerEvent, now: float
 ) -> tuple[ServerSessionState, list[Action]]:
     """Advance the server-side machine for one node by one event.
 
@@ -457,11 +458,11 @@ def server_step(
     phase = state.phase
 
     if isinstance(event, AnnounceReceived):
-        # A re-announce replaces the registry entry regardless of phase.
+        # A re-announce replaces the client's address regardless of phase.
         state = replace(state, client_ip=event.ip)
         if phase is ServerPhase.AWAITING_ANNOUNCE:
             state = replace(state, phase=ServerPhase.KNOWN_CLIENT)
-        frame = Frame(MessageType.SERVER_IP, wire.encode_serverip(server_ip))
+        frame = Frame(MessageType.SERVER_IP, wire.encode_serverip(SERVER_IP))
         return state, [SendFrame(frame, Channel.CONTROL, to_node=event.node_id)]
 
     if isinstance(event, ReqConnReceived):

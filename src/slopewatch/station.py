@@ -44,16 +44,13 @@ class ServerEngine:
         repo: Repository,
         calibration: dict[SensorKind, CalibrationConstants],
         alert_engine: AlertEngine,
-        server_ip: str = "10.0.0.1",
         trace: TraceLog | None = None,
     ):
         self.repo = repo
         self.calibration = calibration
         self.alert_engine = alert_engine
-        self.server_ip = server_ip
         self.trace = trace
         self.sessions: dict[int, ServerSessionState] = {}
-        self.registry: dict[int, str] = {}  # node_id -> last announced IP
         self._session_to_node: dict[int, int] = {}  # each node's latest accepted session
         self._next_session_id = 1
         self.batches_ingested = 0
@@ -87,7 +84,7 @@ class ServerEngine:
 
     def _step(self, node_id: int, event, now: float) -> list[SendFrame]:
         state = self._state_of(node_id)
-        new_state, actions = server_step(state, event, now, self.server_ip)
+        new_state, actions = server_step(state, event, now)
         self.sessions[node_id] = new_state
         if self.trace is not None:
             self.trace.record(now, "server", node_id, new_state.phase.value, event, actions)
@@ -135,7 +132,6 @@ class ServerEngine:
             if announced is None:
                 return []
             node_id, ip = announced
-            self.registry[node_id] = ip
             return self._step(node_id, AnnounceReceived(node_id, ip), now)
         logger.warning("unexpected %s on control channel", frame.msg_type.name)
         return []

@@ -9,6 +9,6 @@ from binascii import crc_hqx
 __all__ = ["crc16"]
 
 
-def crc16(data: bytes, crc: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE of ``data`` (bytes-like), continuing from ``crc``."""
-    return crc_hqx(data, crc)
+def crc16(data: bytes) -> int:
+    """CRC-16/CCITT-FALSE of ``data`` (bytes-like)."""
+    return crc_hqx(data, 0xFFFF)

@@ -33,6 +33,7 @@ from slopewatch.replay import SimReplay
 from slopewatch.session import LinkConfig
 from slopewatch.wire import Frame, FrameError, MessageType, decode_frame, encode_frame, crc16
 
+from test_replay import records_at_restart
 from test_wire import crc16_oracle
 
 
@@ -212,7 +213,8 @@ def test_c7_storm_escalation(tmp_path, monkeypatch):
         assert len(sms) == 3
 
 
-def test_c8_durability_across_restart(tmp_path):
+def test_c8_durability_across_restart(tmp_path, monkeypatch):
+    snapshots = records_at_restart(monkeypatch)
     scenario = _big_scenario(300)  # 1,500 readings
     link = LinkConfig(drop_probability=0.1, latency_ms=50)
     cfg = make_config(link)
@@ -225,11 +227,11 @@ def test_c8_durability_across_restart(tmp_path):
             server_restart_at=scenario.duration / 2,
         )
         summary = sim.run()
-        assert sim.pre_restart_records, "restart must happen mid-ingest"
+        assert len(snapshots) == 1 and snapshots[0], "restart must happen mid-ingest"
         reloaded = Repository(tmp_path / "store", read_only=True)
         final = reloaded.all_records()
         final_keys = {(r.node_id, r.seq) for r in final}
-        pre_keys = {(r.node_id, r.seq) for r in sim.pre_restart_records}
+        pre_keys = {(r.node_id, r.seq) for r in snapshots[0]}
         # no acked batch lost: everything stored before the kill is still there
         assert pre_keys <= final_keys
         # post-restart store = pre-kill records plus post-restart ingest, nothing else

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import threading
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest import mock
 
@@ -20,9 +21,13 @@ from slopewatch.analytics import (
     InsufficientDataError,
     InvalidSeriesError,
     RainEvent,
+    _check_dry_gap,
+    _check_ordered,
+    _infer_interval,
+    antecedent_rainfall,
     ar_fit,
     ar_forecast,
-    compute_rainfall_features,
+    last_event,
 )
 from slopewatch.alert import (
     AlertDecision,
@@ -365,12 +370,69 @@ class ListSink:
         self.notes.append(note)
 
 
+# -- the from-scratch rain oracle ------------------------------------------------
+# The station's engine keeps its rain state incrementally; these are the
+# whole-window functions it replaced, kept verbatim as ScratchReference's
+# oracle. tests/test_analytics.py checks them against segment_events.
+
+@dataclass(frozen=True)
+class RainfallFeatures:
+    total_mm: float
+    antecedent_mm: float
+    event_duration_h: float | None  # None when no event is active
+    event_intensity_mm_per_h: float | None
+
+
+def active_event(
+    rain: list[tuple[float, float]] | np.ndarray,
+    now: float,
+    dry_gap: float,
+    interval: float,
+) -> RainEvent | None:
+    """The last rain event of a time-ordered series, if it is still active.
+
+    An event is active when less than ``dry_gap`` of dry time has elapsed
+    since its last wet sample. The event is ``segment_events(...)[-1]``,
+    found by ``last_event`` over the (timestamp, mm) pairs, which may be a
+    list or an (n, 2) array. The series is not checked for order.
+    """
+    _check_dry_gap(dry_gap)
+    pairs = np.asarray(rain, dtype=float).reshape(-1, 2)
+    found = last_event(pairs[:, 0], pairs[:, 1], dry_gap, interval)
+    if found is None:
+        return None
+    first, end, total = found
+    if (now - end) - interval >= dry_gap:
+        return None
+    return RainEvent(start=first - interval, end=end, total_mm=total)
+
+
+def compute_rainfall_features(
+    rain: list[tuple[float, float]],
+    now: float,
+    lookback: float,
+    dry_gap: float,
+    sample_interval: float | None = None,
+) -> RainfallFeatures:
+    """Window totals plus the active event's (duration, intensity), if any."""
+    _check_ordered(rain)
+    interval = sample_interval if sample_interval is not None else _infer_interval(rain)
+    event = active_event(rain, now, dry_gap, interval)
+    return RainfallFeatures(
+        total_mm=sum(mm for _, mm in rain),
+        antecedent_mm=antecedent_rainfall(rain, now, lookback),
+        event_duration_h=event.duration_h if event is not None else None,
+        event_intensity_mm_per_h=event.mean_intensity_mm_per_h if event is not None else None,
+    )
+
+
 class ScratchReference:
     """Snapshots rebuilt from the whole window on every batch.
 
     Windows are kept as the engine keeps them (sorted, capped by count);
-    everything derived from them is recomputed through the public analytics
-    functions, with no state carried between batches.
+    everything derived from them is recomputed through the analytics
+    functions and the rain oracle above, with no state carried between
+    batches.
     """
 
     def __init__(self, analysis: AnalysisConfig, horizon: int):

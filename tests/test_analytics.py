@@ -22,17 +22,17 @@ from slopewatch.analytics import (
     InsufficientDataError,
     InvalidSeriesError,
     RainEvent,
-    active_event,
+    _infer_interval,
     antecedent_rainfall,
     ar_fit,
     ar_forecast,
     ar_forecast_max,
     caine_threshold,
-    compute_rainfall_features,
     exceeds_caine,
     median_of_sorted,
     segment_events,
 )
+from test_alert import active_event, compute_rainfall_features  # the rain oracle
 
 H = 3600.0
 
@@ -207,8 +207,8 @@ class TestActiveEvent:
                 series.append((t, rng.choice([0.0, 0.0, 0.0, 0.5, 2.0, 7.25])))
             now = t + rng.choice([0.0, 1800.0, 4 * H, 8 * H])
             dry_gap = rng.choice([1 * H, 3 * H, 6 * H])
-            interval = rng.choice([600.0, 3600.0])
-            events = segment_events(series, dry_gap, interval)
+            interval = _infer_interval(series)  # as segment_events infers it
+            events = segment_events(series, dry_gap)
             expected = None
             if events and (now - events[-1].end) - interval < dry_gap:
                 expected = events[-1]

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, output formats, socket transport."""
 
 import csv
+import gc
 import io
 import json
 import signal
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,25 @@ def test_non_finite_settings_exit_two(tmp_path, capsys):
                               "--seed", "7", "--store", str(tmp_path / "s")], capsys)
     assert code == EXIT_CONFIG
     assert "mt_rain_mm_per_h must be finite" in err and "dry_gap_h must be finite" in err
+    assert out == ""
+
+
+SCENARIO = Path(__file__).resolve().parent.parent / "src" / "slopewatch" / "scenarios" / "three_day_rain.csv"
+
+
+@pytest.mark.parametrize("which", ["config", "scenario"])
+def test_file_that_is_not_utf8_exits_two(which, tmp_path, capsys):
+    # One byte that is not UTF-8 in a comment of an otherwise valid file.
+    src = Path(DEMO) if which == "config" else SCENARIO
+    bad = tmp_path / src.name
+    bad.write_bytes(b"# caf\xe9\n" + src.read_bytes())
+    if which == "config":
+        argv = ["server", "--config", str(bad), "--listen", "127.0.0.1:0"]
+    else:
+        argv = ["replay", "--config", DEMO, "--scenario", str(bad)]
+    code, out, err = run_cli(argv + ["--store", str(tmp_path / "s")], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "not UTF-8" in err and "0xe9" in err
     assert out == ""
 
 
@@ -211,6 +232,14 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         assert "skipping unparseable row" in err
 
+    def test_a_byte_that_is_not_utf8_warns_but_proceeds(self, store, capsys):
+        with open(store / "readings.csv", "ab") as fh:
+            fh.write(b"10\xff0,1,rain_gauge,999999,0.4\n")
+        code, out, err = run_cli(["analyze", "--store", str(store)], capsys)
+        assert code == EXIT_OK
+        assert "skipping unparseable row" in err and "\\xff" in err
+        assert "rain events" in out
+
     def test_all_rows_corrupt_is_runtime_error(self, tmp_path, capsys):
         store = tmp_path / "bad"
         store.mkdir()
@@ -249,6 +278,37 @@ class TestReportCommand:
         assert code == EXIT_OK
         assert "0 notifications" in out
 
+    GOOD = json.dumps({"ts": 5.0, "level": "YELLOW", "mode": "multi", "source": "current",
+                       "exceedances": {}, "message": "m"}).encode()
+
+    @pytest.mark.parametrize("line", [b'{"ts": "x"}', b'{"ts": null}', b"[1, 2]", b"7",
+                                      b'{"ts": 5\xff}', b'{"level": "YEL\xffLOW"}'])
+    def test_lines_that_are_not_alert_records(self, line, tmp_path, capsys):
+        store = tmp_path / "run"
+        store.mkdir()
+        (store / "alerts.ndjson").write_bytes(line + b"\n")
+        code, out, err = run_cli(["report", "--store", str(store)], capsys)
+        assert code == EXIT_RUNTIME
+        assert err == ("warning: alerts.ndjson line 1: unparseable\n"
+                       "error: no parseable alert records\n")
+        (store / "alerts.ndjson").write_bytes(self.GOOD + b"\n" + line + b"\n" + self.GOOD + b"\n")
+        code, out, err = run_cli(["report", "--store", str(store), "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert [row["level"] for row in csv.DictReader(io.StringIO(out))] == ["YELLOW", "YELLOW"]
+        assert err == "warning: alerts.ndjson line 2: unparseable\n"
+
+    def test_sms_outbox_counted_and_closed(self, tmp_path, capsys):
+        store = tmp_path / "run"
+        store.mkdir()
+        (store / "sms_outbox.txt").write_bytes(b"one\n\ntw\xf6\nthree\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(["report", "--store", str(store)], capsys)
+            gc.collect()
+        assert code == EXIT_OK
+        assert "sms outbox: 3 messages" in out
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
 
 class TestSocketTransport:
     def test_node_streams_scenario_to_station(self, tmp_path):
@@ -280,7 +340,7 @@ class TestSocketTransport:
                 time.sleep(0.05)
             with server.engine_lock:
                 assert server.engine.records_stored == 8
-                assert server.engine.registry[3].startswith("10.77.")
+                assert server.engine.sessions[3].client_ip.startswith("10.77.")
         finally:
             server.shutdown()
             server.close_store()
@@ -332,7 +392,7 @@ class TestSocketTransport:
             with caplog.at_level("WARNING", logger="slopewatch.nettransport"):
                 assert runner.run() == 0
             assert corrupted.is_set()
-            assert runner.state.pending == ()
+            assert runner.driver.state.pending == ()
             assert any("dropping bad frame" in r.getMessage() for r in caplog.records)
             with server.engine_lock:
                 assert server.engine.records_stored == 8

@@ -26,13 +26,6 @@ class TestSensorKind:
         with pytest.raises(ValueError, match="0x2a"):
             SensorKind.from_code(0x2A)
 
-    def test_units(self):
-        assert SensorKind.RAIN_GAUGE.units == "mm"
-        assert SensorKind.PIEZOMETER.units == "kPa"
-        assert SensorKind.EXTENSOMETER.units == "mm"
-        assert SensorKind.INCLINOMETER.units == "deg"
-        assert SensorKind.TILTMETER.units == "deg"
-
     @pytest.mark.parametrize("name", ["rain_gauge", "RainGauge", "RAIN_GAUGE", "raingauge"])
     def test_from_name_tolerant(self, name):
         assert SensorKind.from_name(name) is SensorKind.RAIN_GAUGE

@@ -264,7 +264,7 @@ def test_node_resyncs_after_a_stray_byte(tmp_path):
         runner = NodeRunner(Scenario(name="mini", steps=steps, sample_interval=15.0), node_id=3,
                             connect=f"127.0.0.1:{server.server_address[1]}", speedup=120.0)
         assert runner.run() == 0
-        assert runner.state.pending == ()
+        assert runner.driver.state.pending == ()
         with server.engine_lock:
             assert server.engine.records_stored == 4
     finally:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slopewatch import ingest as ingest_module
 from slopewatch.domain import CalibratedReading, CalibrationConstants, CalibrationError, RawReading, SensorKind
-from slopewatch.ingest import MissingConstantsError, Repository, StoreError, calibrate
+from slopewatch.ingest import MissingConstantsError, Repository, StoreError
 from slopewatch.wire import SendDataPayload
 
 CONSTANTS = {
@@ -20,6 +20,43 @@ CONSTANTS = {
     SensorKind.INCLINOMETER: CalibrationConstants(SensorKind.INCLINOMETER, 0.01, 0.0),
     SensorKind.TILTMETER: CalibrationConstants(SensorKind.TILTMETER, 0.01, 0.0),
 }
+
+
+# The record-at-a-time path that ``ingest_batch`` replaced, kept as the oracle
+# of TestOnePassIngestMatchesRecordAtATime: ``calibrate`` as it was, and
+# ``append`` as ``Repository.append`` with its ``_write_row`` inlined.
+
+
+def calibrate(reading: RawReading, constants: CalibrationConstants) -> CalibratedReading:
+    """Apply the linear correction value = gain * raw + offset."""
+    if constants.sensor is not reading.sensor:
+        raise CalibrationError(
+            f"constants for {constants.sensor.name} applied to a {reading.sensor.name} reading"
+        )
+    return CalibratedReading(
+        node_id=reading.node_id,
+        timestamp=reading.timestamp,
+        sensor=reading.sensor,
+        value=constants.gain * reading.raw + constants.offset,
+        seq=reading.seq,
+    )
+
+
+def append(repo, rec: CalibratedReading) -> bool:
+    """Store one record unless its (node_id, seq) was already seen.
+
+    Queries see the record after the next ``flush``.
+    """
+    if repo._fh is None:
+        raise StoreError("repository opened read-only")
+    if not repo._add(rec.node_id, rec.seq):
+        return False
+    repo._fh.write(
+        f"{rec.timestamp},{rec.node_id},{rec.sensor.name.lower()},{rec.seq},{rec.value!r}\n"
+    )
+    repo._lines += 1
+    repo._dirty = True
+    return True
 
 
 def query_range(repo, ts_from, ts_to):
@@ -133,6 +170,29 @@ class TestPersistence:
         assert len(reloaded) == 2  # good rows survive
         assert len(reloaded.load_warnings) == 1
 
+    def test_a_byte_that_is_not_utf8_costs_only_its_row(self, tmp_path):
+        store = tmp_path / "s"
+        repo = Repository(store)
+        repo.ingest_batch(payload(1, [(1, 5)], ts=1001), 1, CONSTANTS)
+        repo.close()
+        with open(store / "readings.csv", "ab") as fh:
+            fh.write(b"10\xff0,1,rain_gauge,2,0.4\n")  # seq 2, its ts hit by one bad byte
+            fh.write(b"1003,1,rain_gauge,3,0.6\n")
+
+        def check(r, seqs, runs):
+            assert len(r.load_warnings) == 1
+            assert "line 3: skipping unparseable row" in r.load_warnings[0]
+            assert "\\xff" in r.load_warnings[0]
+            assert [rec.seq for rec in r.all_records()] == seqs
+            assert r.seq_runs(1) == runs
+
+        check(Repository(store, read_only=True), [1, 3], [(1, 1), (3, 3)])
+        repo = Repository(store)
+        check(repo, [1, 3], [(1, 1), (3, 3)])
+        assert [r.seq for r in repo.ingest_batch(payload(2, [(1, 2)], ts=1002), 1, CONSTANTS)] == [2]
+        repo.close()
+        check(Repository(store, read_only=True), [1, 2, 3], [(1, 3)])
+
     def test_torn_last_row_never_swallows_the_next(self, tmp_path):
         # A crash may cut the last row at any byte; that row was never acked.
         # Reopening drops it, so a later append starts a line of its own.
@@ -180,10 +240,8 @@ class TestPersistence:
         store = tmp_path / "s"
         Repository(store).close()
         ro = Repository(store, read_only=True)
-        from slopewatch.domain import CalibratedReading
-
         with pytest.raises(StoreError):
-            ro.append(CalibratedReading(1, 1, SensorKind.RAIN_GAUGE, 1.0, 1))
+            ro.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS)
 
     def test_read_only_missing_dir_errors(self, tmp_path):
         with pytest.raises(StoreError):
@@ -255,13 +313,6 @@ class TestSeqIndex:
 
 
 class TestQueryVisibility:
-    def test_rows_become_visible_at_flush(self, tmp_path):
-        repo = Repository(tmp_path / "s", durable=False)
-        assert repo.append(CalibratedReading(1, 1000, SensorKind.RAIN_GAUGE, 1.0, 1))
-        assert len(repo) == 1 and repo.all_records() == []
-        repo.flush()
-        assert [r.seq for r in repo.all_records()] == [1]
-
     def test_queries_from_another_thread_see_whole_batches(self, tmp_path):
         repo = Repository(tmp_path / "s", durable=False)
         seen, errors = [], []
@@ -356,9 +407,7 @@ def test_repository_matches_reference_model(ops, data):
             for node in (1, 2, 3):
                 assert r.seq_runs(node) == ref.runs(node)
             kind = data.draw(st.sampled_from(list(SensorKind)), label="series sensor")
-            limit = data.draw(st.sampled_from([None, 0, 1, 3, 50]), label="limit")
-            pairs = [(x.timestamp, x.value) for x in records if x.sensor is kind]
-            assert r.series(kind, limit=limit) == (pairs[-limit:] if limit else pairs)
+            assert r.series(kind) == [(x.timestamp, x.value) for x in records if x.sensor is kind]
 
         ts = 1000
         for op in ops:
@@ -419,7 +468,7 @@ def oracle_ingest(repo, p, node_id, constants):
     stored = []
     for r in raws:
         rec = calibrate(r, constants[r.sensor])
-        if repo.append(rec):
+        if append(repo, rec):
             stored.append(rec)
     if stored:
         repo.flush()

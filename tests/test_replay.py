@@ -53,6 +53,19 @@ def flat_scenario(ticks: int, interval: float = 3600.0) -> Scenario:
     return Scenario(name="flat", steps=tuple(steps), sample_interval=interval)
 
 
+def records_at_restart(monkeypatch) -> list:
+    """Make every SimReplay restart first snapshot its store's records, into the list returned."""
+    snapshots = []
+    restart = SimReplay._restart_server
+
+    def spy(self):
+        snapshots.append(self.server.repo.all_records())
+        restart(self)
+
+    monkeypatch.setattr(SimReplay, "_restart_server", spy)
+    return snapshots
+
+
 def run(scenario, link, store, **kwargs):
     sim = SimReplay(scenario, make_config(link), str(store), **kwargs)
     return sim, sim.run()
@@ -251,7 +264,8 @@ class TestTraceOnRequest:
 
 
 class TestServerRestart:
-    def test_no_acked_batch_lost_across_restart(self, tmp_path):
+    def test_no_acked_batch_lost_across_restart(self, tmp_path, monkeypatch):
+        snapshots = records_at_restart(monkeypatch)
         scenario = flat_scenario(40)
         sim, summary = run(
             scenario,
@@ -260,14 +274,14 @@ class TestServerRestart:
             seed=21,
             server_restart_at=scenario.duration / 2,
         )
-        assert sim.pre_restart_records is not None
+        assert len(snapshots) == 1
         final = sim.server.repo
         # reopen from disk to prove durability is on disk, not in memory
         from slopewatch.ingest import Repository
 
         reloaded = Repository(tmp_path / "s", read_only=True)
         final_keys = {(r.node_id, r.seq) for r in reloaded.all_records()}
-        pre_keys = {(r.node_id, r.seq) for r in sim.pre_restart_records}
+        pre_keys = {(r.node_id, r.seq) for r in snapshots[0]}
         assert pre_keys <= final_keys
         assert summary.records_stored == summary.readings_generated
         assert len(final_keys) == summary.readings_generated

@@ -28,7 +28,7 @@ from slopewatch.alert import (
     multi_level,
     step_alert_state,
 )
-from slopewatch.analytics import ARModel, RainEvent, RainfallFeatures
+from slopewatch.analytics import ARModel, RainEvent
 from slopewatch.config import Config
 from slopewatch.domain import (
     AlertLevel,
@@ -79,7 +79,7 @@ VALUE_CLASSES = [
 # which a slotted instance does not have.
 CONFIG_CLASSES = [
     Thresholds, AnalysisConfig, LinkConfig, SessionTiming, CalibrationConstants,
-    Config, Scenario, ScenarioStep, ARModel, RainfallFeatures,
+    Config, Scenario, ScenarioStep, ARModel,
 ]
 
 

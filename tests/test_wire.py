@@ -64,9 +64,7 @@ class TestCrc:
         rng = random.Random(0xC5C5)
         for length in range(300):
             data = rng.randbytes(length)
-            start = rng.randrange(0x10000)
             assert wire.crc16(data) == crc16_oracle(data)
-            assert wire.crc16(data, start) == crc16_oracle(data, start)
 
 
 class TestFrameCodec:
