@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slopewatch.domain import AlertLevel, SensorKind, level_max
+from slopewatch.domain import AlertLevel, SensorKind
 from slopewatch.analytics import (
     InvalidSeriesError,
     RainEvent,
@@ -37,6 +37,8 @@ from slopewatch.analytics import (
 )
 
 logger = logging.getLogger(__name__)
+
+INTENSITY_WINDOW_S = 3600.0  # "current intensity" = rain in the last hour
 
 
 class ThresholdError(ValueError):
@@ -77,13 +79,6 @@ class Thresholds:
             raise ThresholdError("prediction_horizon must be >= 1")
         if self.hold_period_s < 0:
             raise ThresholdError("hold_period_s must be >= 0")
-
-
-class Parameter(str, Enum):
-    RAIN = "rain"
-    PORE = "pore"
-    DISPLACEMENT = "displacement"
-    INCLINATION = "inclination"
 
 
 class AlertMode(str, Enum):
@@ -154,20 +149,6 @@ def multi_level(e: ExceedanceSet) -> AlertLevel:
     if e.rain:
         return AlertLevel.YELLOW
     return AlertLevel.GREEN
-
-
-def uni_alerts(e: ExceedanceSet) -> set[Parameter]:
-    """The parameters individually at or over threshold."""
-    out = set()
-    if e.rain:
-        out.add(Parameter.RAIN)
-    if e.pore:
-        out.add(Parameter.PORE)
-    if e.displacement:
-        out.add(Parameter.DISPLACEMENT)
-    if e.inclination:
-        out.add(Parameter.INCLINATION)
-    return out
 
 
 def _exceedances(snapshot: ValueSnapshot, th: Thresholds, use_caine: bool) -> ExceedanceSet:
@@ -273,7 +254,7 @@ def _trigger_of(decisions: list[AlertDecision], level: AlertLevel) -> AlertDecis
 def _message(level: AlertLevel, d: AlertDecision, all_clear: bool) -> str:
     if all_clear:
         return f"{level.name}: conditions held below threshold through the hold period"
-    exceeded = sorted(p.value for p in uni_alerts(d.exceedances))
+    exceeded = sorted(name for name, hit in d.exceedances.as_dict().items() if hit)
     what = "+".join(exceeded) if exceeded else "none"
     return f"{level.name} warning ({d.mode.value}, {d.source.value} values): exceeded={what}"
 
@@ -290,44 +271,29 @@ def step_alert_state(
     once; de-escalation happens only after the candidate has stayed below
     the active level for ``hold_period_s`` without interruption.
     """
-    candidate = AlertLevel.GREEN
-    for d in decisions:
-        candidate = level_max(candidate, d.level)
-
-    if candidate > state.active_level:
-        trigger = _trigger_of(decisions, candidate)
-        new_state = AlertState(active_level=candidate, since=now, below_since=None)
-        note = Notification(
-            ts=now,
-            level=candidate,
-            mode=trigger.mode,
-            source=trigger.source,
-            exceedances=trigger.exceedances,
-            message=_message(candidate, trigger, all_clear=False),
-        )
-        return new_state, [note]
+    candidate = max((d.level for d in decisions), default=AlertLevel.GREEN)
 
     if candidate == state.active_level:
         if state.below_since is not None:
             return AlertState(state.active_level, state.since, None), []
         return state, []
 
-    # candidate < active: start or continue the hold window
-    below_since = state.below_since if state.below_since is not None else now
-    if now - below_since >= hold_period_s:
-        trigger = _trigger_of(decisions, candidate)
-        new_state = AlertState(active_level=candidate, since=now, below_since=None)
-        note = Notification(
-            ts=now,
-            level=candidate,
-            mode=trigger.mode,
-            source=trigger.source,
-            exceedances=trigger.exceedances,
-            message=_message(candidate, trigger, all_clear=True),
-            all_clear=True,
-        )
-        return new_state, [note]
-    return AlertState(state.active_level, state.since, below_since), []
+    all_clear = candidate < state.active_level
+    if all_clear:  # start or continue the hold window
+        below_since = state.below_since if state.below_since is not None else now
+        if now - below_since < hold_period_s:
+            return AlertState(state.active_level, state.since, below_since), []
+    trigger = _trigger_of(decisions, candidate)
+    note = Notification(
+        ts=now,
+        level=candidate,
+        mode=trigger.mode,
+        source=trigger.source,
+        exceedances=trigger.exceedances,
+        message=_message(candidate, trigger, all_clear),
+        all_clear=all_clear,
+    )
+    return AlertState(active_level=candidate, since=now, below_since=None), [note]
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +420,12 @@ class AnalysisConfig:
     antecedent_lookback_h: float = 72.0
     ar_order: int = 2
     max_window_samples: int = 512
-    intensity_window_s: float = 3600.0  # "current intensity" = rain in the last hour
 
     def __post_init__(self) -> None:
         _check_finite(self, ValueError)
         if self.ar_order < 1:
             raise ValueError(f"ar_order must be >= 1, got {self.ar_order}")
-        for name in ("dry_gap_h", "antecedent_lookback_h", "intensity_window_s"):
+        for name in ("dry_gap_h", "antecedent_lookback_h"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_window_samples < 1:
@@ -761,15 +726,14 @@ class AlertEngine:
             # previous hour. No sample lies after ``now``, so the window's
             # samples are found walking back from the tail. The sum is a plain
             # left-to-right float addition, as the recorded decisions were made.
-            window = self.analysis.intensity_window_s
             buf, lo, first = rain.buf, rain.lo, rain.hi
-            edge = self.now - window
+            edge = self.now - INTENSITY_WINDOW_S
             while first > lo and buf.item(0, first - 1) > edge:
                 first -= 1
             mm_last_window = 0.0
             for mm in buf[1, first : rain.hi].tolist():
                 mm_last_window += mm
-            intensity = mm_last_window / (window / 3600.0)
+            intensity = mm_last_window / (INTENSITY_WINDOW_S / 3600.0)
             if self._event_stale:
                 interval = self._event_interval = self._rain_interval()
                 self._event = last_event(rain.row(0), rain.row(1), self._dry_gap, interval)

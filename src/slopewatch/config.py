@@ -58,7 +58,6 @@ class Config:
     store_dir: str = "./run"
     sinks: tuple[str, ...] = ("console",)
     webhook_url: str | None = None
-    source_path: str | None = None
 
 
 def resolve_config_path(cli_value: str | None) -> str:
@@ -151,7 +150,6 @@ def load_config(path: str | Path) -> Config:
                 ),
                 latency_ms=parser.getfloat("link", "latency_ms", fallback=50.0),
                 bandwidth_bps=parser.getint("link", "bandwidth_bps", fallback=115200),
-                rng_seed=parser.getint("link", "rng_seed", fallback=0),
             )
         except ValueError as exc:
             problems.append(f"[link]: {exc}")
@@ -181,7 +179,6 @@ def load_config(path: str | Path) -> Config:
         store_dir=store_dir,
         sinks=sinks or ("console",),
         webhook_url=webhook_url,
-        source_path=str(path),
     )
 
 

@@ -1,6 +1,6 @@
 """Shared vocabulary types for the slopewatch telemetry stack.
 
-Every other module imports from here -- no module imports from a peer.
+It imports no other slopewatch module, so every module can import it.
 Values are never changed after construction; step functions return new
 states. They are slotted, not frozen: a frozen init costs 3-4x as much.
 """
@@ -117,9 +117,4 @@ class AlertLevel(IntEnum):
     YELLOW = 1
     ORANGE = 2
     RED = 3
-
-
-def level_max(a: AlertLevel, b: AlertLevel) -> AlertLevel:
-    """Return the more severe of two alert levels."""
-    return a if a >= b else b
 

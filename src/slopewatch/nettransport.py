@@ -16,7 +16,7 @@ import threading
 import time
 
 from slopewatch import wire
-from slopewatch.config import Config, build_sinks
+from slopewatch.config import Config, ConfigError, build_sinks
 from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
     LinkDown,
@@ -38,6 +38,21 @@ NODE_TIMING = SessionTiming(
 )
 
 
+def parse_address(text: str, *, listening: bool) -> tuple[str, int]:
+    """``host:port`` as a (host, port) pair; the host defaults to 127.0.0.1.
+
+    A station may listen on port 0 (any free port), also by leaving the port
+    out; a node must connect to a port from 1 to 65535. Raises ConfigError.
+    """
+    host, _, port_s = text.partition(":")
+    if listening and not port_s:
+        port_s = "0"
+    lowest = 0 if listening else 1
+    if not (port_s.isascii() and port_s.isdigit() and lowest <= int(port_s) <= 65535):
+        raise ConfigError(f"bad address {text!r}: expected host:port, the port from {lowest} to 65535")
+    return host or "127.0.0.1", int(port_s)
+
+
 class StationServer(socketserver.ThreadingTCPServer):
     """One engine shared by all client connections, guarded by a lock."""
 
@@ -45,9 +60,13 @@ class StationServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, addr: tuple[str, int], config: Config, store_dir: str):
+        super().__init__(addr, _StationHandler)  # bound before the store is opened
+        try:
+            self.engine = ServerEngine.open(config, store_dir, build_sinks(config, store_dir))
+        except BaseException:
+            self.server_close()
+            raise
         self.engine_lock = threading.Lock()
-        self.engine = ServerEngine.open(config, store_dir, build_sinks(config, store_dir))
-        super().__init__(addr, _StationHandler)
 
     def close_store(self) -> None:
         with self.engine_lock:
@@ -96,8 +115,7 @@ class _StationHandler(socketserver.StreamRequestHandler):
 
 def run_station(config: Config, listen: str, store_dir: str) -> int:
     """Serve until interrupted; flush the store on the way out."""
-    host, _, port_s = listen.partition(":")
-    addr = (host or "127.0.0.1", int(port_s or 0))
+    addr = parse_address(listen, listening=True)
     try:
         server = StationServer(addr, config, store_dir)
     except OSError as exc:
@@ -153,8 +171,7 @@ class NodeRunner:
         connect: str,
         speedup: float = 3600.0,
     ):
-        host, _, port_s = connect.partition(":")
-        self.addr = (host or "127.0.0.1", int(port_s))
+        self.addr = parse_address(connect, listening=False)
         self.scenario = scenario
         self.speedup = max(speedup, 1e-9)
         self.start_wall = time.monotonic()

@@ -10,20 +10,26 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from slopewatch.domain import RawReading, SensorKind
+from slopewatch.wire import MAX_READINGS_PER_FRAME
 
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
-MAX_READINGS_PER_FRAME = 255
 
-_DIRECTIVE = re.compile(r"#\s*sample_interval_s\s*[:=]\s*([0-9.]+)")
+_DIRECTIVE = re.compile(r"#\s*sample_interval_s\s*[:=]\s*([^\s,]*)")
 
 
 class ScenarioError(ValueError):
     """Raised for unparseable or inconsistent scenario files."""
+
+
+def _check_interval(interval: float, where: str) -> None:
+    if not 0 < interval < math.inf:
+        raise ScenarioError(f"{where}: sample interval {interval} s is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,9 @@ class Scenario:
     name: str
     steps: tuple[ScenarioStep, ...]
     sample_interval: float  # seconds between node sampling ticks
+
+    def __post_init__(self) -> None:
+        _check_interval(self.sample_interval, self.name)
 
     @property
     def duration(self) -> float:
@@ -66,7 +75,11 @@ def load_scenario(path: str | Path) -> Scenario:
             if row[0].lstrip().startswith("#"):
                 m = _DIRECTIVE.search(",".join(row))
                 if m:
-                    sample_interval = float(m.group(1))
+                    try:
+                        sample_interval = float(m.group(1))
+                    except ValueError:
+                        raise ScenarioError(f"{path.name} line {lineno}: bad sample_interval_s {m.group(1)!r}") from None
+                    _check_interval(sample_interval, f"{path.name} line {lineno}")
                 continue
             if header is None:
                 header = [c.strip() for c in row]

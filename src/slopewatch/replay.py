@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from slopewatch import wire
 from slopewatch.analytics import segment_events
@@ -20,9 +20,7 @@ from slopewatch.domain import SensorKind
 from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
     Channel,
-    Delivered,
     LinkDown,
-    LinkSevered,
     LossyLink,
     MessageType,
     NodeDriver,
@@ -117,7 +115,7 @@ class SimReplay:
         self._queue: list[tuple[float, int, object]] = []
         self._counter = 0
 
-        self.link = LossyLink(replace(config.link, rng_seed=seed))
+        self.link = LossyLink(config.link, seed)
         self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=START_TS)
         # Stepped through this module's ``node_step``, so that a wrapper
         # installed here sees every node step.
@@ -193,12 +191,11 @@ class SimReplay:
         if send.channel is Channel.CONTROL:
             at = self.now + CONTROL_LATENCY_S
         else:
-            outcome = self.link.deliver(raw, self.now, direction)
-            if isinstance(outcome, LinkSevered):
+            at = self.link.deliver(raw, self.now, direction)
+            if not self.link.up:
                 self._link_down()
-            if not isinstance(outcome, Delivered):
+            if at is None:
                 return
-            at = outcome.at
         self._schedule(at, lambda: receive(wire.decode_frame(raw), self.now))
 
     def _link_down(self) -> None:
@@ -239,11 +236,10 @@ class SimReplay:
 
     def run(self) -> ReplaySummary:
         end_ts = START_TS + self.scenario.duration
-        interval = max(self.scenario.sample_interval, 1e-9)
         t = float(START_TS)
         while t < end_ts:
             self._schedule(t, self._sample_tick)
-            t += interval
+            t += self.scenario.sample_interval
         self._schedule(end_ts, self._sample_tick)
         for offset in self.force_disconnect_at:
             self._schedule(START_TS + offset, self._link_down)

@@ -499,17 +499,12 @@ def server_step(
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Behaviour of the simulated radio link.
-
-    With a fixed ``rng_seed`` the link produces an identical delivery trace
-    for an identical sequence of deliver calls.
-    """
+    """Behaviour of the simulated radio link."""
 
     drop_probability: float = 0.0
     disconnect_probability_per_frame: float = 0.0
     latency_ms: float = 50.0
     bandwidth_bps: int = 115200  # GPRS-class uplink
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("drop_probability", "disconnect_probability_per_frame"):
@@ -522,56 +517,44 @@ class LinkConfig:
             raise ValueError("latency_ms must be >= 0")
 
 
-@dataclass(slots=True)
-class Delivered:
-    at: float
-
-
-@dataclass(slots=True)
-class Dropped:
-    pass
-
-
-@dataclass(slots=True)
-class LinkSevered:
-    pass
-
-
-Outcome = Union[Delivered, Dropped, LinkSevered]
-
-
 class LossyLink:
     """Deterministic seeded frame-level loss, latency and serialization model.
 
     Per frame, in order: a sever draw (connection breaks, link goes down
     until ``reconnect``), then a drop draw, then queueing behind earlier
-    frames in the same direction at the configured bandwidth.
+    frames in the same direction at the configured bandwidth. With a fixed
+    ``seed`` the link gives an identical delivery trace for an identical
+    sequence of deliver calls.
     """
 
-    def __init__(self, cfg: LinkConfig):
+    def __init__(self, cfg: LinkConfig, seed: int = 0):
         self.cfg = cfg
-        self._rng = Random(cfg.rng_seed)
+        self._rng = Random(seed)
         self.up = True
         self._busy_until: dict[str, float] = {}
         self.frames_offered = 0
         self.frames_dropped = 0
         self.severs = 0
 
-    def deliver(self, frame_bytes: bytes, now: float, direction: str = "up") -> Outcome:
-        """Decide the fate of one frame sent at ``now``."""
+    def deliver(self, frame_bytes: bytes, now: float, direction: str = "up") -> float | None:
+        """Arrival time of one frame sent at ``now``, or None if it is lost.
+
+        A frame is lost when dropped or when the link is down; ``up`` then
+        tells the two apart.
+        """
         self.frames_offered += 1
         if not self.up:
-            return LinkSevered()
+            return None
         if self._rng.random() < self.cfg.disconnect_probability_per_frame:
             self.sever()
-            return LinkSevered()
+            return None
         if self._rng.random() < self.cfg.drop_probability:
             self.frames_dropped += 1
-            return Dropped()
+            return None
         start = max(now, self._busy_until.get(direction, 0.0))
         tx_time = len(frame_bytes) * 8 / self.cfg.bandwidth_bps
         self._busy_until[direction] = start + tx_time
-        return Delivered(at=start + tx_time + self.cfg.latency_ms / 1000.0)
+        return start + tx_time + self.cfg.latency_ms / 1000.0
 
     def sever(self) -> None:
         """Break the connection; frames are refused until ``reconnect``."""

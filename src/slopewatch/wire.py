@@ -1,4 +1,4 @@
-"""Binary framing and payload codecs for the telemetry link.
+"""Wire protocol: CRC, binary framing and payload codecs for the telemetry link.
 
 This module IS the wire contract (see docs/wire_format.md). Frame layout,
 all integers big-endian:
@@ -19,18 +19,28 @@ at which validation failed.
 from __future__ import annotations
 
 import struct
+from binascii import crc_hqx
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import BinaryIO
 
 from slopewatch.domain import SensorKind
-from slopewatch.wire.crc import crc16
 
 MAGIC = b"\x4c\x53"
 VERSION = 0x01
 MAX_PAYLOAD = 0xFFFF
 HEADER_LEN = 6  # magic + version + type + length
 TRAILER_LEN = 2  # crc16
+MAX_READINGS_PER_FRAME = 255  # a SEND_DATA frame's reading count is one byte
+
+
+def crc16(data: bytes) -> int:
+    """CRC-16/CCITT-FALSE of ``data`` (bytes-like): poly 0x1021, init 0xFFFF,
+    no reflection, no final xor; ``crc16(b"123456789") == 0x29B1``.
+
+    The standard library's ``binascii.crc_hqx`` is this CRC, computed in C.
+    """
+    return crc_hqx(data, 0xFFFF)
 
 
 class MessageType(IntEnum):
@@ -106,14 +116,13 @@ class Frame:
 
     msg_type: MessageType
     payload: bytes = b""
-    version: int = VERSION
 
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame to its bit-exact wire form."""
     if len(frame.payload) > MAX_PAYLOAD:
         raise FrameTooLarge(f"payload of {len(frame.payload)} bytes exceeds {MAX_PAYLOAD}")
-    body = struct.pack(">BBH", frame.version, frame.msg_type, len(frame.payload)) + frame.payload
+    body = struct.pack(">BBH", VERSION, frame.msg_type, len(frame.payload)) + frame.payload
     return MAGIC + body + struct.pack(">H", crc16(body))
 
 
@@ -233,7 +242,7 @@ class SendDataPayload:
 
     ``seq`` is the batch sequence number (the first reading's per-node
     sequence number); readings are (sensor_code, raw_count) pairs sharing
-    ``timestamp``. At most 255 readings per frame.
+    ``timestamp``. At most ``MAX_READINGS_PER_FRAME`` readings per frame.
     """
 
     session_id: int
@@ -248,8 +257,8 @@ _SENSOR_CODES = frozenset(kind.value for kind in SensorKind)
 
 
 def encode_senddata(p: SendDataPayload) -> bytes:
-    if len(p.readings) > 255:
-        raise PayloadError(f"{len(p.readings)} readings exceed the 255-per-frame cap")
+    if len(p.readings) > MAX_READINGS_PER_FRAME:
+        raise PayloadError(f"{len(p.readings)} readings exceed the {MAX_READINGS_PER_FRAME}-per-frame cap")
     parts = [_SENDDATA_HEAD.pack(p.session_id, p.seq, p.timestamp, len(p.readings))]
     for code, raw in p.readings:
         if code not in _SENSOR_CODES:  # reject unknown codes at encode time

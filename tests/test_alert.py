@@ -39,8 +39,8 @@ from slopewatch.alert import (
     Dispatcher,
     ExceedanceSet,
     FileSink,
+    INTENSITY_WINDOW_S,
     Notification,
-    Parameter,
     SmsOutboxSink,
     Thresholds,
     ThresholdError,
@@ -50,7 +50,6 @@ from slopewatch.alert import (
     evaluate,
     multi_level,
     step_alert_state,
-    uni_alerts,
 )
 
 TH = Thresholds(
@@ -109,17 +108,6 @@ class TestMultiLevel:
         assert multi_level(exc(pore=True, disp=True, incl=True)) is G
 
 
-class TestUniAlerts:
-    def test_empty(self):
-        assert uni_alerts(exc()) == set()
-
-    def test_single_parameter(self):
-        assert uni_alerts(exc(pore=True)) == {Parameter.PORE}
-
-    def test_all_parameters(self):
-        assert uni_alerts(exc(True, True, True, True)) == set(Parameter)
-
-
 class TestThresholds:
     def test_rejects_non_positive_mt(self):
         with pytest.raises(ThresholdError):
@@ -143,7 +131,7 @@ class TestEvaluate:
                              inclinometer_deg=1.0, tiltmeter_deg=1.0)
         decisions = evaluate(snap, snap, TH, 0.0)
         assert all(d.level is G for d in decisions)
-        assert all(uni_alerts(d.exceedances) == set() for d in decisions)
+        assert not any(any(d.exceedances.as_dict().values()) for d in decisions)
 
     def test_predicted_rain_surfaces_only_in_predicted_mode(self):
         current = ValueSnapshot(rain_intensity_mm_per_h=2.0)
@@ -180,7 +168,7 @@ def decisions_at(level: AlertLevel, now=0.0) -> list[AlertDecision]:
     }[level]
     out = []
     for source in ValueSource:
-        out.append(AlertDecision(Y if uni_alerts(e) else G, AlertMode.UNI, source, e, now))
+        out.append(AlertDecision(Y if any(e.as_dict().values()) else G, AlertMode.UNI, source, e, now))
         out.append(AlertDecision(multi_level(e), AlertMode.MULTI, source, e, now))
     return out
 
@@ -335,6 +323,7 @@ class TestWebhookSink:
             assert received[0]["level"] == "YELLOW"
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_unreachable_target_recorded_as_failure(self, tmp_path):
         dispatcher = Dispatcher([
@@ -461,7 +450,7 @@ class ScratchReference:
         rain, now = self.windows[RAIN], self.now
         intensity = event = None
         if rain:
-            width = self.analysis.intensity_window_s
+            width = INTENSITY_WINDOW_S
             intensity = sum(mm for t, mm in rain if now - width < t <= now) / (width / 3600.0)
             feats = compute_rainfall_features(
                 rain, now, self.analysis.antecedent_lookback_h * 3600.0,

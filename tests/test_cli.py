@@ -118,6 +118,74 @@ def test_missing_scenario_exit_two(tmp_path, capsys):
     assert "nope" in err
 
 
+def test_bad_sample_interval_directive_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# sample_interval_s: 1.2.3\nt_offset_s,sensor,raw\n60,rain_gauge,1\n")
+    code, out, err = run_cli(["replay", "--config", DEMO, "--scenario", str(bad),
+                              "--store", str(tmp_path / "s")], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "bad.csv line 1" in err
+    assert out == "" and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["server", "--config", DEMO, "--listen", "127.0.0.1:abc"],
+        ["server", "--config", DEMO, "--listen", "127.0.0.1:70000"],
+        ["node", "--scenario", "three_day_rain", "--connect", "127.0.0.1"],
+        ["node", "--scenario", "three_day_rain", "--connect", "127.0.0.1:x"],
+    ],
+    ids=["listen-port-not-a-number", "listen-port-too-large", "connect-without-port",
+         "connect-port-not-a-number"],
+)
+def test_bad_address_exits_two_before_opening_anything(argv, tmp_path, capsys):
+    store = tmp_path / "s"
+    extra = ["--store", str(store)] if argv[0] == "server" else []
+    code, out, err = run_cli(argv + extra, capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: bad address ")
+    assert out == "" and not store.exists()
+
+
+def test_busy_port_exits_one_without_creating_the_store(tmp_path, capsys):
+    import socket
+
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        code, out, _ = run_cli(["server", "--config", DEMO, "--store", str(tmp_path / "s"),
+                                "--listen", f"127.0.0.1:{port}"], capsys)
+    assert code == EXIT_RUNTIME
+    assert out == "" and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "text, listening, addr",
+    [
+        ("127.0.0.1", True, ("127.0.0.1", 0)),
+        (":", True, ("127.0.0.1", 0)),
+        ("0.0.0.0:65535", True, ("0.0.0.0", 65535)),
+        (":1", False, ("127.0.0.1", 1)),
+        ("localhost:9470", False, ("localhost", 9470)),
+    ],
+)
+def test_parse_address(text, listening, addr):
+    from slopewatch.nettransport import parse_address
+
+    assert parse_address(text, listening=listening) == addr
+
+
+@pytest.mark.parametrize("text", ["127.0.0.1:0", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:+80", ":"])
+def test_connect_needs_a_port_from_1_to_65535(text):
+    from slopewatch.config import ConfigError
+    from slopewatch.nettransport import parse_address
+
+    with pytest.raises(ConfigError, match="bad address"):
+        parse_address(text, listening=False)
+
+
 class TestReplayCommand:
     def test_three_day_storm_summary(self, tmp_path, capsys):
         store = tmp_path / "run"
@@ -552,6 +620,8 @@ def test_sigint_leaves_parseable_store(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
+            proc.wait()
+        proc.stdout.close()
     assert proc.returncode == 0
     repo = Repository(store, read_only=True)
     assert repo.load_warnings == []

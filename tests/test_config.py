@@ -97,7 +97,7 @@ class TestAnalysisSettings:
     @pytest.mark.parametrize(
         "field, value",
         [("ar_order", 0), ("dry_gap_h", 0.0), ("antecedent_lookback_h", 0.0),
-         ("max_window_samples", 0), ("intensity_window_s", 0.0), ("intensity_window_s", -1.0)],
+         ("max_window_samples", 0)],
     )
     def test_field_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -124,7 +124,7 @@ class TestAnalysisSettings:
         assert "mt_rain_mm_per_h" in str(exc.value) and "dry_gap_h" in str(exc.value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["dry_gap_h", "antecedent_lookback_h", "intensity_window_s"])
+    @pytest.mark.parametrize("field", ["dry_gap_h", "antecedent_lookback_h"])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AnalysisConfig(**{field: value})
@@ -143,7 +143,7 @@ class TestAnalysisSettings:
 
     def test_smallest_valid_values_accepted(self):
         AnalysisConfig(dry_gap_h=1e-9, antecedent_lookback_h=1e-9, ar_order=1,
-                       max_window_samples=1, intensity_window_s=1e-9)
+                       max_window_samples=1)
 
 
 class TestResolveConfigPath:

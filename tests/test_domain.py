@@ -9,7 +9,6 @@ from slopewatch.domain import (
     CalibrationConstants,
     CalibrationError,
     SensorKind,
-    level_max,
 )
 
 
@@ -58,11 +57,11 @@ class TestAlertLevel:
         ],
     )
     def test_level_max(self, a, b, expected):
-        assert level_max(a, b) is expected
+        assert max(a, b) is expected
 
     def test_level_max_commutes(self):
         for a, b in itertools.product(AlertLevel, repeat=2):
-            assert level_max(a, b) is level_max(b, a)
+            assert max(a, b) is max(b, a)
 
 
 class TestConversions:

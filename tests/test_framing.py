@@ -236,6 +236,26 @@ def test_station_reads_each_frame_through_the_module_read_frame(station, monkeyp
     assert len(calls) == n + 1
 
 
+def test_splitter_decodes_through_the_module_decode_frame(monkeypatch):
+    # perfbench's ``wire.decode`` span wraps ``slopewatch.wire.decode_frame``
+    # as a module attribute; it counts the station's decodes only if the
+    # splitter looks that name up in the module.
+    seen = []
+    original = wire.decode_frame
+
+    def counting(data):
+        seen.append(bytes(data))
+        return original(data)
+
+    monkeypatch.setattr(wire, "decode_frame", counting)
+    cut = [F1, bad_crc(F2), HEARTBEAT, F3]
+    splitter = FrameSplitter()
+    stream = b"".join(cut)
+    items = [x for i in range(0, len(stream), 7) for x in splitter.feed(stream[i:i + 7])]
+    assert [type(x) for x in items] == [Frame, CrcMismatch, Frame, Frame]
+    assert seen == cut
+
+
 def test_node_resyncs_after_a_stray_byte(tmp_path):
     from slopewatch.domain import SensorKind
     from slopewatch.nettransport import NodeRunner, StationServer, _StationHandler

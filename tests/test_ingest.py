@@ -104,6 +104,7 @@ class TestIngestBatch:
         assert len(stored) == 3
         assert len(repo) == 3
         assert [r.seq for r in stored] == [1, 2, 3]
+        repo.close()
 
     def test_retransmission_stores_nothing(self, tmp_path):
         repo = Repository(tmp_path / "s")
@@ -111,6 +112,7 @@ class TestIngestBatch:
         assert len(repo.ingest_batch(p, 1, CONSTANTS)) == 3
         assert len(repo.ingest_batch(p, 1, CONSTANTS)) == 0
         assert len(repo) == 3
+        repo.close()
 
     def test_partial_overlap_stores_only_new(self, tmp_path):
         repo = Repository(tmp_path / "s")
@@ -118,6 +120,7 @@ class TestIngestBatch:
         stored = repo.ingest_batch(payload(1, [(1, 5), (1, 6), (1, 7)]), 1, CONSTANTS)
         assert len(stored) == 2
         assert len(repo) == 3
+        repo.close()
 
     def test_missing_constants_rejects_whole_batch(self, tmp_path):
         repo = Repository(tmp_path / "s")
@@ -125,12 +128,14 @@ class TestIngestBatch:
         with pytest.raises(MissingConstantsError):
             repo.ingest_batch(payload(1, [(1, 5), (2, 100)]), 1, constants)
         assert len(repo) == 0
+        repo.close()
 
     def test_same_seq_different_nodes_both_stored(self, tmp_path):
         repo = Repository(tmp_path / "s")
         repo.ingest_batch(payload(1, [(1, 5)]), node_id=1, constants=CONSTANTS)
         repo.ingest_batch(payload(1, [(1, 5)]), node_id=2, constants=CONSTANTS)
         assert len(repo) == 2
+        repo.close()
 
 
 class TestPersistence:
@@ -156,7 +161,9 @@ class TestPersistence:
         repo.ingest_batch(payload(1, [(2, 333)]), 1, CONSTANTS)  # 0.01*333-3.5 = -0.17
         value = repo.all_records()[0].value
         repo.close()
-        assert Repository(store).all_records()[0].value == value
+        reloaded = Repository(store)
+        assert reloaded.all_records()[0].value == value
+        reloaded.close()
 
     def test_corrupt_rows_skipped_with_warnings(self, tmp_path):
         store = tmp_path / "s"
@@ -169,6 +176,7 @@ class TestPersistence:
         reloaded = Repository(store)
         assert len(reloaded) == 2  # good rows survive
         assert len(reloaded.load_warnings) == 1
+        reloaded.close()
 
     def test_a_byte_that_is_not_utf8_costs_only_its_row(self, tmp_path):
         store = tmp_path / "s"
@@ -310,6 +318,7 @@ class TestSeqIndex:
         assert repo.seq_runs(1) == [(1, 10)]
         assert repo.ingest_batch(payload(1, [(1, 5)] * 10), 1, CONSTANTS) == []
         assert len(repo) == 10
+        repo.close()
 
 
 class TestQueryVisibility:
@@ -336,6 +345,7 @@ class TestQueryVisibility:
         assert errors == []
         assert seen and max(seen) <= 2000
         assert len(repo.all_records()) == 2000
+        repo.close()
 
 
 # -- differential test against a plain reference model -------------------------
@@ -409,51 +419,53 @@ def test_repository_matches_reference_model(ops, data):
             kind = data.draw(st.sampled_from(list(SensorKind)), label="series sensor")
             assert r.series(kind) == [(x.timestamp, x.value) for x in records if x.sensor is kind]
 
-        ts = 1000
-        for op in ops:
-            if op[0] in ("batch", "retransmit"):
-                if op[0] == "batch":
-                    node, seq, step, readings = op[1]
-                    ts += step
-                    sent.append((node, payload(seq, readings, ts=ts)))
-                elif not sent:
-                    continue
-                node, p = sent[op[1] % len(sent)] if op[0] == "retransmit" else sent[-1]
-                assert repo.ingest_batch(p, node, CONSTANTS) == ref.ingest(p, node)
-            elif op[0] == "reopen":
-                repo.close()
-                if op[1]:
+        try:
+            ts = 1000
+            for op in ops:
+                if op[0] in ("batch", "retransmit"):
+                    if op[0] == "batch":
+                        node, seq, step, readings = op[1]
+                        ts += step
+                        sent.append((node, payload(seq, readings, ts=ts)))
+                    elif not sent:
+                        continue
+                    node, p = sent[op[1] % len(sent)] if op[0] == "retransmit" else sent[-1]
+                    assert repo.ingest_batch(p, node, CONSTANTS) == ref.ingest(p, node)
+                elif op[0] == "reopen":
+                    repo.close()
+                    if op[1]:
+                        check(Repository(store, read_only=True))
+                    repo = Repository(store, durable=False)
+                else:
+                    _, kinds, torn = op
+                    repo.close()
+                    lines = []
+                    for what in kinds:
+                        if what == "row":
+                            node = data.draw(st.integers(1, 3), label="node")
+                            seq = data.draw(st.integers(1, 40), label="seq")
+                            kind = data.draw(st.sampled_from(list(SensorKind)), label="kind")
+                            value = data.draw(st.sampled_from([0.0, -1.5, 2.25, 1e-3]), label="value")
+                            name = data.draw(st.sampled_from([kind.name, kind.name.lower()]), label="name")
+                            lines.append(f"{ts},{node},{name},{seq},{value!r}\n")
+                            ref.add(CalibratedReading(node, ts, kind, value, seq))
+                        elif what == "unparseable":
+                            lines.append(data.draw(st.sampled_from(
+                                ["not,a,valid,row\n", f"{ts},1,rain_gauge,x,1.0\n", f"{ts},1,snow,2,1.0\n"]),
+                                label="bad row"))
+                        elif what == "blank":
+                            lines.append("\n")
+                        else:
+                            lines.append("ts_unix,node_id,sensor,seq,value\n")
+                    if torn:
+                        lines.append(f"{ts},1,rain_gauge,{data.draw(st.integers(1, 40), label='torn seq')},1.")
+                    with open(store / "readings.csv", "a", encoding="utf-8") as fh:
+                        fh.write("".join(lines))
                     check(Repository(store, read_only=True))
-                repo = Repository(store, durable=False)
-            else:
-                _, kinds, torn = op
-                repo.close()
-                lines = []
-                for what in kinds:
-                    if what == "row":
-                        node = data.draw(st.integers(1, 3), label="node")
-                        seq = data.draw(st.integers(1, 40), label="seq")
-                        kind = data.draw(st.sampled_from(list(SensorKind)), label="kind")
-                        value = data.draw(st.sampled_from([0.0, -1.5, 2.25, 1e-3]), label="value")
-                        name = data.draw(st.sampled_from([kind.name, kind.name.lower()]), label="name")
-                        lines.append(f"{ts},{node},{name},{seq},{value!r}\n")
-                        ref.add(CalibratedReading(node, ts, kind, value, seq))
-                    elif what == "unparseable":
-                        lines.append(data.draw(st.sampled_from(
-                            ["not,a,valid,row\n", f"{ts},1,rain_gauge,x,1.0\n", f"{ts},1,snow,2,1.0\n"]),
-                            label="bad row"))
-                    elif what == "blank":
-                        lines.append("\n")
-                    else:
-                        lines.append("ts_unix,node_id,sensor,seq,value\n")
-                if torn:
-                    lines.append(f"{ts},1,rain_gauge,{data.draw(st.integers(1, 40), label='torn seq')},1.")
-                with open(store / "readings.csv", "a", encoding="utf-8") as fh:
-                    fh.write("".join(lines))
-                check(Repository(store, read_only=True))
-                repo = Repository(store, durable=False)
-            check(repo)
-        repo.close()
+                    repo = Repository(store, durable=False)
+                check(repo)
+        finally:
+            repo.close()  # also when hypothesis ends the example early
         check(Repository(store, read_only=True))
 
 

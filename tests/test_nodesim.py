@@ -64,6 +64,17 @@ class TestLoadScenario:
         body = "# sample_interval_s: 900\nt_offset_s,sensor,raw\n60,rain_gauge,1\n"
         assert load_scenario(write_scenario(tmp_path, body)).sample_interval == 900.0
 
+    @pytest.mark.parametrize("token", [".", "1.2.3", "-5", "nan", "inf", "0", ""])
+    def test_sample_interval_directive_must_be_positive_and_finite(self, tmp_path, token):
+        body = f"# sample_interval_s: {token}\nt_offset_s,sensor,raw\n60,rain_gauge,1\n"
+        with pytest.raises(ScenarioError, match="line 1"):
+            load_scenario(write_scenario(tmp_path, body))
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scenario_rejects_an_interval_that_is_not_positive_and_finite(self, interval):
+        with pytest.raises(ScenarioError, match="sample interval"):
+            Scenario(name="built", steps=(), sample_interval=interval)
+
     def test_sample_interval_inferred(self, tmp_path):
         body = "t_offset_s,sensor,raw\n60,rain_gauge,1\n90,rain_gauge,1\n150,rain_gauge,1\n"
         assert load_scenario(write_scenario(tmp_path, body)).sample_interval == 30.0

@@ -14,13 +14,10 @@ from slopewatch.session import (
     Channel,
     ConnAckReceived,
     DataAckReceived,
-    Delivered,
-    Dropped,
     ForwardToIngest,
     IpAssigned,
     LinkConfig,
     LinkDown,
-    LinkSevered,
     LogWarning,
     LossyLink,
     NodePhase,
@@ -267,37 +264,40 @@ def _connected_state() -> ServerSessionState:
 
 
 class TestLossyLink:
+    # Each deliver is judged by its (arrival time or None, link.up) pair.
+
     def test_degenerate_configs(self):
         clean = LossyLink(LinkConfig(drop_probability=0.0, latency_ms=10))
-        assert all(isinstance(clean.deliver(b"x" * 10, 0.0), Delivered) for _ in range(50))
+        pairs = [(clean.deliver(b"x" * 10, 0.0), clean.up) for _ in range(50)]
+        assert all(at is not None and up for at, up in pairs)
         lossy = LossyLink(LinkConfig(drop_probability=1.0))
-        assert all(isinstance(lossy.deliver(b"x" * 10, 0.0), Dropped) for _ in range(50))
+        assert [(lossy.deliver(b"x" * 10, 0.0), lossy.up) for _ in range(50)] == [(None, True)] * 50
 
     def test_determinism(self):
-        cfg = LinkConfig(drop_probability=0.3, disconnect_probability_per_frame=0.01, rng_seed=77)
-        a, b = LossyLink(cfg), LossyLink(cfg)
-        outcome_a = [a.deliver(b"frame", float(i)) for i in range(200)]
-        outcome_b = [b.deliver(b"frame", float(i)) for i in range(200)]
+        cfg = LinkConfig(drop_probability=0.3, disconnect_probability_per_frame=0.01)
+        a, b = LossyLink(cfg, 77), LossyLink(cfg, 77)
+        outcome_a = [(a.deliver(b"frame", float(i)), a.up) for i in range(200)]
+        outcome_b = [(b.deliver(b"frame", float(i)), b.up) for i in range(200)]
         assert outcome_a == outcome_b
 
     def test_sever_blocks_until_reconnect(self):
         link = LossyLink(LinkConfig())
         link.sever()
-        assert isinstance(link.deliver(b"x", 0.0), LinkSevered)
+        assert (link.deliver(b"x", 0.0), link.up) == (None, False)
         link.reconnect()
-        assert isinstance(link.deliver(b"x", 1.0), Delivered)
+        at = link.deliver(b"x", 1.0)
+        assert (at is not None, link.up) == (True, True)
 
     def test_latency_and_serialization(self):
         link = LossyLink(LinkConfig(latency_ms=100, bandwidth_bps=8000))
         out = link.deliver(b"x" * 100, 0.0)  # 800 bits -> 0.1 s tx
-        assert isinstance(out, Delivered)
-        assert out.at == pytest.approx(0.2)
+        assert (out, link.up) == (pytest.approx(0.2), True)
 
     def test_bandwidth_queueing(self):
         link = LossyLink(LinkConfig(latency_ms=0, bandwidth_bps=8000))
         first = link.deliver(b"x" * 100, 0.0)
         second = link.deliver(b"x" * 100, 0.0)  # queued behind the first
-        assert second.at == pytest.approx(first.at + 0.1)
+        assert (second, link.up) == (pytest.approx(first + 0.1), True)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):

@@ -69,8 +69,7 @@ VALUE_CLASSES = [
     session.ReadingsAvailable, session.AnnounceReceived, session.ReqConnReceived,
     session.SendDataReceived, session.SendFrame, session.SetTimer,
     session.LogWarning, session.ForwardToIngest, session.PendingBatch,
-    session.NodeState, session.ServerSessionState, session.Delivered,
-    session.Dropped, session.LinkSevered, session.TraceRecord,
+    session.NodeState, session.ServerSessionState, session.TraceRecord,
     ExceedanceSet, ValueSnapshot, AlertDecision, AlertState, Notification, DispatchResult,
     RainEvent,
 ]
