@@ -13,7 +13,8 @@ for:
   heartbeat;
 * ``server_step`` on ``SendDataReceived``: a five-reading batch in the live
   session, so ``ForwardToIngest`` and a DATA_ACK;
-* the construction of a ``Frame``, a ``SendFrame`` and a ``NodeState``.
+* the construction of a ``Frame`` (also what a state machine returns to
+  send one) and a ``NodeState``.
 
 Every call starts from the same state, as the step functions are pure.
 Each figure includes the call of a lambda, about 0.05 µs.
@@ -24,14 +25,12 @@ import time
 
 from slopewatch.domain import RawReading, SensorKind
 from slopewatch.session import (
-    Channel,
     DataAckReceived,
     NodePhase,
     NodeState,
     PendingBatch,
     ReadingsAvailable,
     SendDataReceived,
-    SendFrame,
     ServerPhase,
     ServerSessionState,
     TimerFired,
@@ -78,7 +77,6 @@ def main() -> None:
     available, ack, timer = ReadingsAvailable(batch), DataAckReceived(100), TimerFired()
     received = SendDataReceived(SendDataPayload(7, 100, T0, readings))
     ack_payload = encode_dataack(100)
-    frame = Frame(MessageType.DATA_ACK, ack_payload)
 
     cases = [
         ("node_step ReadingsAvailable", lambda: node_step(streaming, available, 0.0)),
@@ -86,7 +84,6 @@ def main() -> None:
         ("node_step TimerFired (heartbeat)", lambda: node_step(streaming, timer, 0.0)),
         ("server_step SendDataReceived", lambda: server_step(connected, received, 0.0)),
         ("Frame(...)", lambda: Frame(MessageType.DATA_ACK, ack_payload)),
-        ("SendFrame(...)", lambda: SendFrame(frame, Channel.DATA, 1)),
         ("NodeState(...)", lambda: NodeState(1, NodePhase.STREAMING, "10.0.0.2", "10.0.0.1", 7, 1)),
     ]
     print(f"best of {args.rounds} x {args.calls} calls")

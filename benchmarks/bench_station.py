@@ -94,7 +94,7 @@ def filled_station(stream: str, store_dir: str) -> tuple[ServerEngine, int]:
     engine = ServerEngine(repo, cfg.calibration, AlertEngine(cfg.thresholds, cfg.analysis, Dispatcher([NullSink()])))
     engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.1")), 0.0)
     (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)), 0.0)
-    session_id, _ = wire.decode_connack(ack.frame.payload)
+    session_id, _ = wire.decode_connack(ack.payload)
     for frame in batch_frames(stream, session_id, 0, FILL):
         engine.handle_data_frame(frame, 0.0)
     return engine, session_id

@@ -25,7 +25,7 @@ from slopewatch.analytics import (
 from slopewatch.alert import AnalysisConfig
 from slopewatch.config import ConfigError, load_config, resolve_config_path
 from slopewatch.domain import SensorKind
-from slopewatch.ingest import Repository, StoreError
+from slopewatch.ingest import READINGS_FILE, Repository, StoreError
 from slopewatch.nodesim import ScenarioError, load_scenario, resolve_scenario
 
 EXIT_OK = 0
@@ -33,6 +33,13 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 logger = logging.getLogger(__name__)
+
+
+def _node_id(text: str) -> int:
+    """A node id: the wire carries it as an unsigned 16-bit integer."""
+    if not (text.isascii() and text.isdigit() and int(text) <= 0xFFFF):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a node id from 0 to 65535")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_node = sub.add_parser("node", help="stream a scenario to a station over TCP")
     p_node.add_argument("--config", help="config file (or set EWS_CONFIG)")
     p_node.add_argument("--scenario", required=True, help="scenario CSV path or bundled name")
-    p_node.add_argument("--node-id", type=int, default=1, help="node identifier (default 1)")
+    p_node.add_argument("--node-id", type=_node_id, default=1, help="node identifier, 0-65535 (default 1)")
     p_node.add_argument("--connect", default="127.0.0.1:9470", help="station host:port")
     p_node.add_argument("--speedup", type=float, default=3600.0,
                         help="simulated seconds per wall second (default 3600)")
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--seed", type=int, default=0, help="link rng seed")
     p_replay.add_argument("--speedup", type=float, default=0.0,
                           help="pace the clock (sim seconds per wall second; 0 = as fast as possible)")
-    p_replay.add_argument("--node-id", type=int, default=1)
+    p_replay.add_argument("--node-id", type=_node_id, default=1, help="node identifier, 0-65535 (default 1)")
     p_replay.add_argument("--force-disconnects", type=int, default=0,
                           help="sever the link N times at evenly spaced points")
     p_replay.add_argument("--trace", help="write the protocol event trace to this CSV file")
@@ -106,6 +113,11 @@ def cmd_replay(args) -> int:
 
     cfg = load_config(resolve_config_path(args.config))
     scenario = load_scenario(resolve_scenario(args.scenario))
+    # A replay's node restarts at seq 1, so into a store that holds readings
+    # it would store none of them.
+    if (Path(args.store) / READINGS_FILE).is_file() and len(Repository(args.store, read_only=True)):
+        print(f"error: store {args.store} already holds readings; replay into a new store", file=sys.stderr)
+        return EXIT_CONFIG
     n = args.force_disconnects
     offsets = tuple(scenario.duration * (i + 1) / (n + 1) for i in range(n))
     sim = SimReplay(

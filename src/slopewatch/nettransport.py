@@ -17,13 +17,13 @@ import time
 
 from slopewatch import wire
 from slopewatch.config import Config, ConfigError, build_sinks
+from slopewatch.ingest import StoreError
 from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
     LinkDown,
     NodeDriver,
     NodeState,
     ReadingsAvailable,
-    SendFrame,
     SessionTiming,
     TimerFired,
 )
@@ -63,6 +63,9 @@ class StationServer(socketserver.ThreadingTCPServer):
         super().__init__(addr, _StationHandler)  # bound before the store is opened
         try:
             self.engine = ServerEngine.open(config, store_dir, build_sinks(config, store_dir))
+        except OSError as exc:
+            self.server_close()
+            raise StoreError(f"cannot open store {store_dir}: {exc}") from exc
         except BaseException:
             self.server_close()
             raise
@@ -80,7 +83,7 @@ class _StationHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server: StationServer = self.server  # type: ignore[assignment]
-        peer: tuple[int, int] | None = None  # (node id, session id) of the CONN_ACK sent
+        peer: tuple[int, int] | None = None  # (node id, session id) of the last CONN_ACK sent
         splitter = wire.FrameSplitter()
         try:
             while True:
@@ -98,11 +101,11 @@ class _StationHandler(socketserver.StreamRequestHandler):
                     out = server.engine.handle_frame(frame, now)
                 if not out:
                     continue
-                if frame.msg_type is wire.MessageType.REQ_CONN:
-                    peer = out[0].to_node, wire.decode_connack(out[0].frame.payload)[0]
+                if frame.msg_type is wire.MessageType.REQ_CONN:  # accepted: out is its CONN_ACK
+                    peer = wire.decode_reqconn(frame.payload)[0], wire.decode_connack(out[0].payload)[0]
                 try:
                     # One write per handled frame, so its replies leave in one segment.
-                    self.wfile.write(b"".join(wire.encode_frame(send.frame) for send in out))
+                    self.wfile.write(b"".join(wire.encode_frame(reply) for reply in out))
                 except (ConnectionError, OSError):
                     break
         finally:
@@ -118,6 +121,9 @@ def run_station(config: Config, listen: str, store_dir: str) -> int:
     addr = parse_address(listen, listening=True)
     try:
         server = StationServer(addr, config, store_dir)
+    except StoreError as exc:
+        logger.error("%s", exc)
+        return 1
     except OSError as exc:
         logger.error("cannot bind %s: %s", listen, exc)
         return 1
@@ -222,13 +228,13 @@ class NodeRunner:
         # Protocol timers run on the wall clock, scaled like the scenario.
         self._timer_at = time.monotonic() + delay / self.speedup
 
-    def _send(self, action: SendFrame) -> bool:
-        if action.frame.msg_type is wire.MessageType.REQ_CONN:
+    def _send(self, frame: wire.Frame) -> bool:
+        if frame.msg_type is wire.MessageType.REQ_CONN:
             self._connect_socket()  # fresh connection attempt
         if self.sock is None:
             return False
         try:
-            self.sock.sendall(wire.encode_frame(action.frame))
+            self.sock.sendall(wire.encode_frame(frame))
             return True
         except OSError:
             return False

@@ -94,6 +94,8 @@ def load_scenario(path: str | Path) -> Scenario:
                 t_offset = float(row[0])
             except ValueError:
                 raise ScenarioError(f"{path.name} line {lineno}: bad t_offset_s {row[0]!r}") from None
+            if not math.isfinite(t_offset):
+                raise ScenarioError(f"{path.name} line {lineno}: t_offset_s {t_offset} is not finite")
             if t_offset < 0:
                 raise ScenarioError(f"{path.name} line {lineno}: negative t_offset_s {t_offset}")
             try:

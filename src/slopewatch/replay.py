@@ -19,7 +19,6 @@ from slopewatch.config import Config, build_sinks
 from slopewatch.domain import SensorKind
 from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
 from slopewatch.session import (
-    Channel,
     LinkDown,
     LossyLink,
     MessageType,
@@ -27,7 +26,6 @@ from slopewatch.session import (
     NodePhase,
     NodeState,
     ReadingsAvailable,
-    SendFrame,
     SessionTiming,
     TimerFired,
     TraceLog,
@@ -177,18 +175,18 @@ class SimReplay:
         if gen == self._node_timer_gen:  # stale timers were replaced
             self.driver.feed(TimerFired(), self.now)
 
-    def _transmit_from_node(self, action: SendFrame) -> bool:
+    def _transmit_from_node(self, frame: wire.Frame) -> bool:
         """Always True: ``_link_down`` reports a severed link to both ends, on the event queue."""
         # A fresh connection attempt re-establishes the severed carrier.
-        if action.frame.msg_type is MessageType.REQ_CONN and not self.link.up:
+        if frame.msg_type is MessageType.REQ_CONN and not self.link.up:
             self.link.reconnect()
-        self._carry(action, "up", self._server_receive)
+        self._carry(frame, "up", self._server_receive)
         return True
 
-    def _carry(self, send: SendFrame, direction: str, receive) -> None:
+    def _carry(self, frame: wire.Frame, direction: str, receive) -> None:
         """Put a frame's bytes on its channel; ``receive(frame, now)`` runs when they arrive."""
-        raw = wire.encode_frame(send.frame)
-        if send.channel is Channel.CONTROL:
+        raw = wire.encode_frame(frame)
+        if frame.msg_type in wire.CONTROL_TYPES:
             at = self.now + CONTROL_LATENCY_S
         else:
             at = self.link.deliver(raw, self.now, direction)
@@ -210,9 +208,9 @@ class SimReplay:
     def _server_receive(self, frame: wire.Frame, now: float) -> None:
         self._dispatch_outbound(self.server.handle_frame(frame, now))
 
-    def _dispatch_outbound(self, outbound: list[SendFrame]) -> None:
-        for send in outbound:
-            self._carry(send, "down", self.driver.receive)
+    def _dispatch_outbound(self, outbound: list[wire.Frame]) -> None:
+        for frame in outbound:
+            self._carry(frame, "down", self.driver.receive)
 
     # -- scenario sampling ---------------------------------------------------------
 

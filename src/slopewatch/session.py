@@ -8,10 +8,11 @@ Server side: track each node from announce through connect to streaming,
 acknowledge batches, and hand payloads to ingest.
 
 Both step functions are pure: (state, event, now) fully determines
-(state', actions). Side effects (frames on the wire, timers, ingest) are
-returned as action values; on the node side ``NodeDriver`` executes them
-through callbacks of the transport -- the discrete-event replay harness or
-the socket runner.
+(state', actions). Side effects (timers, ingest, frames to send) are
+returned as action values; a send is the ``wire.Frame`` itself, whose type
+names its channel (``wire.CONTROL_TYPES``). On the node side ``NodeDriver``
+executes the actions through callbacks of the transport -- the
+discrete-event replay harness or the socket runner.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ def backoff_delay(attempt: int) -> float:
 # ---------------------------------------------------------------------------
 # Events and actions
 # ---------------------------------------------------------------------------
-
-
-class Channel(Enum):
-    DATA = "data"        # lossy, bandwidth-limited, severable
-    CONTROL = "control"  # lossless out-of-band path (the "text message" route)
 
 
 @dataclass(slots=True)
@@ -121,15 +117,6 @@ ServerEvent = Union[AnnounceReceived, ReqConnReceived, SendDataReceived, LinkDow
 
 
 @dataclass(slots=True)
-class SendFrame:
-    """Transmit ``frame`` on ``channel``; ``to_node`` addresses server->node sends."""
-
-    frame: Frame
-    channel: Channel
-    to_node: int | None = None
-
-
-@dataclass(slots=True)
 class SetTimer:
     """Arm the session timer for ``delay`` seconds, replacing any pending timer."""
 
@@ -146,13 +133,17 @@ class ForwardToIngest:
     payload: SendDataPayload
 
 
-Action = Union[SendFrame, SetTimer, LogWarning, ForwardToIngest]
+# A Frame action is a send: on the control channel if its type is in
+# ``wire.CONTROL_TYPES``, else on the data channel.
+Action = Union[Frame, SetTimer, LogWarning, ForwardToIngest]
 
 
 def describe(obj) -> str:
     """Compact event/action label for trace lines."""
-    if isinstance(obj, SendFrame):
-        return f"SendFrame({obj.frame.msg_type.name},{obj.channel.value})"
+    if isinstance(obj, Frame):
+        # Named as when a send was its own action class, so traces compare across versions.
+        channel = "control" if obj.msg_type in wire.CONTROL_TYPES else "data"
+        return f"SendFrame({obj.msg_type.name},{channel})"
     if isinstance(obj, SetTimer):
         return f"SetTimer({obj.delay:g})"
     if isinstance(obj, ReadingsAvailable):
@@ -222,7 +213,7 @@ def _senddata_frame(state: NodeState, batch: PendingBatch) -> Frame:
 def _reqconn_actions(state: NodeState, timing: SessionTiming) -> tuple[NodeState, list[Action]]:
     state = replace(state, phase=NodePhase.CONNECTING, conn_nonce=state.conn_nonce + 1)
     frame = Frame(MessageType.REQ_CONN, wire.encode_reqconn(state.node_id, state.conn_nonce))
-    return state, [SendFrame(frame, Channel.DATA), SetTimer(timing.connect_timeout)]
+    return state, [frame, SetTimer(timing.connect_timeout)]
 
 
 def _enter_backoff(state: NodeState, now: float) -> tuple[NodeState, list[Action]]:
@@ -284,7 +275,7 @@ def node_step(
         state = _queue_batch(state, event)
         if phase is NodePhase.STREAMING:
             return state, [
-                SendFrame(_senddata_frame(state, state.pending[-1]), Channel.DATA),
+                _senddata_frame(state, state.pending[-1]),
                 SetTimer(timing.retransmit_interval),
             ]
         return state, []
@@ -304,16 +295,16 @@ def node_step(
         if isinstance(event, TimerFired):
             state = replace(state, phase=NodePhase.ACQUIRING_IP)
             frame = Frame(MessageType.REQ_IP, wire.encode_reqip(state.node_id))
-            return state, [SendFrame(frame, Channel.CONTROL), SetTimer(timing.ip_retry)]
+            return state, [frame, SetTimer(timing.ip_retry)]
 
     elif phase is NodePhase.ACQUIRING_IP:
         if isinstance(event, IpAssigned):
             state = replace(state, phase=NodePhase.ANNOUNCING_IP, node_ip=event.ip)
             frame = Frame(MessageType.SEND_IP, wire.encode_sendip(state.node_id, event.ip))
-            return state, [SendFrame(frame, Channel.CONTROL), SetTimer(0.0)]
+            return state, [frame, SetTimer(0.0)]
         if isinstance(event, TimerFired):
             frame = Frame(MessageType.REQ_IP, wire.encode_reqip(state.node_id))
-            return state, [SendFrame(frame, Channel.CONTROL), SetTimer(timing.ip_retry)]
+            return state, [frame, SetTimer(timing.ip_retry)]
 
     elif phase is NodePhase.ANNOUNCING_IP:
         if isinstance(event, TimerFired):
@@ -330,16 +321,14 @@ def node_step(
             if state.server_ip is not None:
                 return _reqconn_actions(state, timing)
             frame = Frame(MessageType.SEND_IP, wire.encode_sendip(state.node_id, state.node_ip or "0.0.0.0"))
-            return state, [SendFrame(frame, Channel.CONTROL), SetTimer(timing.announce_timeout)]
+            return state, [frame, SetTimer(timing.announce_timeout)]
 
     elif phase is NodePhase.CONNECTING:
         if isinstance(event, ConnAckReceived):
             if event.nonce != state.conn_nonce:
                 return state, [LogWarning(f"stale CONN_ACK nonce {event.nonce}")]
             state = replace(state, phase=NodePhase.STREAMING, session_id=event.session_id, attempt=0)
-            actions: list[Action] = [
-                SendFrame(_senddata_frame(state, b), Channel.DATA) for b in state.pending
-            ]
+            actions: list[Action] = [_senddata_frame(state, b) for b in state.pending]
             actions.append(SetTimer(timing.retransmit_interval if state.pending else timing.heartbeat_interval))
             return state, actions
         if isinstance(event, (TimerFired, LinkDown)):
@@ -348,13 +337,10 @@ def node_step(
     elif phase is NodePhase.STREAMING:
         if isinstance(event, TimerFired):
             if state.pending:
-                actions = [SendFrame(_senddata_frame(state, b), Channel.DATA) for b in state.pending]
+                actions = [_senddata_frame(state, b) for b in state.pending]
                 actions.append(SetTimer(timing.retransmit_interval))
                 return state, actions
-            return state, [
-                SendFrame(Frame(MessageType.HEARTBEAT), Channel.DATA),
-                SetTimer(timing.heartbeat_interval),
-            ]
+            return state, [Frame(MessageType.HEARTBEAT), SetTimer(timing.heartbeat_interval)]
         if isinstance(event, LinkDown):
             return _enter_backoff(replace(state, attempt=0), now)
         if isinstance(event, ConnAckReceived):
@@ -369,7 +355,7 @@ def node_step(
             if state.attempt >= 3 and state.attempt % 3 == 0 and state.node_ip is not None:
                 state = replace(state, phase=NodePhase.AWAITING_SERVER_IP)
                 frame = Frame(MessageType.SEND_IP, wire.encode_sendip(state.node_id, state.node_ip))
-                return state, [SendFrame(frame, Channel.CONTROL), SetTimer(timing.announce_timeout)]
+                return state, [frame, SetTimer(timing.announce_timeout)]
             return _reqconn_actions(state, timing)
         if isinstance(event, LinkDown):
             return state, []  # already down
@@ -380,7 +366,7 @@ def node_step(
 @dataclass(slots=True)
 class NodeDriver:
     """Runs the node machine for a transport, through two of its callbacks:
-    ``send(SendFrame) -> bool`` (False: the link failed) and ``set_timer(delay)``,
+    ``send(Frame) -> bool`` (False: the link failed) and ``set_timer(delay)``,
     which replaces any pending timer. Timers and warnings are applied before
     any send, so a failed send maps to one ``LinkDown`` that no later
     ``SetTimer`` of the step overrides. ``observe(now, state, event, actions)``
@@ -389,7 +375,7 @@ class NodeDriver:
 
     state: NodeState
     timing: SessionTiming
-    send: Callable[[SendFrame], bool]
+    send: Callable[[Frame], bool]
     set_timer: Callable[[float], None]
     observe: Callable | None = None
     step: Callable = node_step
@@ -401,14 +387,14 @@ class NodeDriver:
             self.observe(now, state, event, actions)
         sends = []
         for action in actions:
-            if isinstance(action, SendFrame):
+            if isinstance(action, Frame):
                 sends.append(action)
             elif isinstance(action, SetTimer):
                 self.set_timer(action.delay)
             elif isinstance(action, LogWarning):
                 logger.warning(action.message)
-        for action in sends:
-            if not self.send(action):
+        for frame in sends:
+            if not self.send(frame):
                 self.feed(LinkDown(), now)
                 break
 
@@ -462,15 +448,13 @@ def server_step(
         state = replace(state, client_ip=event.ip)
         if phase is ServerPhase.AWAITING_ANNOUNCE:
             state = replace(state, phase=ServerPhase.KNOWN_CLIENT)
-        frame = Frame(MessageType.SERVER_IP, wire.encode_serverip(SERVER_IP))
-        return state, [SendFrame(frame, Channel.CONTROL, to_node=event.node_id)]
+        return state, [Frame(MessageType.SERVER_IP, wire.encode_serverip(SERVER_IP))]
 
     if isinstance(event, ReqConnReceived):
         if phase is ServerPhase.AWAITING_ANNOUNCE:
             return state, [LogWarning(f"REQ_CONN from unannounced node {event.node_id}")]
         state = replace(state, phase=ServerPhase.CONNECTED, session_id=event.session_id)
-        frame = Frame(MessageType.CONN_ACK, wire.encode_connack(event.session_id, event.nonce))
-        return state, [SendFrame(frame, Channel.DATA, to_node=event.node_id)]
+        return state, [Frame(MessageType.CONN_ACK, wire.encode_connack(event.session_id, event.nonce))]
 
     if isinstance(event, SendDataReceived):
         if phase is not ServerPhase.CONNECTED:
@@ -482,7 +466,7 @@ def server_step(
             )]
         ack = Frame(MessageType.DATA_ACK, wire.encode_dataack(event.payload.seq))
         # Ingest precedes the ack so an acknowledged batch is always durable.
-        return state, [ForwardToIngest(event.payload), SendFrame(ack, Channel.DATA, to_node=state.node_id)]
+        return state, [ForwardToIngest(event.payload), ack]
 
     if isinstance(event, LinkDown):
         if phase is ServerPhase.CONNECTED:

@@ -5,7 +5,7 @@ allocates session ids, forwards batches to the repository and triggers one
 alert evaluation per ingested batch. Transport-agnostic: both the
 discrete-event replay harness and the socket server start it with
 ``ServerEngine.open``, feed it frames through ``handle_frame`` and transmit
-the ``SendFrame`` replies it returns.
+the reply frames it returns.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from slopewatch.domain import CalibrationConstants, SensorKind
 from slopewatch.ingest import MissingConstantsError, Repository
 from slopewatch.session import (
     AnnounceReceived,
-    Channel,
     ForwardToIngest,
     LinkDown,
     LogWarning,
     ReqConnReceived,
     SendDataReceived,
-    SendFrame,
     ServerSessionState,
     TraceLog,
     server_step,
@@ -82,13 +80,13 @@ class ServerEngine:
             logger.warning("malformed %s payload: %s", frame.msg_type.name, exc)
             return None
 
-    def _step(self, node_id: int, event, now: float) -> list[SendFrame]:
+    def _step(self, node_id: int, event, now: float) -> list[Frame]:
         state = self._state_of(node_id)
         new_state, actions = server_step(state, event, now)
         self.sessions[node_id] = new_state
         if self.trace is not None:
             self.trace.record(now, "server", node_id, new_state.phase.value, event, actions)
-        out: list[SendFrame] = []
+        out: list[Frame] = []
         for action in actions:
             if isinstance(action, ForwardToIngest):
                 try:
@@ -100,7 +98,7 @@ class ServerEngine:
                 self.records_stored += len(stored)
                 self.duplicates_skipped += len(action.payload.readings) - len(stored)
                 self.alert_engine.evaluate_batch(stored)
-            elif isinstance(action, SendFrame):
+            elif isinstance(action, Frame):
                 out.append(action)
             elif isinstance(action, LogWarning):
                 self.violations += 1
@@ -112,21 +110,20 @@ class ServerEngine:
     def synthetic_ip_for(self, node_id: int) -> str:
         return f"10.77.{(node_id >> 8) & 0xFF}.{node_id & 0xFF}"
 
-    def handle_frame(self, frame: Frame, now: float) -> list[SendFrame]:
-        """Any frame from a node; each reply names the node it goes to."""
-        if frame.msg_type in (MessageType.REQ_IP, MessageType.SEND_IP):
+    def handle_frame(self, frame: Frame, now: float) -> list[Frame]:
+        """Any frame from a node; the replies go back to that node."""
+        if frame.msg_type in wire.CONTROL_TYPES:
             return self.handle_control_frame(frame, now)
         return self.handle_data_frame(frame, now)
 
-    def handle_control_frame(self, frame: Frame, now: float) -> list[SendFrame]:
+    def handle_control_frame(self, frame: Frame, now: float) -> list[Frame]:
         """Control-channel frames: IP acquisition and address announcements."""
         if frame.msg_type is MessageType.REQ_IP:
             # Stand-in for the carrier: assign a synthetic address.
             node_id = self._decode(wire.decode_reqip, frame)
             if node_id is None:
                 return []
-            reply = Frame(MessageType.IP_ASSIGN, wire.encode_ipassign(self.synthetic_ip_for(node_id)))
-            return [SendFrame(reply, Channel.CONTROL, to_node=node_id)]
+            return [Frame(MessageType.IP_ASSIGN, wire.encode_ipassign(self.synthetic_ip_for(node_id)))]
         if frame.msg_type is MessageType.SEND_IP:
             announced = self._decode(wire.decode_sendip, frame)
             if announced is None:
@@ -136,7 +133,7 @@ class ServerEngine:
         logger.warning("unexpected %s on control channel", frame.msg_type.name)
         return []
 
-    def handle_data_frame(self, frame: Frame, now: float) -> list[SendFrame]:
+    def handle_data_frame(self, frame: Frame, now: float) -> list[Frame]:
         """Data-channel frames: connection requests, batches, heartbeats."""
         if frame.msg_type is MessageType.REQ_CONN:
             request = self._decode(wire.decode_reqconn, frame)
@@ -168,7 +165,7 @@ class ServerEngine:
         logger.warning("unexpected %s on data channel", frame.msg_type.name)
         return []
 
-    def handle_link_down(self, node_id: int, now: float, session_id: int | None = None) -> list[SendFrame]:
+    def handle_link_down(self, node_id: int, now: float, session_id: int | None = None) -> list[Frame]:
         """The node's link is gone. With ``session_id``, only if that session
         is still the node's live one: an old connection closing must not end
         the session a newer connection holds."""

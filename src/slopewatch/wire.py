@@ -60,6 +60,10 @@ class MessageType(IntEnum):
 # By code: calling MessageType(code) costs ten times a dict lookup.
 _MESSAGE_TYPES = {t.value: t for t in MessageType}
 
+# The types that travel the lossless control channel (the text-message
+# route); every other type goes on the lossy data channel.
+CONTROL_TYPES = frozenset({MessageType.REQ_IP, MessageType.IP_ASSIGN, MessageType.SEND_IP, MessageType.SERVER_IP})
+
 
 # ---------------------------------------------------------------------------
 # Errors

@@ -128,6 +128,49 @@ def test_bad_sample_interval_directive_exits_two(tmp_path, capsys):
     assert out == "" and not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("offset", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["replay", "node"])
+def test_scenario_offset_that_is_not_finite_exits_two(command, offset, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# sample_interval_s: 60\nt_offset_s,sensor,raw\n60,rain_gauge,1\n{offset},rain_gauge,2\n")
+    argv = [command, "--scenario", str(bad)]
+    if command == "replay":
+        argv += ["--config", DEMO, "--store", str(tmp_path / "s")]
+    else:
+        argv += ["--connect", "127.0.0.1:9"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "bad.csv line 4" in err and "not finite" in err
+    assert out == "" and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("node_id", ["70000", "65536", "-1", "x"])
+@pytest.mark.parametrize("command", ["replay", "node"])
+def test_node_id_outside_uint16_exits_two_before_opening_anything(command, node_id, tmp_path, capsys):
+    store = tmp_path / "s"
+    argv = [command, "--scenario", "three_day_rain", "--node-id", node_id]
+    if command == "replay":
+        argv += ["--config", DEMO, "--store", str(store)]
+    else:
+        argv += ["--connect", "127.0.0.1:9"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--node-id" in captured.err and "0 to 65535" in captured.err
+    assert captured.out == "" and not store.exists()
+
+
+@pytest.mark.parametrize("node_id", ["0", "65535"])
+def test_node_id_bounds_are_accepted(node_id, tmp_path, capsys):
+    store = tmp_path / "s"
+    code, out, _ = run_cli(["replay", "--config", DEMO, "--scenario", "three_day_rain",
+                            "--store", str(store), "--seed", "3", "--node-id", node_id], capsys)
+    assert code == EXIT_OK
+    assert "records stored      138" in out
+    assert f",{node_id},rain_gauge,1," in (store / "readings.csv").read_text()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -159,6 +202,26 @@ def test_busy_port_exits_one_without_creating_the_store(tmp_path, capsys):
                                 "--listen", f"127.0.0.1:{port}"], capsys)
     assert code == EXIT_RUNTIME
     assert out == "" and not (tmp_path / "s").exists()
+
+
+def test_store_that_cannot_be_opened_exits_one_with_the_socket_closed(tmp_path, capsys, caplog):
+    import socket
+
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with caplog.at_level("ERROR", logger="slopewatch.nettransport"):
+        code, out, _ = run_cli(["server", "--config", DEMO, "--store", str(not_a_dir / "store"),
+                                "--listen", f"127.0.0.1:{port}"], capsys)
+    assert code == EXIT_RUNTIME
+    assert out == ""
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith(f"cannot open store {not_a_dir / 'store'}: ") for m in messages), messages
+    assert not any("cannot bind" in m for m in messages)
+    with socket.socket() as again:  # the station's listening socket was closed
+        again.bind(("127.0.0.1", port))
 
 
 @pytest.mark.parametrize(
@@ -235,6 +298,27 @@ class TestReplayCommand:
         assert code == EXIT_OK
         severs = int(next(l for l in out.splitlines() if l.startswith("link severs")).split()[-1])
         assert severs >= 2
+
+
+    def test_second_replay_into_the_same_store_exits_two_and_leaves_it_unchanged(self, tmp_path, capsys):
+        store = tmp_path / "st"
+        argv = ["replay", "--config", DEMO, "--scenario", "three_day_rain", "--store", str(store), "--seed", "7"]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+        before = {p.name: p.read_bytes() for p in store.iterdir()}
+        assert "readings.csv" in before and "alerts.ndjson" in before
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and str(store) in err
+        assert out == ""
+        assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+
+    def test_replay_into_a_store_without_readings(self, tmp_path, capsys):
+        store = tmp_path / "empty"
+        Repository(store).close()  # the header alone
+        code, out, _ = run_cli(["replay", "--config", DEMO, "--scenario", "three_day_rain",
+                                "--store", str(store), "--seed", "3"], capsys)
+        assert code == EXIT_OK
+        assert "records stored      138" in out
 
 
 class TestAnalyzeCommand:

@@ -39,8 +39,8 @@ class Recorder:
         self.log: list[tuple] = []
         self.send_ok = send_ok
 
-    def send(self, action) -> bool:
-        self.log.append(("send", action.frame.msg_type))
+    def send(self, frame) -> bool:
+        self.log.append(("send", frame.msg_type))
         return self.send_ok
 
     def set_timer(self, delay: float) -> None:

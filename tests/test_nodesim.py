@@ -49,6 +49,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="negative"):
             load_scenario(write_scenario(tmp_path, body))
 
+    @pytest.mark.parametrize("offset", ["inf", "nan"])
+    def test_offset_that_is_not_finite_rejected(self, tmp_path, offset):
+        # Loaded, it would make the duration inf or nan, and a replay's tick loop endless.
+        body = f"# sample_interval_s: 60\nt_offset_s,sensor,raw\n60,rain_gauge,1\n{offset},rain_gauge,2\n"
+        with pytest.raises(ScenarioError, match="line 4: t_offset_s .* is not finite"):
+            load_scenario(write_scenario(tmp_path, body))
+
     def test_bad_raw_and_bad_header(self, tmp_path):
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(write_scenario(tmp_path, "t_offset_s,sensor,raw\n5,rain_gauge,xx\n"))

@@ -336,3 +336,32 @@ class TestGoldenReplays:
             digests[name] = sha256((store / name).read_bytes())
         assert digests == OUTPUT_DIGESTS[scenario]
         assert sha256(summary.format().encode()) == SUMMARY_DIGESTS[(scenario, seed)]
+
+# sha256 of the `replay --trace` CSV, per (scenario, link seed, forced
+# disconnects), under the demo config.
+TRACE_DIGESTS = {
+    ("seven_day_rain", 7, 0): "122df8b5359bbd79e98fbad6be817bd154d0ca9e38cd0e1cc9e288dabe63afb4",
+    ("seven_day_rain", 7, 3): "16d8b47d78d05c6b44dd6f77b43b3b4f2111faed63b8ca30c0ada32899252eb7",
+    ("seven_day_rain", 17, 0): "f9e1065ddc71bc68c76b48e4456f22ed57709e2ff4e6bd353cc507dde5a953e3",
+    ("seven_day_rain", 17, 3): "5dd7473dcf73d2f8735e1d6f9fc11c2f36a155adb406842258fe16e8422e19f5",
+    ("seven_day_rain", 44, 0): "24937ed827405c85223a283fcc9224628b180c18f28d168e4a2e59d90712fc7a",
+    ("seven_day_rain", 44, 3): "cff9bd484249d7fc284097d72d7a4c498cbbb4be9a506b75815d14c1d38da858",
+    ("three_day_rain", 7, 0): "ede2557254a8ad79caead26396de94fb81ece2f8f55b9dacdc67793d9adc7855",
+    ("three_day_rain", 7, 3): "dcbf77eed53713cdc519b0ce08197d1672e85d5c47a99a2b0f75d1af8730f6e6",
+    ("three_day_rain", 17, 0): "0ebe98f5ea20efd0d19625169cff1c2e592c0300bed2664097e6d291f85da49b",
+    ("three_day_rain", 17, 3): "ee912c22918dee98eaba1cefa372a18044e276df349ae92e8c2bdc83f6341c5d",
+    ("three_day_rain", 44, 0): "58a4c3ca8f60bdabcdc8a284a46be4b88c3c04bfe643b17b99536c98cf20c71c",
+    ("three_day_rain", 44, 3): "226688419d83575bb0583488b14f4f63b6e2c98b22f8dd98317c93a794cea9f4",
+}
+
+
+@pytest.mark.parametrize("scenario, seed, disconnects", sorted(TRACE_DIGESTS))
+def test_trace_matches_recorded_digest(scenario, seed, disconnects, tmp_path, capsys):
+    from slopewatch.cli import main
+
+    trace = tmp_path / "trace.csv"
+    assert main(["replay", "--config", str(DEMO), "--scenario", scenario, "--seed", str(seed),
+                 "--force-disconnects", str(disconnects), "--store", str(tmp_path / "store"),
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert sha256(trace.read_bytes()) == TRACE_DIGESTS[(scenario, seed, disconnects)]

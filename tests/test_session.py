@@ -11,7 +11,6 @@ import pytest
 from slopewatch.domain import RawReading, SensorKind
 from slopewatch.session import (
     AnnounceReceived,
-    Channel,
     ConnAckReceived,
     DataAckReceived,
     ForwardToIngest,
@@ -25,7 +24,6 @@ from slopewatch.session import (
     ReadingsAvailable,
     ReqConnReceived,
     SendDataReceived,
-    SendFrame,
     ServerIpReceived,
     ServerPhase,
     ServerSessionState,
@@ -48,7 +46,7 @@ def reading(seq, ts=1000, sensor=SensorKind.RAIN_GAUGE, raw=3, node=1):
 
 
 def sent_types(actions):
-    return [a.frame.msg_type for a in actions if isinstance(a, SendFrame)]
+    return [a.msg_type for a in actions if isinstance(a, Frame)]
 
 
 class TestBackoff:
@@ -82,7 +80,7 @@ class TestNodeMachine:
         state, actions = node_step(NodeState(node_id=7), TimerFired(), now=0.0)
         assert state.phase is NodePhase.ACQUIRING_IP
         assert sent_types(actions) == [MessageType.REQ_IP]
-        assert actions[0].channel is Channel.CONTROL
+        assert actions[0] == Frame(MessageType.REQ_IP, wire.encode_reqip(7))
 
     def test_full_happy_path(self):
         state = NodeState(node_id=7)
@@ -105,8 +103,8 @@ class TestNodeMachine:
         batch = (reading(1), reading(2))
         state, actions = node_step(state, ReadingsAvailable(batch), 10.0)
         assert [b.seq for b in state.pending] == [1]
-        send = [a for a in actions if isinstance(a, SendFrame)][0]
-        payload = decode_senddata(send.frame.payload)
+        send = [a for a in actions if isinstance(a, Frame)][0]
+        payload = decode_senddata(send.payload)
         assert payload.seq == 1 and len(payload.readings) == 2
         state, actions = node_step(state, DataAckReceived(1), 11.0)
         assert state.pending == ()
@@ -159,8 +157,8 @@ class TestNodeMachine:
         nonce = state.conn_nonce
         state, actions = node_step(state, ConnAckReceived(9, nonce), 14.0)
         assert state.phase is NodePhase.STREAMING
-        sends = [a for a in actions if isinstance(a, SendFrame)]
-        payloads = [decode_senddata(a.frame.payload) for a in sends]
+        sends = [a for a in actions if isinstance(a, Frame)]
+        payloads = [decode_senddata(a.payload) for a in sends]
         assert [p.seq for p in payloads] == [1, 2]
         assert all(p.session_id == 9 for p in payloads)
 
@@ -202,8 +200,7 @@ class TestServerMachine:
         state, actions = server_step(state, AnnounceReceived(7, "10.77.0.7"), 0.0)
         assert state.phase is ServerPhase.KNOWN_CLIENT
         assert state.client_ip == "10.77.0.7"
-        assert sent_types(actions) == [MessageType.SERVER_IP]
-        assert actions[0].channel is Channel.CONTROL
+        assert actions == [Frame(MessageType.SERVER_IP, wire.encode_serverip("10.0.0.1"))]
 
     def test_reannounce_replaces_ip(self):
         state = ServerSessionState(node_id=7, phase=ServerPhase.KNOWN_CLIENT, client_ip="10.77.0.7")
@@ -222,8 +219,7 @@ class TestServerMachine:
         payload = SendDataPayload(session_id=11, seq=5, timestamp=99, readings=((1, 2),))
         state, actions = server_step(state, SendDataReceived(payload), 2.0)
         assert isinstance(actions[0], ForwardToIngest)  # durability precedes the ack
-        assert isinstance(actions[1], SendFrame)
-        assert actions[1].frame.msg_type is MessageType.DATA_ACK
+        assert actions[1] == Frame(MessageType.DATA_ACK, wire.encode_dataack(5))
 
     def test_stale_session_not_acked(self):
         state = _connected_state()

@@ -37,7 +37,7 @@ def connect(engine: ServerEngine) -> int:
     """Announce and connect NODE; returns its session id."""
     engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
     (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)), 0.0)
-    return wire.decode_connack(ack.frame.payload)[0]
+    return wire.decode_connack(ack.payload)[0]
 
 
 def send_data(session_id: int, seq: int) -> Frame:
@@ -67,7 +67,7 @@ def test_malformed_send_data_is_a_violation_and_not_acked(engine, corrupt):
     assert (engine.batches_ingested, engine.records_stored, len(engine.repo)) == (0, 0, 0)
     # The session is untouched: the next good batch is stored and acked.
     (ack,) = engine.handle_data_frame(send_data(session_id, 5), 2.0)
-    assert ack.frame.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.frame.payload) == 5
+    assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 5
     assert engine.records_stored == len(READINGS)
     assert engine.sessions[NODE].phase is ServerPhase.CONNECTED
 

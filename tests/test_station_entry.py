@@ -8,13 +8,12 @@ from slopewatch import replay, wire
 from slopewatch.config import load_config
 from slopewatch.nodesim import load_scenario, resolve_scenario
 from slopewatch.replay import SimReplay
-from slopewatch.session import Channel, SendFrame, ServerPhase, TraceLog
+from slopewatch.session import SERVER_IP, LossyLink, ServerPhase, TraceLog
 from slopewatch.station import ServerEngine
 from slopewatch.wire import Frame, MessageType, SendDataPayload
 
 DEMO = Path(__file__).resolve().parent.parent / "config" / "demo.ini"
 NODE = 3
-CONTROL_TYPES = {MessageType.REQ_IP, MessageType.SEND_IP}
 
 
 class NullSink:
@@ -37,7 +36,7 @@ def announce(engine: ServerEngine) -> None:
 
 def connect(engine: ServerEngine, nonce: int) -> int:
     (ack,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, nonce)), 0.0)
-    return wire.decode_connack(ack.frame.payload)[0]
+    return wire.decode_connack(ack.payload)[0]
 
 
 def send_data(session_id: int, seq: int) -> Frame:
@@ -69,44 +68,50 @@ def test_handle_frame_routes_like_the_channels(msg_type, engine, monkeypatch):
     monkeypatch.setattr(ServerEngine, "handle_data_frame",
                         lambda self, frame, now: reached.append("data") or [])
     assert engine.handle_frame(Frame(msg_type, b""), 0.0) == []
-    assert reached == ["control" if msg_type in CONTROL_TYPES else "data"]
+    assert reached == ["control" if msg_type in wire.CONTROL_TYPES else "data"]
 
 
-def test_replies_name_their_node(engine):
+def test_replies_are_whole_frames(engine):
     (ip,) = engine.handle_frame(Frame(MessageType.REQ_IP, wire.encode_reqip(NODE)), 0.0)
-    assert ip == SendFrame(Frame(MessageType.IP_ASSIGN, wire.encode_ipassign("10.77.0.3")),
-                           Channel.CONTROL, to_node=NODE)
+    assert ip == Frame(MessageType.IP_ASSIGN, wire.encode_ipassign("10.77.0.3"))
     (server_ip,) = engine.handle_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
+    assert server_ip == Frame(MessageType.SERVER_IP, wire.encode_serverip(SERVER_IP))
     (conn,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 5)), 0.0)
-    (ack,) = engine.handle_frame(send_data(wire.decode_connack(conn.frame.payload)[0], 0), 1.0)
-    assert [(s.frame.msg_type, s.channel, s.to_node) for s in (server_ip, conn, ack)] == [
-        (MessageType.SERVER_IP, Channel.CONTROL, NODE),
-        (MessageType.CONN_ACK, Channel.DATA, NODE),
-        (MessageType.DATA_ACK, Channel.DATA, NODE),
-    ]
+    assert conn == Frame(MessageType.CONN_ACK, wire.encode_connack(1, 5))
+    (ack,) = engine.handle_frame(send_data(1, 0), 1.0)
+    assert ack == Frame(MessageType.DATA_ACK, wire.encode_dataack(0))
 
 
-def test_node_sends_control_types_on_the_control_channel(tmp_path, monkeypatch):
-    # Replay used to route by channel; routing by type is the same only if
-    # the node puts exactly REQ_IP and SEND_IP on the control channel.
-    sends = []
+def test_control_frames_never_reach_the_lossy_link(tmp_path, monkeypatch):
+    # Every data frame the node sends goes through LossyLink.deliver, in
+    # order; no control-channel type ever does, in either direction.
+    sent = []
     step = replay.node_step
 
     def recording_step(*args, **kwargs):
         state, actions = step(*args, **kwargs)
-        sends.extend(a for a in actions if isinstance(a, SendFrame))
+        sent.extend(a for a in actions if isinstance(a, Frame))
         return state, actions
 
+    offered = {"up": [], "down": []}
+    deliver = LossyLink.deliver
+
+    def recording_deliver(self, frame_bytes, now, direction="up"):
+        offered[direction].append(wire.decode_frame(frame_bytes))
+        return deliver(self, frame_bytes, now, direction)
+
     monkeypatch.setattr(replay, "node_step", recording_step)
+    monkeypatch.setattr(LossyLink, "deliver", recording_deliver)
     scenario = load_scenario(resolve_scenario("three_day_rain"))
     sim = SimReplay(scenario, load_config(DEMO), str(tmp_path / "store"), seed=4,
                     force_disconnect_at=(scenario.duration / 3,), server_restart_at=scenario.duration / 2,
                     sinks=[NullSink()])
     sim.run()
-    assert {s.frame.msg_type for s in sends} >= set(MessageType) - {
+    node_types = set(MessageType) - {
         MessageType.IP_ASSIGN, MessageType.SERVER_IP, MessageType.CONN_ACK, MessageType.DATA_ACK}
-    for s in sends:
-        assert (s.channel is Channel.CONTROL) == (s.frame.msg_type in CONTROL_TYPES), s
+    assert {f.msg_type for f in sent} == node_types
+    assert offered["up"] == [f for f in sent if f.msg_type not in wire.CONTROL_TYPES]
+    assert {f.msg_type for f in offered["down"]} == {MessageType.CONN_ACK, MessageType.DATA_ACK}
 
 
 class TestStaleLinkDown:
@@ -121,7 +126,7 @@ class TestStaleLinkDown:
         state = engine.sessions[NODE]
         assert (state.phase, state.session_id) == (ServerPhase.CONNECTED, new)
         (ack,) = engine.handle_frame(send_data(new, 0), 2.0)
-        assert ack.frame.msg_type is MessageType.DATA_ACK
+        assert ack.msg_type is MessageType.DATA_ACK
         assert engine.violations == 0
 
     def test_live_session_link_down_ends_it(self, engine):

@@ -67,7 +67,7 @@ VALUE_CLASSES = [
     session.IpAssigned, session.ServerIpReceived, session.ConnAckReceived,
     session.DataAckReceived, session.LinkDown, session.TimerFired,
     session.ReadingsAvailable, session.AnnounceReceived, session.ReqConnReceived,
-    session.SendDataReceived, session.SendFrame, session.SetTimer,
+    session.SendDataReceived, session.SetTimer,
     session.LogWarning, session.ForwardToIngest, session.PendingBatch,
     session.NodeState, session.ServerSessionState, session.TraceRecord,
     ExceedanceSet, ValueSnapshot, AlertDecision, AlertState, Notification, DispatchResult,

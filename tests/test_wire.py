@@ -6,6 +6,8 @@ and ``wire.crc16``.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -237,3 +239,14 @@ class TestSendDataCodec:
         assert wire.decode_reqconn(wire.encode_reqconn(12, 99)) == (12, 99)
         assert wire.decode_connack(wire.encode_connack(5, 99)) == (5, 99)
         assert wire.decode_dataack(wire.encode_dataack(41)) == 41
+
+
+def test_control_types_match_the_documented_channels():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "wire_format.md").read_text(encoding="utf-8")
+
+    def carried(channel: str) -> set[str]:
+        bullet = re.search(rf"\* \*\*{channel} channel\*\*:(.*?)Carries(.*?)\.\n", doc, re.S)
+        return set(re.findall(r"[A-Z_]{3,}", bullet.group(2)))
+
+    assert carried("Control") == {t.name for t in wire.CONTROL_TYPES}
+    assert carried("Data") == {t.name for t in MessageType} - carried("Control")
