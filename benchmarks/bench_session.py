@@ -23,7 +23,7 @@ Each figure includes the call of a lambda, about 0.05 µs.
 import argparse
 import time
 
-from slopewatch.domain import RawReading, SensorKind
+from slopewatch.domain import SensorKind
 from slopewatch.session import (
     DataAckReceived,
     NodePhase,
@@ -61,15 +61,15 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=5, help="rounds; the best is printed")
     args = parser.parse_args()
 
-    batch = tuple(RawReading(1, 100 + i, T0, kind, 10 * i) for i, kind in enumerate(SensorKind))
-    readings = tuple((r.sensor.code, r.raw) for r in batch)
+    readings = tuple((kind.code, 10 * i) for i, kind in enumerate(SensorKind))
+    batch = PendingBatch(100, T0, readings)
     streaming = NodeState(
         node_id=1, phase=NodePhase.STREAMING, node_ip="10.0.0.2", server_ip="10.0.0.1",
         session_id=7, conn_nonce=1,
     )
     awaiting_ack = NodeState(
         node_id=1, phase=NodePhase.STREAMING, node_ip="10.0.0.2", server_ip="10.0.0.1",
-        session_id=7, conn_nonce=1, pending=(PendingBatch(100, T0, readings),),
+        session_id=7, conn_nonce=1, pending=(batch,),
     )
     connected = ServerSessionState(
         node_id=1, phase=ServerPhase.CONNECTED, client_ip="10.0.0.2", session_id=7

@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,17 @@ def _node_id(text: str) -> int:
     return int(text)
 
 
+def _speedup(text: str) -> float:
+    """A pace in simulated seconds per wall second: positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive, finite speedup")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slopewatch",
@@ -55,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_node.add_argument("--scenario", required=True, help="scenario CSV path or bundled name")
     p_node.add_argument("--node-id", type=_node_id, default=1, help="node identifier, 0-65535 (default 1)")
     p_node.add_argument("--connect", default="127.0.0.1:9470", help="station host:port")
-    p_node.add_argument("--speedup", type=float, default=3600.0,
+    p_node.add_argument("--speedup", type=_speedup, default=3600.0,
                         help="simulated seconds per wall second (default 3600)")
 
     p_server = sub.add_parser("server", help="run the base station")
@@ -68,11 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--scenario", required=True, help="scenario CSV path or bundled name")
     p_replay.add_argument("--store", default="./replay_run", help="store directory")
     p_replay.add_argument("--seed", type=int, default=0, help="link rng seed")
-    p_replay.add_argument("--speedup", type=float, default=0.0,
-                          help="pace the clock (sim seconds per wall second; 0 = as fast as possible)")
     p_replay.add_argument("--node-id", type=_node_id, default=1, help="node identifier, 0-65535 (default 1)")
     p_replay.add_argument("--force-disconnects", type=int, default=0,
-                          help="sever the link N times at evenly spaced points")
+                          help="sever the link N times at evenly spaced points, "
+                               "0 to the scenario's number of sampling intervals")
     p_replay.add_argument("--trace", help="write the protocol event trace to this CSV file")
 
     p_analyze = sub.add_parser("analyze", help="rain events, threshold exceedances, forecasts")
@@ -113,12 +124,17 @@ def cmd_replay(args) -> int:
 
     cfg = load_config(resolve_config_path(args.config))
     scenario = load_scenario(resolve_scenario(args.scenario))
+    n = args.force_disconnects
+    most = math.floor(scenario.duration / scenario.sample_interval)
+    if not 0 <= n <= most:
+        print(f"error: --force-disconnects must be from 0 to {most}, the scenario's sampling "
+              f"intervals, got {n}", file=sys.stderr)
+        return EXIT_CONFIG
     # A replay's node restarts at seq 1, so into a store that holds readings
     # it would store none of them.
     if (Path(args.store) / READINGS_FILE).is_file() and len(Repository(args.store, read_only=True)):
         print(f"error: store {args.store} already holds readings; replay into a new store", file=sys.stderr)
         return EXIT_CONFIG
-    n = args.force_disconnects
     offsets = tuple(scenario.duration * (i + 1) / (n + 1) for i in range(n))
     sim = SimReplay(
         scenario,
@@ -126,7 +142,6 @@ def cmd_replay(args) -> int:
         args.store,
         seed=args.seed,
         node_id=args.node_id,
-        speedup=args.speedup,
         force_disconnect_at=offsets,
         trace=TraceLog() if args.trace else None,
     )

@@ -67,21 +67,6 @@ _BY_NAME = {k.name.lower().replace("_", ""): k for k in SensorKind}
 
 
 @dataclass(slots=True)
-class RawReading:
-    """One uncalibrated sample as produced on the node.
-
-    ``seq`` is assigned strictly increasing per node in generation order;
-    ``raw`` is a signed 32-bit ADC/count value.
-    """
-
-    node_id: int
-    seq: int
-    timestamp: int  # unix seconds
-    sensor: SensorKind
-    raw: int
-
-
-@dataclass(slots=True)
 class CalibratedReading:
     """An engineering-unit sample, produced at the base station."""
 

@@ -18,7 +18,7 @@ import time
 from slopewatch import wire
 from slopewatch.config import Config, ConfigError, build_sinks
 from slopewatch.ingest import StoreError
-from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
+from slopewatch.nodesim import Scenario, ScenarioPlayer
 from slopewatch.session import (
     LinkDown,
     NodeDriver,
@@ -179,10 +179,10 @@ class NodeRunner:
     ):
         self.addr = parse_address(connect, listening=False)
         self.scenario = scenario
-        self.speedup = max(speedup, 1e-9)
+        self.speedup = speedup
         self.start_wall = time.monotonic()
         self.start_ts = int(time.time())
-        self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=self.start_ts)
+        self.player = ScenarioPlayer(scenario, start_ts=self.start_ts)
         self.driver = NodeDriver(NodeState(node_id=node_id), NODE_TIMING, send=self._send,
                                  set_timer=self._set_timer)
         self.sock: socket.socket | None = None
@@ -201,7 +201,7 @@ class NodeRunner:
         while not (self.player.exhausted and not self.driver.state.pending):
             now = self._sim_now()
             if now >= next_tick:
-                for batch in group_batches(self.player.emit_readings(min(now, end_ts))):
+                for batch in self.player.emit_readings(min(now, end_ts)):
                     self.driver.feed(ReadingsAvailable(batch), self._sim_now())
                 next_tick += self.scenario.sample_interval
             if self._timer_at is not None and time.monotonic() >= self._timer_at:

@@ -1,8 +1,9 @@
 """Scenario-driven synthetic sensor node.
 
 A scenario is a CSV timeline of raw sensor counts (header
-``t_offset_s,sensor,raw``); the player turns due steps into RawReadings
-with gapless per-node sequence numbers. Bundled storm fixtures live in
+``t_offset_s,sensor,raw``); the player turns due steps into the node's
+``PendingBatch``es, each ready for one SEND_DATA frame, with gapless
+per-node sequence numbers. Bundled storm fixtures live in
 ``slopewatch/scenarios`` and can be referenced by bare name.
 """
 
@@ -15,7 +16,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from slopewatch.domain import RawReading, SensorKind
+from slopewatch.domain import SensorKind
+from slopewatch.session import PendingBatch
 from slopewatch.wire import MAX_READINGS_PER_FRAME
 
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
@@ -133,55 +135,35 @@ def resolve_scenario(name_or_path: str) -> Path:
 class ScenarioPlayer:
     """Stateful cursor over a scenario; emits each step exactly once.
 
-    Readings carry ``timestamp = start_ts + t_offset`` (floored to whole
-    seconds for the wire) and a strictly increasing seq starting at 1.
+    A step is due at ``start_ts + t_offset``; its reading carries that time
+    floored to whole seconds for the wire. Reading seqs start at 1 and have
+    no gaps.
     """
 
     scenario: Scenario
-    node_id: int
     start_ts: int
     _cursor: int = 0
-    _next_seq: int = 1
     emitted: int = field(default=0)
 
-    def emit_readings(self, up_to: float) -> list[RawReading]:
-        """All not-yet-emitted steps due at or before ``up_to`` (absolute time)."""
-        out: list[RawReading] = []
-        steps = self.scenario.steps
+    def emit_readings(self, up_to: float) -> list[PendingBatch]:
+        """All not-yet-emitted steps due at or before ``up_to`` (absolute time),
+        as batches: each a run of steps with one whole-second timestamp, of at
+        most ``MAX_READINGS_PER_FRAME`` readings. A batch's seq is its first
+        reading's."""
+        steps, runs = self.scenario.steps, []
         while self._cursor < len(steps) and self.start_ts + steps[self._cursor].t_offset <= up_to:
             step = steps[self._cursor]
-            out.append(
-                RawReading(
-                    node_id=self.node_id,
-                    seq=self._next_seq,
-                    timestamp=int(self.start_ts + step.t_offset),
-                    sensor=step.sensor,
-                    raw=step.raw,
-                )
-            )
+            ts = int(self.start_ts + step.t_offset)
+            if not runs or runs[-1][0] != ts or len(runs[-1][1]) == MAX_READINGS_PER_FRAME:
+                runs.append((ts, []))
+            runs[-1][1].append((step.sensor.code, step.raw))
             self._cursor += 1
-            self._next_seq += 1
-        self.emitted += len(out)
-        return out
+        batches: list[PendingBatch] = []
+        for ts, readings in runs:
+            batches.append(PendingBatch(self.emitted + 1, ts, tuple(readings)))
+            self.emitted += len(readings)
+        return batches
 
     @property
     def exhausted(self) -> bool:
         return self._cursor >= len(self.scenario.steps)
-
-
-def group_batches(readings) -> list[tuple]:
-    """Split a reading list into wire batches: equal timestamp, <=255 each.
-
-    Readings arrive in seq order, so each batch holds consecutive seqs and
-    the batch seq (first reading's) identifies every reading in it.
-    """
-    batches: list[tuple] = []
-    current: list = []
-    for r in readings:
-        if current and (r.timestamp != current[0].timestamp or len(current) >= MAX_READINGS_PER_FRAME):
-            batches.append(tuple(current))
-            current = []
-        current.append(r)
-    if current:
-        batches.append(tuple(current))
-    return batches

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import heapq
 import logging
-import time
 from dataclasses import dataclass, field
 
 from slopewatch import wire
 from slopewatch.analytics import segment_events
 from slopewatch.config import Config, build_sinks
 from slopewatch.domain import SensorKind
-from slopewatch.nodesim import Scenario, ScenarioPlayer, group_batches
+from slopewatch.nodesim import Scenario, ScenarioPlayer
 from slopewatch.session import (
     LinkDown,
     LossyLink,
@@ -97,14 +96,12 @@ class SimReplay:
         force_disconnect_at: tuple[float, ...] = (),
         server_restart_at: float | None = None,
         sinks: list | None = None,
-        speedup: float = 0.0,
         trace: TraceLog | None = None,
     ):
         self.scenario = scenario
         self.config = config
         self.store_dir = store_dir
         self.seed = seed
-        self.speedup = speedup
         # Records go to a trace only when the caller passes one; sim.trace is
         # that log, or else an empty one that stays empty.
         self._trace = trace
@@ -114,7 +111,7 @@ class SimReplay:
         self._counter = 0
 
         self.link = LossyLink(config.link, seed)
-        self.player = ScenarioPlayer(scenario, node_id=node_id, start_ts=START_TS)
+        self.player = ScenarioPlayer(scenario, start_ts=START_TS)
         # Stepped through this module's ``node_step``, so that a wrapper
         # installed here sees every node step.
         self.driver = NodeDriver(NodeState(node_id=node_id), TIMING, send=self._transmit_from_node,
@@ -215,8 +212,7 @@ class SimReplay:
     # -- scenario sampling ---------------------------------------------------------
 
     def _sample_tick(self) -> None:
-        readings = self.player.emit_readings(self.now)
-        for batch in group_batches(readings):
+        for batch in self.player.emit_readings(self.now):
             self.driver.feed(ReadingsAvailable(batch), self.now)
 
     def _restart_server(self) -> None:
@@ -252,8 +248,6 @@ class SimReplay:
                 if at > deadline:
                     logger.error("replay aborted at safety deadline")
                     break
-                if self.speedup > 0 and at > self.now:
-                    time.sleep((at - self.now) / self.speedup)
                 self.now = max(self.now, at)
                 fn()
                 if self.now >= end_ts and self.player.exhausted and not self.driver.state.pending:

@@ -24,7 +24,6 @@ from enum import Enum
 from random import Random
 from typing import Callable, Union
 
-from slopewatch.domain import RawReading
 from slopewatch import wire
 from slopewatch.wire import Frame, MessageType, SendDataPayload
 
@@ -82,9 +81,9 @@ class TimerFired:
 
 @dataclass(slots=True)
 class ReadingsAvailable:
-    """A batch of readings sharing one timestamp, in seq order."""
+    """A batch from the scenario player, queued on the node as it is."""
 
-    batch: tuple[RawReading, ...]
+    batch: PendingBatch
 
 
 NodeEvent = Union[
@@ -147,7 +146,7 @@ def describe(obj) -> str:
     if isinstance(obj, SetTimer):
         return f"SetTimer({obj.delay:g})"
     if isinstance(obj, ReadingsAvailable):
-        return f"ReadingsAvailable(n={len(obj.batch)})"
+        return f"ReadingsAvailable(n={len(obj.batch.readings)})"
     if isinstance(obj, SendDataReceived):
         return f"SendDataReceived(seq={obj.payload.seq})"
     if isinstance(obj, ForwardToIngest):
@@ -174,7 +173,10 @@ class NodePhase(Enum):
 
 @dataclass(slots=True)
 class PendingBatch:
-    """An unacknowledged batch, retransmitted until its DATA_ACK arrives."""
+    """An unacknowledged batch, retransmitted until its DATA_ACK arrives.
+
+    Its readings share one timestamp and have the seqs ``seq``, ``seq + 1``, ...
+    """
 
     seq: int
     timestamp: int
@@ -201,7 +203,6 @@ class NodeState:
     session_id: int = 0
     conn_nonce: int = 0
     attempt: int = 0           # consecutive failed connection attempts
-    resume_at: float = 0.0     # backoff expiry (informational; timer drives it)
     pending: tuple[PendingBatch, ...] = ()
 
 
@@ -216,28 +217,16 @@ def _reqconn_actions(state: NodeState, timing: SessionTiming) -> tuple[NodeState
     return state, [frame, SetTimer(timing.connect_timeout)]
 
 
-def _enter_backoff(state: NodeState, now: float) -> tuple[NodeState, list[Action]]:
+def _enter_backoff(state: NodeState) -> tuple[NodeState, list[Action]]:
     attempt = state.attempt + 1
-    delay = backoff_delay(attempt)
-    state = replace(state, phase=NodePhase.BACKOFF, attempt=attempt, resume_at=now + delay)
-    return state, [SetTimer(delay)]
+    return replace(state, phase=NodePhase.BACKOFF, attempt=attempt), [SetTimer(backoff_delay(attempt))]
 
 
 def _with_pending(state: NodeState, pending: tuple[PendingBatch, ...]) -> NodeState:
     """``state`` with ``pending`` in place of its queue; built directly, at a
     third of ``dataclasses.replace``'s cost, as it runs once per batch and ack."""
     return NodeState(state.node_id, state.phase, state.node_ip, state.server_ip, state.session_id,
-                     state.conn_nonce, state.attempt, state.resume_at, pending)
-
-
-def _queue_batch(state: NodeState, event: ReadingsAvailable) -> NodeState:
-    batch = event.batch
-    pending = PendingBatch(
-        seq=batch[0].seq,
-        timestamp=batch[0].timestamp,
-        readings=tuple((r.sensor.code, r.raw) for r in batch),
-    )
-    return _with_pending(state, state.pending + (pending,))
+                     state.conn_nonce, state.attempt, pending)
 
 
 def node_event_for(frame: Frame) -> NodeEvent | None:
@@ -270,9 +259,7 @@ def node_step(
     # Batches may arrive in any phase after boot; they are queued and only
     # transmitted while STREAMING (at-least-once until acknowledged).
     if isinstance(event, ReadingsAvailable):
-        if not event.batch:
-            return state, []
-        state = _queue_batch(state, event)
+        state = _with_pending(state, state.pending + (event.batch,))
         if phase is NodePhase.STREAMING:
             return state, [
                 _senddata_frame(state, state.pending[-1]),
@@ -332,7 +319,7 @@ def node_step(
             actions.append(SetTimer(timing.retransmit_interval if state.pending else timing.heartbeat_interval))
             return state, actions
         if isinstance(event, (TimerFired, LinkDown)):
-            return _enter_backoff(state, now)
+            return _enter_backoff(state)
 
     elif phase is NodePhase.STREAMING:
         if isinstance(event, TimerFired):
@@ -342,7 +329,7 @@ def node_step(
                 return state, actions
             return state, [Frame(MessageType.HEARTBEAT), SetTimer(timing.heartbeat_interval)]
         if isinstance(event, LinkDown):
-            return _enter_backoff(replace(state, attempt=0), now)
+            return _enter_backoff(replace(state, attempt=0))
         if isinstance(event, ConnAckReceived):
             return state, [LogWarning("duplicate CONN_ACK while streaming")]
 

@@ -171,6 +171,43 @@ def test_node_id_bounds_are_accepted(node_id, tmp_path, capsys):
     assert f",{node_id},rain_gauge,1," in (store / "readings.csv").read_text()
 
 
+@pytest.mark.parametrize("count", ["-1", "169"])
+def test_force_disconnects_outside_the_sampling_intervals_exit_two(count, tmp_path, capsys):
+    # seven_day_rain samples hourly for 168 hours: at most 168 forced disconnects.
+    store = tmp_path / "s"
+    code, out, err = run_cli(["replay", "--config", DEMO, "--scenario", "seven_day_rain",
+                              "--store", str(store), "--force-disconnects", count], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: --force-disconnects must be from 0 to 168") and err.endswith(f"got {count}\n")
+    assert out == "" and not store.exists()
+
+
+def test_force_disconnects_at_the_bound_is_accepted(tmp_path, capsys):
+    store = tmp_path / "s"
+    code, out, _ = run_cli(["replay", "--config", DEMO, "--scenario", "seven_day_rain",
+                            "--store", str(store), "--force-disconnects", "168"], capsys)
+    assert code == EXIT_OK
+    assert "records stored      322" in out
+
+
+@pytest.mark.parametrize("speedup", ["0", "-1", "nan", "inf", "-inf", "fast"])
+def test_node_speedup_that_is_not_positive_and_finite_exits_two(speedup, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["node", "--scenario", "three_day_rain", "--connect", "127.0.0.1:9", f"--speedup={speedup}"])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--speedup" in captured.err and "not a positive, finite speedup" in captured.err
+    assert captured.out == ""
+
+
+def test_replay_has_no_speedup(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--config", DEMO, "--scenario", "three_day_rain", "--store", str(tmp_path / "s"),
+              "--speedup", "10"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --speedup" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@
 
 import tempfile
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopewatch import ingest as ingest_module
-from slopewatch.domain import CalibratedReading, CalibrationConstants, CalibrationError, RawReading, SensorKind
+from slopewatch.domain import CalibratedReading, CalibrationConstants, CalibrationError, SensorKind
 from slopewatch.ingest import MissingConstantsError, Repository, StoreError
 from slopewatch.wire import SendDataPayload
 
@@ -23,8 +24,20 @@ CONSTANTS = {
 
 
 # The record-at-a-time path that ``ingest_batch`` replaced, kept as the oracle
-# of TestOnePassIngestMatchesRecordAtATime: ``calibrate`` as it was, and
-# ``append`` as ``Repository.append`` with its ``_write_row`` inlined.
+# of TestOnePassIngestMatchesRecordAtATime: ``calibrate`` as it was, on the
+# per-reading value it took, and ``append`` as ``Repository.append`` with its
+# ``_write_row`` inlined.
+
+
+@dataclass(slots=True)
+class RawReading:
+    """One uncalibrated sample of a SEND_DATA batch, with its own seq."""
+
+    node_id: int
+    seq: int
+    timestamp: int
+    sensor: SensorKind
+    raw: int
 
 
 def calibrate(reading: RawReading, constants: CalibrationConstants) -> CalibratedReading:

@@ -4,7 +4,7 @@ import dataclasses
 import logging
 
 from slopewatch import wire
-from slopewatch.domain import RawReading, SensorKind
+from slopewatch.domain import SensorKind
 from slopewatch.session import (
     DataAckReceived,
     LinkDown,
@@ -25,7 +25,7 @@ RAIN = SensorKind.RAIN_GAUGE.code
 
 
 def batch(seq: int, ts: int = 1000) -> ReadingsAvailable:
-    return ReadingsAvailable((RawReading(1, seq, ts, SensorKind.RAIN_GAUGE, 5),))
+    return ReadingsAvailable(PendingBatch(seq, ts, ((RAIN, 5),)))
 
 
 def pending(*seqs: int) -> tuple[PendingBatch, ...]:
@@ -61,7 +61,7 @@ class TestNodeStateBuilds:
         values = {
             "node_id": 7, "phase": NodePhase.CONNECTING, "node_ip": "10.77.0.7",
             "server_ip": "10.0.0.1", "session_id": 42, "conn_nonce": 5, "attempt": 3,
-            "resume_at": 123.5, "pending": pending(4, 5, 6),
+            "pending": pending(4, 5, 6),
         }
         assert set(values) == {f.name for f in dataclasses.fields(NodeState)}
         state = NodeState(**values)

@@ -1,8 +1,11 @@
 """Scenario loading and replay cursor tests."""
 
 import importlib.resources
+from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopewatch.nodesim import (
     Scenario,
@@ -13,6 +16,10 @@ from slopewatch.nodesim import (
     resolve_scenario,
 )
 from slopewatch.domain import SensorKind
+from slopewatch.session import PendingBatch
+from slopewatch.wire import MAX_READINGS_PER_FRAME
+
+RAIN = SensorKind.RAIN_GAUGE.code
 
 
 def bundled_scenarios() -> list[str]:
@@ -107,28 +114,140 @@ class TestScenarioPlayer:
         return Scenario(name="t", steps=steps, sample_interval=10.0)
 
     def test_nothing_due_before_first_step(self):
-        player = ScenarioPlayer(self.scenario(), node_id=1, start_ts=1000)
+        player = ScenarioPlayer(self.scenario(), start_ts=1000)
         assert player.emit_readings(up_to=1009.0) == []
 
     def test_all_steps_emitted_with_gapless_seq(self):
-        player = ScenarioPlayer(self.scenario(), node_id=1, start_ts=1000)
-        readings = player.emit_readings(up_to=1030.0)
-        assert [r.seq for r in readings] == [1, 2, 3]
-        assert [r.timestamp for r in readings] == [1010, 1020, 1030]
+        player = ScenarioPlayer(self.scenario(), start_ts=1000)
+        batches = player.emit_readings(up_to=1030.0)
+        assert batches == [PendingBatch(1, 1010, ((RAIN, 1),)), PendingBatch(2, 1020, ((RAIN, 2),)),
+                           PendingBatch(3, 1030, ((RAIN, 3),))]
         assert player.exhausted
 
     def test_emit_is_idempotent(self):
-        player = ScenarioPlayer(self.scenario(), node_id=1, start_ts=1000)
+        player = ScenarioPlayer(self.scenario(), start_ts=1000)
         first = player.emit_readings(up_to=1020.0)
-        assert [r.seq for r in first] == [1, 2]
+        assert [b.seq for b in first] == [1, 2]
         assert player.emit_readings(up_to=1020.0) == []
         rest = player.emit_readings(up_to=2000.0)
-        assert [r.seq for r in rest] == [3]
+        assert [b.seq for b in rest] == [3]
 
     def test_seq_continues_across_calls(self):
-        player = ScenarioPlayer(self.scenario(), node_id=1, start_ts=0)
+        player = ScenarioPlayer(self.scenario(), start_ts=0)
         seqs = []
         for t in (10.0, 20.0, 30.0):
-            seqs.extend(r.seq for r in player.emit_readings(t))
+            seqs.extend(b.seq for b in player.emit_readings(t))
         assert seqs == [1, 2, 3]
         assert player.emitted == 3
+
+    def test_one_second_is_split_into_full_frames(self):
+        steps = tuple(ScenarioStep(5.0 + k / 1000, SensorKind.PIEZOMETER, k) for k in range(600))
+        player = ScenarioPlayer(Scenario(name="burst", steps=steps, sample_interval=1.0), start_ts=0)
+        batches = player.emit_readings(6.0)
+        assert [(b.seq, b.timestamp, len(b.readings)) for b in batches] == [(1, 5, 255), (256, 5, 255),
+                                                                              (511, 5, 90)]
+        assert [raw for b in batches for _, raw in b.readings] == list(range(600))
+
+
+# The player and batch splitter as they were when the node built one value
+# per reading, kept as the oracle of test_batches_match_the_per_reading_player.
+
+
+@dataclass(slots=True)
+class RawReading:
+    node_id: int
+    seq: int
+    timestamp: int  # unix seconds
+    sensor: SensorKind
+    raw: int
+
+
+@dataclass
+class PerReadingPlayer:
+    scenario: Scenario
+    node_id: int
+    start_ts: int
+    _cursor: int = 0
+    _next_seq: int = 1
+    emitted: int = field(default=0)
+
+    def emit_readings(self, up_to: float) -> list[RawReading]:
+        """All not-yet-emitted steps due at or before ``up_to`` (absolute time)."""
+        out: list[RawReading] = []
+        steps = self.scenario.steps
+        while self._cursor < len(steps) and self.start_ts + steps[self._cursor].t_offset <= up_to:
+            step = steps[self._cursor]
+            out.append(
+                RawReading(
+                    node_id=self.node_id,
+                    seq=self._next_seq,
+                    timestamp=int(self.start_ts + step.t_offset),
+                    sensor=step.sensor,
+                    raw=step.raw,
+                )
+            )
+            self._cursor += 1
+            self._next_seq += 1
+        self.emitted += len(out)
+        return out
+
+    @property
+    def exhausted(self) -> bool:
+        return self._cursor >= len(self.scenario.steps)
+
+
+def group_batches(readings) -> list[tuple]:
+    """Split a reading list into wire batches: equal timestamp, <=255 each.
+
+    Readings arrive in seq order, so each batch holds consecutive seqs and
+    the batch seq (first reading's) identifies every reading in it.
+    """
+    batches: list[tuple] = []
+    current: list = []
+    for r in readings:
+        if current and (r.timestamp != current[0].timestamp or len(current) >= MAX_READINGS_PER_FRAME):
+            batches.append(tuple(current))
+            current = []
+        current.append(r)
+    if current:
+        batches.append(tuple(current))
+    return batches
+
+
+# Offsets within a second: several floor to the same whole second.
+_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
+
+
+@st.composite
+def _scenario_and_cuts(draw):
+    """A scenario whose seconds each hold runs at up to four fractional offsets
+    (some run past one frame), and an increasing list of ``up_to`` times,
+    some of which split a second."""
+    steps = []
+    for second in draw(st.lists(st.integers(0, 40), max_size=6, unique=True).map(sorted)):
+        for fraction in _FRACTIONS:
+            count = draw(st.sampled_from((0, 0, 1, 2, 7, MAX_READINGS_PER_FRAME, 300)))
+            sensor = draw(st.sampled_from(list(SensorKind)))
+            raw = draw(st.integers(-(2**31), 2**31 - 1))
+            steps += [ScenarioStep(second + fraction, sensor, raw + k if raw < 0 else raw - k)
+                      for k in range(count)]
+    scenario = Scenario(name="drawn", steps=tuple(steps), sample_interval=60.0)
+    start_ts = draw(st.integers(0, 2**31))
+    cuts = draw(st.lists(st.integers(-1, 42) | st.sampled_from((0.1, 0.3, 0.6, 0.9)).flatmap(
+        lambda frac: st.integers(0, 41).map(lambda s: s + frac)), max_size=8).map(sorted))
+    return scenario, start_ts, [start_ts + cut for cut in cuts] + [start_ts + 42]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenario_and_cuts())
+def test_batches_match_the_per_reading_player(drawn):
+    scenario, start_ts, cuts = drawn
+    player = ScenarioPlayer(scenario, start_ts=start_ts)
+    oracle = PerReadingPlayer(scenario, node_id=1, start_ts=start_ts)
+    for up_to in cuts:
+        got = [(b.seq, b.timestamp, b.readings) for b in player.emit_readings(up_to)]
+        want = [(b[0].seq, b[0].timestamp, tuple((r.sensor.code, r.raw) for r in b))
+                for b in group_batches(oracle.emit_readings(up_to))]
+        assert got == want, up_to
+        assert (player.emitted, player.exhausted) == (oracle.emitted, oracle.exhausted)
+    assert player.exhausted

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from slopewatch.domain import RawReading, SensorKind
+from slopewatch.domain import SensorKind
 from slopewatch.session import (
     AnnounceReceived,
     ConnAckReceived,
@@ -21,6 +21,7 @@ from slopewatch.session import (
     LossyLink,
     NodePhase,
     NodeState,
+    PendingBatch,
     ReadingsAvailable,
     ReqConnReceived,
     SendDataReceived,
@@ -41,8 +42,12 @@ from slopewatch.wire import Frame, MessageType, SendDataPayload, decode_senddata
 T = SessionTiming()
 
 
-def reading(seq, ts=1000, sensor=SensorKind.RAIN_GAUGE, raw=3, node=1):
-    return RawReading(node_id=node, seq=seq, timestamp=ts, sensor=sensor, raw=raw)
+RAIN = SensorKind.RAIN_GAUGE.code
+
+
+def available(seq, ts=1000, n=1):
+    """A batch of ``n`` rain-gauge readings, seqs from ``seq`` on."""
+    return ReadingsAvailable(PendingBatch(seq, ts, ((RAIN, 3),) * n))
 
 
 def sent_types(actions):
@@ -72,7 +77,6 @@ class TestBackoff:
                 break
             now += next(a.delay for a in actions if isinstance(a, SetTimer))
         assert actions == [SetTimer(60.0)]
-        assert state.resume_at == now + 60.0
 
 
 class TestNodeMachine:
@@ -100,12 +104,12 @@ class TestNodeMachine:
 
     def test_streaming_sends_and_acks_batches(self):
         state = _streaming_state()
-        batch = (reading(1), reading(2))
-        state, actions = node_step(state, ReadingsAvailable(batch), 10.0)
-        assert [b.seq for b in state.pending] == [1]
+        event = available(1, n=2)
+        state, actions = node_step(state, event, 10.0)
+        assert state.pending == (event.batch,)
         send = [a for a in actions if isinstance(a, Frame)][0]
         payload = decode_senddata(send.payload)
-        assert payload.seq == 1 and len(payload.readings) == 2
+        assert (payload.seq, payload.timestamp, payload.readings) == (1, 1000, ((RAIN, 3), (RAIN, 3)))
         state, actions = node_step(state, DataAckReceived(1), 11.0)
         assert state.pending == ()
         assert not sent_types(actions)
@@ -118,8 +122,8 @@ class TestNodeMachine:
 
     def test_retransmit_timer_resends_all_pending(self):
         state = _streaming_state()
-        state, _ = node_step(state, ReadingsAvailable((reading(1),)), 10.0)
-        state, _ = node_step(state, ReadingsAvailable((reading(2, ts=1001),)), 11.0)
+        state, _ = node_step(state, available(1), 10.0)
+        state, _ = node_step(state, available(2, ts=1001), 11.0)
         state, actions = node_step(state, TimerFired(), 41.0)
         assert sent_types(actions) == [MessageType.SEND_DATA, MessageType.SEND_DATA]
 
@@ -133,7 +137,6 @@ class TestNodeMachine:
         state, actions = node_step(state, LinkDown(), 50.0)
         assert state.phase is NodePhase.BACKOFF
         assert state.attempt == 1
-        assert state.resume_at == 51.0
         assert any(isinstance(a, SetTimer) and a.delay == 1.0 for a in actions)
 
     def test_consecutive_connect_failures_escalate(self):
@@ -149,9 +152,9 @@ class TestNodeMachine:
 
     def test_reconnect_resends_pending_with_new_session(self):
         state = _streaming_state()
-        state, _ = node_step(state, ReadingsAvailable((reading(1),)), 10.0)
+        state, _ = node_step(state, available(1), 10.0)
         state, _ = node_step(state, LinkDown(), 11.0)
-        state, _ = node_step(state, ReadingsAvailable((reading(2, ts=1001),)), 12.0)  # queued offline
+        state, _ = node_step(state, available(2, ts=1001), 12.0)  # queued offline
         state, _ = node_step(state, TimerFired(), 13.0)
         assert state.phase is NodePhase.CONNECTING
         nonce = state.conn_nonce
@@ -179,7 +182,7 @@ class TestNodeMachine:
 
     def test_purity(self):
         state = _streaming_state()
-        event = ReadingsAvailable((reading(1),))
+        event = available(1)
         assert node_step(state, event, 5.0) == node_step(state, event, 5.0)
 
 

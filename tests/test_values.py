@@ -34,7 +34,6 @@ from slopewatch.domain import (
     AlertLevel,
     CalibratedReading,
     CalibrationConstants,
-    RawReading,
     SensorKind,
 )
 from slopewatch.nodesim import Scenario, ScenarioStep
@@ -63,7 +62,7 @@ from slopewatch.wire import Frame, SendDataPayload
 
 VALUE_CLASSES = [
     Frame, SendDataPayload,
-    RawReading, CalibratedReading,
+    CalibratedReading,
     session.IpAssigned, session.ServerIpReceived, session.ConnAckReceived,
     session.DataAckReceived, session.LinkDown, session.TimerFired,
     session.ReadingsAvailable, session.AnnounceReceived, session.ReqConnReceived,
@@ -126,10 +125,7 @@ _SEQS = st.integers(0, 6)
 def _batches(draw):
     seq, n = draw(_SEQS), draw(st.integers(0, 3))
     sensors = draw(st.lists(st.sampled_from(list(SensorKind)), min_size=n, max_size=n))
-    return tuple(
-        RawReading(node_id=1, seq=seq + i, timestamp=1000 + seq, sensor=s, raw=draw(st.integers(-5, 5)))
-        for i, s in enumerate(sensors)
-    )
+    return session.PendingBatch(seq, 1000 + seq, tuple((s.code, draw(st.integers(-5, 5))) for s in sensors))
 
 
 _NODE_EVENTS = st.one_of(
