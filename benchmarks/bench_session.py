@@ -79,10 +79,10 @@ def main() -> None:
     ack_payload = encode_dataack(100)
 
     cases = [
-        ("node_step ReadingsAvailable", lambda: node_step(streaming, available, 0.0)),
-        ("node_step DataAckReceived", lambda: node_step(awaiting_ack, ack, 0.0)),
-        ("node_step TimerFired (heartbeat)", lambda: node_step(streaming, timer, 0.0)),
-        ("server_step SendDataReceived", lambda: server_step(connected, received, 0.0)),
+        ("node_step ReadingsAvailable", lambda: node_step(streaming, available)),
+        ("node_step DataAckReceived", lambda: node_step(awaiting_ack, ack)),
+        ("node_step TimerFired (heartbeat)", lambda: node_step(streaming, timer)),
+        ("server_step SendDataReceived", lambda: server_step(connected, received)),
         ("Frame(...)", lambda: Frame(MessageType.DATA_ACK, ack_payload)),
         ("NodeState(...)", lambda: NodeState(1, NodePhase.STREAMING, "10.0.0.2", "10.0.0.1", 7, 1)),
     ]

@@ -92,11 +92,11 @@ def filled_station(stream: str, store_dir: str) -> tuple[ServerEngine, int]:
     cfg = load_config(DEMO_INI)
     repo = Repository(store_dir, durable=False)
     engine = ServerEngine(repo, cfg.calibration, AlertEngine(cfg.thresholds, cfg.analysis, Dispatcher([NullSink()])))
-    engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.1")), 0.0)
-    (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)), 0.0)
+    engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.1")))
+    (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)))
     session_id, _ = wire.decode_connack(ack.payload)
     for frame in batch_frames(stream, session_id, 0, FILL):
-        engine.handle_data_frame(frame, 0.0)
+        engine.handle_data_frame(frame)
     return engine, session_id
 
 
@@ -126,7 +126,7 @@ class ArTimer:
 def time_frames(engine: ServerEngine, frames: list[Frame]) -> float:
     start = time.perf_counter()
     for frame in frames:
-        engine.handle_data_frame(frame, 0.0)
+        engine.handle_data_frame(frame)
     return time.perf_counter() - start
 
 
@@ -171,7 +171,7 @@ def round_times(stream: str, frames: int) -> dict[str, float]:
             for frame in batch_frames(stream, sid, FILL, frames):
                 time.sleep(IDLE_S)
                 start = time.thread_time()
-                engine.handle_data_frame(frame, 0.0)
+                engine.handle_data_frame(frame)
                 whole += time.thread_time() - start
         out["idle: frame"] = whole
         out["idle:   of which AR"] = ar.seconds

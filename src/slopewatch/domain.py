@@ -7,6 +7,7 @@ states. They are slotted, not frozen: a frozen init costs 3-4x as much.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -86,6 +87,10 @@ class CalibrationConstants:
     offset: float  # engineering units
 
     def __post_init__(self) -> None:
+        # A nan gain or offset would store nan for every reading of the sensor.
+        for name, value in (("gain", self.gain), ("offset", self.offset)):
+            if not math.isfinite(value):
+                raise CalibrationError(f"{name} must be finite for {self.sensor.name}, got {value}")
         if self.gain == 0:
             raise CalibrationError(f"gain must be nonzero for {self.sensor.name}")
 

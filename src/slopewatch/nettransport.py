@@ -96,9 +96,8 @@ class _StationHandler(socketserver.StreamRequestHandler):
                 if isinstance(frame, wire.FrameError):
                     logger.warning("dropping bad frame from %s: %s", self.client_address, frame)
                     continue
-                now = time.time()
                 with server.engine_lock:
-                    out = server.engine.handle_frame(frame, now)
+                    out = server.engine.handle_frame(frame)
                 if not out:
                     continue
                 if frame.msg_type is wire.MessageType.REQ_CONN:  # accepted: out is its CONN_ACK
@@ -113,7 +112,7 @@ class _StationHandler(socketserver.StreamRequestHandler):
             # A session a newer connection took over is left to that connection.
             if peer is not None:
                 with server.engine_lock:
-                    server.engine.handle_link_down(peer[0], time.time(), session_id=peer[1])
+                    server.engine.handle_link_down(peer[0], session_id=peer[1])
 
 
 def run_station(config: Config, listen: str, store_dir: str) -> int:
@@ -195,18 +194,18 @@ class NodeRunner:
 
     def run(self) -> int:
         self._connect_socket()
-        self.driver.feed(TimerFired(), self._sim_now())  # boot
+        self.driver.feed(TimerFired())  # boot
         end_ts = self.start_ts + self.scenario.duration
         next_tick = float(self.start_ts)
         while not (self.player.exhausted and not self.driver.state.pending):
             now = self._sim_now()
             if now >= next_tick:
                 for batch in self.player.emit_readings(min(now, end_ts)):
-                    self.driver.feed(ReadingsAvailable(batch), self._sim_now())
+                    self.driver.feed(ReadingsAvailable(batch))
                 next_tick += self.scenario.sample_interval
             if self._timer_at is not None and time.monotonic() >= self._timer_at:
                 self._timer_at = None
-                self.driver.feed(TimerFired(), self._sim_now())
+                self.driver.feed(TimerFired())
             self._poll_socket()
         logger.info("scenario complete: %d readings emitted", self.player.emitted)
         if self.sock:
@@ -250,10 +249,10 @@ class NodeRunner:
         except OSError:
             data = b""
         if not data:
-            self.driver.feed(LinkDown(), self._sim_now())
+            self.driver.feed(LinkDown())
             return
         for item in self._splitter.feed(data):
             if isinstance(item, wire.FrameError):
                 logger.warning("dropping bad frame from %s: %s", self.addr, item)
             else:
-                self.driver.receive(item, self._sim_now())
+                self.driver.receive(item)

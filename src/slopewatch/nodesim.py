@@ -167,3 +167,8 @@ class ScenarioPlayer:
     @property
     def exhausted(self) -> bool:
         return self._cursor >= len(self.scenario.steps)
+
+    @property
+    def next_due(self) -> float | None:
+        """When the first step not yet emitted is due (absolute time); None once exhausted."""
+        return None if self.exhausted else self.start_ts + self.scenario.steps[self._cursor].t_offset

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass, field
 
 from slopewatch import wire
@@ -134,7 +135,8 @@ class SimReplay:
         return self.driver.state
 
     def _make_server(self) -> ServerEngine:
-        return ServerEngine.open(self.config, self.store_dir, self._sinks, trace=self._trace)
+        observe = self._observe_server if self._trace is not None else None
+        return ServerEngine.open(self.config, self.store_dir, self._sinks, observe=observe)
 
     # -- event queue -------------------------------------------------------------
 
@@ -144,9 +146,9 @@ class SimReplay:
 
     # -- node plumbing -------------------------------------------------------------
 
-    def _observe_node(self, now: float, state: NodeState, event, actions) -> None:
+    def _observe_node(self, state: NodeState, event, actions) -> None:
         if self._trace is not None:
-            self._trace.record(now, "node", state.node_id, state.phase.value, event, actions)
+            self._trace.record(self.now, "node", state.node_id, state.phase.value, event, actions)
         self._observe_phase(state.phase)
 
     def _observe_phase(self, phase: NodePhase) -> None:
@@ -170,18 +172,18 @@ class SimReplay:
 
     def _node_timer_fired(self, gen: int) -> None:
         if gen == self._node_timer_gen:  # stale timers were replaced
-            self.driver.feed(TimerFired(), self.now)
+            self.driver.feed(TimerFired())
 
     def _transmit_from_node(self, frame: wire.Frame) -> bool:
         """Always True: ``_link_down`` reports a severed link to both ends, on the event queue."""
         # A fresh connection attempt re-establishes the severed carrier.
         if frame.msg_type is MessageType.REQ_CONN and not self.link.up:
             self.link.reconnect()
-        self._carry(frame, "up", self._server_receive)
+        self._carry(frame, "up", lambda f: self._dispatch_outbound(self.server.handle_frame(f)))
         return True
 
     def _carry(self, frame: wire.Frame, direction: str, receive) -> None:
-        """Put a frame's bytes on its channel; ``receive(frame, now)`` runs when they arrive."""
+        """Put a frame's bytes on its channel; ``receive(frame)`` runs when they arrive."""
         raw = wire.encode_frame(frame)
         if frame.msg_type in wire.CONTROL_TYPES:
             at = self.now + CONTROL_LATENCY_S
@@ -191,19 +193,18 @@ class SimReplay:
                 self._link_down()
             if at is None:
                 return
-        self._schedule(at, lambda: receive(wire.decode_frame(raw), self.now))
+        self._schedule(at, lambda: receive(wire.decode_frame(raw)))
 
     def _link_down(self) -> None:
         self.link.sever()
         node_id = self.node.node_id
-        self._schedule(self.now, lambda: self.driver.feed(LinkDown(), self.now))
-        self._schedule(self.now, lambda: self._dispatch_outbound(
-            self.server.handle_link_down(node_id, self.now)))
+        self._schedule(self.now, lambda: self.driver.feed(LinkDown()))
+        self._schedule(self.now, lambda: self._dispatch_outbound(self.server.handle_link_down(node_id)))
 
     # -- server plumbing ---------------------------------------------------------
 
-    def _server_receive(self, frame: wire.Frame, now: float) -> None:
-        self._dispatch_outbound(self.server.handle_frame(frame, now))
+    def _observe_server(self, node_id: int, state, event, actions) -> None:
+        self._trace.record(self.now, "server", node_id, state.phase.value, event, actions)
 
     def _dispatch_outbound(self, outbound: list[wire.Frame]) -> None:
         for frame in outbound:
@@ -213,7 +214,20 @@ class SimReplay:
 
     def _sample_tick(self) -> None:
         for batch in self.player.emit_readings(self.now):
-            self.driver.feed(ReadingsAvailable(batch), self.now)
+            self.driver.feed(ReadingsAvailable(batch))
+        due = self.player.next_due
+        if due is None:
+            return
+        # Only the tick that emits the next step is queued: the first of the
+        # grid START_TS + k * interval at or after it is due, or the end of
+        # the scenario. Counter 0 puts a tick before every other event at
+        # its time; only one tick is ever queued.
+        interval = self.scenario.sample_interval
+        k = math.ceil((due - START_TS) / interval)
+        while START_TS + k * interval < due:  # a quotient rounded down
+            k += 1
+        at = min(START_TS + k * interval, START_TS + self.scenario.duration)
+        heapq.heappush(self._queue, (at, 0, self._sample_tick))
 
     def _restart_server(self) -> None:
         """Kill-and-restart: in-memory state is lost, the store is reloaded."""
@@ -221,7 +235,7 @@ class SimReplay:
                  self.server.duplicates_skipped)
         self.server.repo.close()
         self.link.sever()
-        self.driver.feed(LinkDown(), self.now)
+        self.driver.feed(LinkDown())
         self.server = self._make_server()
         (self.server.batches_ingested, self.server.records_stored,
          self.server.duplicates_skipped) = carry
@@ -230,11 +244,7 @@ class SimReplay:
 
     def run(self) -> ReplaySummary:
         end_ts = START_TS + self.scenario.duration
-        t = float(START_TS)
-        while t < end_ts:
-            self._schedule(t, self._sample_tick)
-            t += self.scenario.sample_interval
-        self._schedule(end_ts, self._sample_tick)
+        heapq.heappush(self._queue, (float(START_TS), 0, self._sample_tick))
         for offset in self.force_disconnect_at:
             self._schedule(START_TS + offset, self._link_down)
         if self.server_restart_at is not None:

@@ -7,7 +7,7 @@ retransmission, and back off exponentially after failures.
 Server side: track each node from announce through connect to streaming,
 acknowledge batches, and hand payloads to ingest.
 
-Both step functions are pure: (state, event, now) fully determines
+Both step functions are pure: (state, event) fully determines
 (state', actions). Side effects (timers, ingest, frames to send) are
 returned as action values; a send is the ``wire.Frame`` itself, whose type
 names its channel (``wire.CONTROL_TYPES``). On the node side ``NodeDriver``
@@ -247,7 +247,7 @@ def node_event_for(frame: Frame) -> NodeEvent | None:
 
 
 def node_step(
-    state: NodeState, event: NodeEvent, now: float, timing: SessionTiming = SessionTiming()
+    state: NodeState, event: NodeEvent, timing: SessionTiming = SessionTiming()
 ) -> tuple[NodeState, list[Action]]:
     """Advance the node machine by one event.
 
@@ -356,7 +356,7 @@ class NodeDriver:
     ``send(Frame) -> bool`` (False: the link failed) and ``set_timer(delay)``,
     which replaces any pending timer. Timers and warnings are applied before
     any send, so a failed send maps to one ``LinkDown`` that no later
-    ``SetTimer`` of the step overrides. ``observe(now, state, event, actions)``
+    ``SetTimer`` of the step overrides. ``observe(state, event, actions)``
     sees each step; ``step`` lets a caller pass in its own name for ``node_step``.
     """
 
@@ -367,11 +367,11 @@ class NodeDriver:
     observe: Callable | None = None
     step: Callable = node_step
 
-    def feed(self, event: NodeEvent, now: float) -> None:
-        state, actions = self.step(self.state, event, now, self.timing)
+    def feed(self, event: NodeEvent) -> None:
+        state, actions = self.step(self.state, event, self.timing)
         self.state = state
         if self.observe is not None:
-            self.observe(now, state, event, actions)
+            self.observe(state, event, actions)
         sends = []
         for action in actions:
             if isinstance(action, Frame):
@@ -382,10 +382,10 @@ class NodeDriver:
                 logger.warning(action.message)
         for frame in sends:
             if not self.send(frame):
-                self.feed(LinkDown(), now)
+                self.feed(LinkDown())
                 break
 
-    def receive(self, frame: Frame, now: float) -> None:
+    def receive(self, frame: Frame) -> None:
         """Feed the event that a frame from the station carries. A frame of
         another type, or with a malformed payload, is logged and dropped."""
         try:
@@ -396,7 +396,7 @@ class NodeDriver:
         if event is None:
             logger.warning("node received unexpected %s", frame.msg_type.name)
             return
-        self.feed(event, now)
+        self.feed(event)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +420,7 @@ class ServerSessionState:
     session_id: int | None = None
 
 
-def server_step(
-    state: ServerSessionState, event: ServerEvent, now: float
-) -> tuple[ServerSessionState, list[Action]]:
+def server_step(state: ServerSessionState, event: ServerEvent) -> tuple[ServerSessionState, list[Action]]:
     """Advance the server-side machine for one node by one event.
 
     A SEND_DATA whose session id does not match the live session is a
@@ -484,8 +482,8 @@ class LinkConfig:
                 raise ValueError(f"{name} must be within [0, 1], got {p}")
         if self.bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be positive")
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
+        if not 0 <= self.latency_ms < math.inf:
+            raise ValueError(f"latency_ms must be finite and >= 0, got {self.latency_ms}")
 
 
 class LossyLink:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
+from typing import Callable
 
 from slopewatch import wire
 from slopewatch.alert import AlertEngine, Dispatcher
@@ -26,7 +27,6 @@ from slopewatch.session import (
     ReqConnReceived,
     SendDataReceived,
     ServerSessionState,
-    TraceLog,
     server_step,
 )
 from slopewatch.wire import Frame, MessageType
@@ -42,12 +42,13 @@ class ServerEngine:
         repo: Repository,
         calibration: dict[SensorKind, CalibrationConstants],
         alert_engine: AlertEngine,
-        trace: TraceLog | None = None,
+        observe: Callable | None = None,
     ):
         self.repo = repo
         self.calibration = calibration
         self.alert_engine = alert_engine
-        self.trace = trace
+        # observe(node_id, state, event, actions) sees each step, before its actions run.
+        self.observe = observe
         self.sessions: dict[int, ServerSessionState] = {}
         self._session_to_node: dict[int, int] = {}  # each node's latest accepted session
         self._next_session_id = 1
@@ -58,10 +59,10 @@ class ServerEngine:
 
     @classmethod
     def open(cls, config: Config, store_dir: str | Path, sinks: list,
-             trace: TraceLog | None = None) -> ServerEngine:
+             observe: Callable | None = None) -> ServerEngine:
         """The engine over the store in ``store_dir``, alerting through ``sinks``."""
         alert_engine = AlertEngine(config.thresholds, config.analysis, Dispatcher(sinks))
-        return cls(Repository(store_dir), config.calibration, alert_engine, trace=trace)
+        return cls(Repository(store_dir), config.calibration, alert_engine, observe=observe)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -80,12 +81,12 @@ class ServerEngine:
             logger.warning("malformed %s payload: %s", frame.msg_type.name, exc)
             return None
 
-    def _step(self, node_id: int, event, now: float) -> list[Frame]:
+    def _step(self, node_id: int, event) -> list[Frame]:
         state = self._state_of(node_id)
-        new_state, actions = server_step(state, event, now)
+        new_state, actions = server_step(state, event)
         self.sessions[node_id] = new_state
-        if self.trace is not None:
-            self.trace.record(now, "server", node_id, new_state.phase.value, event, actions)
+        if self.observe is not None:
+            self.observe(node_id, new_state, event, actions)
         out: list[Frame] = []
         for action in actions:
             if isinstance(action, ForwardToIngest):
@@ -110,13 +111,13 @@ class ServerEngine:
     def synthetic_ip_for(self, node_id: int) -> str:
         return f"10.77.{(node_id >> 8) & 0xFF}.{node_id & 0xFF}"
 
-    def handle_frame(self, frame: Frame, now: float) -> list[Frame]:
+    def handle_frame(self, frame: Frame) -> list[Frame]:
         """Any frame from a node; the replies go back to that node."""
         if frame.msg_type in wire.CONTROL_TYPES:
-            return self.handle_control_frame(frame, now)
-        return self.handle_data_frame(frame, now)
+            return self.handle_control_frame(frame)
+        return self.handle_data_frame(frame)
 
-    def handle_control_frame(self, frame: Frame, now: float) -> list[Frame]:
+    def handle_control_frame(self, frame: Frame) -> list[Frame]:
         """Control-channel frames: IP acquisition and address announcements."""
         if frame.msg_type is MessageType.REQ_IP:
             # Stand-in for the carrier: assign a synthetic address.
@@ -129,11 +130,11 @@ class ServerEngine:
             if announced is None:
                 return []
             node_id, ip = announced
-            return self._step(node_id, AnnounceReceived(node_id, ip), now)
+            return self._step(node_id, AnnounceReceived(node_id, ip))
         logger.warning("unexpected %s on control channel", frame.msg_type.name)
         return []
 
-    def handle_data_frame(self, frame: Frame, now: float) -> list[Frame]:
+    def handle_data_frame(self, frame: Frame) -> list[Frame]:
         """Data-channel frames: connection requests, batches, heartbeats."""
         if frame.msg_type is MessageType.REQ_CONN:
             request = self._decode(wire.decode_reqconn, frame)
@@ -143,7 +144,7 @@ class ServerEngine:
             # Each request takes an id, also one the node's state refuses.
             sid = self._next_session_id
             self._next_session_id += 1
-            out = self._step(node_id, ReqConnReceived(node_id, nonce, sid), now)
+            out = self._step(node_id, ReqConnReceived(node_id, nonce, sid))
             if self.sessions[node_id].session_id == sid:
                 # Accepted: it replaces the node's older session, whose late
                 # frames are then from an unknown session.
@@ -159,17 +160,17 @@ class ServerEngine:
                 self.violations += 1
                 logger.warning("SEND_DATA for unknown session %d", payload.session_id)
                 return []
-            return self._step(node_id, SendDataReceived(payload), now)
+            return self._step(node_id, SendDataReceived(payload))
         if frame.msg_type is MessageType.HEARTBEAT:
             return []  # liveness only
         logger.warning("unexpected %s on data channel", frame.msg_type.name)
         return []
 
-    def handle_link_down(self, node_id: int, now: float, session_id: int | None = None) -> list[Frame]:
+    def handle_link_down(self, node_id: int, session_id: int | None = None) -> list[Frame]:
         """The node's link is gone. With ``session_id``, only if that session
         is still the node's live one: an old connection closing must not end
         the session a newer connection holds."""
         state = self.sessions.get(node_id)
         if session_id is not None and (state is None or state.session_id != session_id):
             return []
-        return self._step(node_id, LinkDown(), now)
+        return self._step(node_id, LinkDown())

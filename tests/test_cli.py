@@ -80,15 +80,21 @@ def test_invalid_analysis_setting_exits_two(line, bad, tmp_path, capsys):
 
 
 def test_non_finite_settings_exit_two(tmp_path, capsys):
-    # Accepted, these two would move the seed-7 storm's YELLOW from h73 to h84.
+    # Accepted, the first two would move the seed-7 storm's YELLOW from h73
+    # to h84; the nan gain stops its ladder at YELLOW, and the infinite
+    # latency stores no reading.
     text = Path(DEMO).read_text()
     edited = tmp_path / "demo.ini"
     edited.write_text(text.replace("mt_rain_mm_per_h = 5.0", "mt_rain_mm_per_h = nan")
-                      .replace("dry_gap_h = 6.0", "dry_gap_h = inf"))
+                      .replace("dry_gap_h = 6.0", "dry_gap_h = inf")
+                      .replace("rain_gauge_gain = 0.2", "rain_gauge_gain = nan")
+                      .replace("latency_ms = 120", "latency_ms = inf"))
     code, out, err = run_cli(["replay", "--config", str(edited), "--scenario", "seven_day_rain",
                               "--seed", "7", "--store", str(tmp_path / "s")], capsys)
     assert code == EXIT_CONFIG
-    assert "mt_rain_mm_per_h must be finite" in err and "dry_gap_h must be finite" in err
+    for message in ("mt_rain_mm_per_h must be finite", "dry_gap_h must be finite",
+                    "gain must be finite for RAIN_GAUGE", "latency_ms must be finite"):
+        assert message in err
     assert out == ""
 
 

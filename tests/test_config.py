@@ -76,6 +76,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="webhook_url"):
             load_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, message", [
+        ("rain_gauge_gain", "gain must be finite"),
+        ("rain_gauge_offset", "offset must be finite"),
+        ("latency_ms", "latency_ms must be finite"),
+    ])
+    def test_non_finite_calibration_or_link_value_is_config_error(self, tmp_path, key, message, value):
+        # Accepted, a nan gain stores nan for every rain reading, and a nan
+        # latency lets no reading through the link.
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in DEMO.read_text().splitlines()]
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+
     def test_zero_gain_calibration_rejected(self, tmp_path):
         body = MINIMAL + "[calibration]\nrain_gauge_gain = 0\nrain_gauge_offset = 0\n"
         with pytest.raises(ConfigError, match="gain"):

@@ -74,24 +74,24 @@ class TestNodeStateBuilds:
 
     def test_queueing_a_batch_keeps_every_field(self):
         state = self.full_state()
-        after, _ = node_step(state, batch(8), 0.0, TIMING)
+        after, _ = node_step(state, batch(8), TIMING)
         self.assert_kept(state, after, state.pending + (PendingBatch(8, 1000, ((RAIN, 5),)),))
 
     def test_acking_the_head_keeps_every_field(self):
         state = self.full_state()
-        after, actions = node_step(state, DataAckReceived(4), 0.0, TIMING)
+        after, actions = node_step(state, DataAckReceived(4), TIMING)
         assert actions == []
         self.assert_kept(state, after, pending(5, 6))
 
     def test_acking_a_later_batch_keeps_every_field(self):
         state = self.full_state()
-        after, actions = node_step(state, DataAckReceived(5), 0.0, TIMING)
+        after, actions = node_step(state, DataAckReceived(5), TIMING)
         assert actions == []
         self.assert_kept(state, after, pending(4, 6))
 
     def test_unknown_ack_changes_nothing(self):
         state = self.full_state()
-        after, actions = node_step(state, DataAckReceived(99), 0.0, TIMING)
+        after, actions = node_step(state, DataAckReceived(99), TIMING)
         assert after is state
         assert "unknown batch seq 99" in actions[0].message
 
@@ -100,14 +100,14 @@ class TestNodeDriver:
     def test_timers_are_armed_before_frames_are_sent(self):
         rec = Recorder()
         driver = rec.driver(streaming())
-        driver.feed(batch(1), 0.0)
+        driver.feed(batch(1))
         assert rec.log == [("timer", TIMING.retransmit_interval), ("send", MessageType.SEND_DATA)]
         assert driver.state.pending == (PendingBatch(1, 1000, ((RAIN, 5),)),)
 
     def test_a_failed_send_feeds_one_link_down_and_stops_sending(self):
         rec = Recorder(send_ok=False)
         driver = rec.driver(streaming(pending=pending(1, 2)))
-        driver.feed(TimerFired(), 10.0)  # retransmits both batches
+        driver.feed(TimerFired())  # retransmits both batches
         # The first send fails: one LinkDown, so Backoff's timer; the second batch is not sent.
         assert rec.log == [("timer", TIMING.retransmit_interval), ("send", MessageType.SEND_DATA),
                            ("timer", 1.0)]
@@ -116,9 +116,10 @@ class TestNodeDriver:
     def test_observe_sees_each_step(self):
         rec, seen = Recorder(), []
         driver = rec.driver(NodeState(node_id=1), observe=lambda *step: seen.append(step))
-        driver.feed(TimerFired(), 5.0)
-        ((now, state, event, actions),) = seen
-        assert (now, state.phase, event) == (5.0, NodePhase.ACQUIRING_IP, TimerFired())
+        driver.feed(TimerFired())
+        ((state, event, actions),) = seen
+        assert (state, event) == (driver.state, TimerFired())
+        assert state.phase is NodePhase.ACQUIRING_IP
         assert SetTimer(TIMING.ip_retry) in actions
 
     def test_step_is_the_callers(self):
@@ -128,13 +129,13 @@ class TestNodeDriver:
             calls.append(args[1])
             return node_step(*args)
 
-        Recorder().driver(NodeState(node_id=1), step=step).feed(LinkDown(), 0.0)
+        Recorder().driver(NodeState(node_id=1), step=step).feed(LinkDown())
         assert calls == [LinkDown()]
 
     def test_receive_feeds_the_frames_event(self):
         rec = Recorder()
         driver = rec.driver(streaming(pending=pending(3)))
-        driver.receive(Frame(MessageType.DATA_ACK, wire.encode_dataack(3)), 1.0)
+        driver.receive(Frame(MessageType.DATA_ACK, wire.encode_dataack(3)))
         assert driver.state.pending == ()
 
     def test_receive_drops_a_malformed_or_unexpected_frame(self, caplog):
@@ -142,8 +143,8 @@ class TestNodeDriver:
         state = streaming(pending=pending(3))
         driver = rec.driver(state)
         with caplog.at_level(logging.WARNING, logger="slopewatch.session"):
-            driver.receive(Frame(MessageType.DATA_ACK, b"\x00\x03"), 1.0)
-            driver.receive(Frame(MessageType.REQ_IP, wire.encode_reqip(1)), 1.0)
+            driver.receive(Frame(MessageType.DATA_ACK, b"\x00\x03"))
+            driver.receive(Frame(MessageType.REQ_IP, wire.encode_reqip(1)))
         assert driver.state is state and rec.log == []
         messages = [r.getMessage() for r in caplog.records]
         assert any("dropping bad frame" in m for m in messages)

@@ -86,6 +86,25 @@ class TestLossFreeReplay:
         assert summary.records_stored == 0
         assert summary.alert_timeline == [(0.0, "GREEN")]
 
+    @pytest.mark.parametrize("interval, offsets", [
+        (0.01, (0.0, 86400.0)),  # 8,640,000 grid ticks over the day
+        (0.1, (0.05, 0.15, 0.3, 1.234, 7.77, 33.333, 100.07)),  # offsets off the grid
+    ])
+    def test_sampling_ticks_follow_the_readings(self, interval, offsets, tmp_path, monkeypatch):
+        ticks = []
+        tick = SimReplay._sample_tick
+
+        def counted(self):
+            ticks.append(self.now)
+            tick(self)
+
+        monkeypatch.setattr(SimReplay, "_sample_tick", counted)
+        steps = tuple(ScenarioStep(t, SensorKind.RAIN_GAUGE, 1) for t in offsets)
+        _, summary = run(Scenario("fine", steps, interval), LinkConfig(), tmp_path / "s", seed=1)
+        assert summary.records_stored == len(offsets)
+        # The first tick, then at most one per reading.
+        assert len(ticks) <= len(offsets) + 1
+
 
 class TestLossyReplay:
     def test_exactly_once_under_20pct_drop(self, tmp_path):

@@ -70,34 +70,32 @@ class TestBackoff:
 
     def test_node_survives_2000_failed_connects(self):
         state = replace(_streaming_state(), phase=NodePhase.CONNECTING)
-        now = 0.0
         while True:
-            state, actions = node_step(state, TimerFired(), now)
+            state, actions = node_step(state, TimerFired())
             if state.phase is NodePhase.BACKOFF and state.attempt == 2000:
                 break
-            now += next(a.delay for a in actions if isinstance(a, SetTimer))
         assert actions == [SetTimer(60.0)]
 
 
 class TestNodeMachine:
     def test_boot_requests_ip(self):
-        state, actions = node_step(NodeState(node_id=7), TimerFired(), now=0.0)
+        state, actions = node_step(NodeState(node_id=7), TimerFired())
         assert state.phase is NodePhase.ACQUIRING_IP
         assert sent_types(actions) == [MessageType.REQ_IP]
         assert actions[0] == Frame(MessageType.REQ_IP, wire.encode_reqip(7))
 
     def test_full_happy_path(self):
         state = NodeState(node_id=7)
-        state, _ = node_step(state, TimerFired(), 0.0)
-        state, actions = node_step(state, IpAssigned("10.77.0.7"), 1.0)
+        state, _ = node_step(state, TimerFired())
+        state, actions = node_step(state, IpAssigned("10.77.0.7"))
         assert state.phase is NodePhase.ANNOUNCING_IP
         assert sent_types(actions) == [MessageType.SEND_IP]
-        state, _ = node_step(state, TimerFired(), 1.0)
+        state, _ = node_step(state, TimerFired())
         assert state.phase is NodePhase.AWAITING_SERVER_IP
-        state, actions = node_step(state, ServerIpReceived("10.0.0.1"), 2.0)
+        state, actions = node_step(state, ServerIpReceived("10.0.0.1"))
         assert state.phase is NodePhase.CONNECTING
         assert sent_types(actions) == [MessageType.REQ_CONN]
-        state, actions = node_step(state, ConnAckReceived(5, state.conn_nonce), 3.0)
+        state, actions = node_step(state, ConnAckReceived(5, state.conn_nonce))
         assert state.phase is NodePhase.STREAMING
         assert state.session_id == 5
         assert state.attempt == 0
@@ -105,60 +103,60 @@ class TestNodeMachine:
     def test_streaming_sends_and_acks_batches(self):
         state = _streaming_state()
         event = available(1, n=2)
-        state, actions = node_step(state, event, 10.0)
+        state, actions = node_step(state, event)
         assert state.pending == (event.batch,)
         send = [a for a in actions if isinstance(a, Frame)][0]
         payload = decode_senddata(send.payload)
         assert (payload.seq, payload.timestamp, payload.readings) == (1, 1000, ((RAIN, 3), (RAIN, 3)))
-        state, actions = node_step(state, DataAckReceived(1), 11.0)
+        state, actions = node_step(state, DataAckReceived(1))
         assert state.pending == ()
         assert not sent_types(actions)
 
     def test_ack_for_unknown_batch_warns(self):
         state = _streaming_state()
-        state2, actions = node_step(state, DataAckReceived(42), 10.0)
+        state2, actions = node_step(state, DataAckReceived(42))
         assert state2 == state
         assert any(isinstance(a, LogWarning) for a in actions)
 
     def test_retransmit_timer_resends_all_pending(self):
         state = _streaming_state()
-        state, _ = node_step(state, available(1), 10.0)
-        state, _ = node_step(state, available(2, ts=1001), 11.0)
-        state, actions = node_step(state, TimerFired(), 41.0)
+        state, _ = node_step(state, available(1))
+        state, _ = node_step(state, available(2, ts=1001))
+        state, actions = node_step(state, TimerFired())
         assert sent_types(actions) == [MessageType.SEND_DATA, MessageType.SEND_DATA]
 
     def test_idle_timer_sends_heartbeat(self):
         state = _streaming_state()
-        _, actions = node_step(state, TimerFired(), 100.0)
+        _, actions = node_step(state, TimerFired())
         assert sent_types(actions) == [MessageType.HEARTBEAT]
 
     def test_link_down_in_streaming_enters_backoff(self):
         state = _streaming_state()
-        state, actions = node_step(state, LinkDown(), 50.0)
+        state, actions = node_step(state, LinkDown())
         assert state.phase is NodePhase.BACKOFF
         assert state.attempt == 1
         assert any(isinstance(a, SetTimer) and a.delay == 1.0 for a in actions)
 
     def test_consecutive_connect_failures_escalate(self):
         state = _streaming_state()
-        state, _ = node_step(state, LinkDown(), 50.0)
+        state, _ = node_step(state, LinkDown())
         for expected_attempt, expected_delay in ((2, 2.0), (3, 4.0)):
-            state, _ = node_step(state, TimerFired(), 60.0)  # backoff over, reconnect
+            state, _ = node_step(state, TimerFired())  # backoff over, reconnect
             assert state.phase is NodePhase.CONNECTING
-            state, actions = node_step(state, TimerFired(), 70.0)  # connect timeout
+            state, actions = node_step(state, TimerFired())  # connect timeout
             assert state.phase is NodePhase.BACKOFF
             assert state.attempt == expected_attempt
             assert any(isinstance(a, SetTimer) and a.delay == expected_delay for a in actions)
 
     def test_reconnect_resends_pending_with_new_session(self):
         state = _streaming_state()
-        state, _ = node_step(state, available(1), 10.0)
-        state, _ = node_step(state, LinkDown(), 11.0)
-        state, _ = node_step(state, available(2, ts=1001), 12.0)  # queued offline
-        state, _ = node_step(state, TimerFired(), 13.0)
+        state, _ = node_step(state, available(1))
+        state, _ = node_step(state, LinkDown())
+        state, _ = node_step(state, available(2, ts=1001))  # queued offline
+        state, _ = node_step(state, TimerFired())
         assert state.phase is NodePhase.CONNECTING
         nonce = state.conn_nonce
-        state, actions = node_step(state, ConnAckReceived(9, nonce), 14.0)
+        state, actions = node_step(state, ConnAckReceived(9, nonce))
         assert state.phase is NodePhase.STREAMING
         sends = [a for a in actions if isinstance(a, Frame)]
         payloads = [decode_senddata(a.payload) for a in sends]
@@ -167,23 +165,23 @@ class TestNodeMachine:
 
     def test_stale_connack_nonce_ignored(self):
         state = _streaming_state()
-        state, _ = node_step(state, LinkDown(), 50.0)
-        state, _ = node_step(state, TimerFired(), 51.0)
+        state, _ = node_step(state, LinkDown())
+        state, _ = node_step(state, TimerFired())
         assert state.phase is NodePhase.CONNECTING
-        state2, actions = node_step(state, ConnAckReceived(33, state.conn_nonce - 1), 52.0)
+        state2, actions = node_step(state, ConnAckReceived(33, state.conn_nonce - 1))
         assert state2.phase is NodePhase.CONNECTING
         assert any(isinstance(a, LogWarning) for a in actions)
 
     def test_illegal_event_ignored_with_warning(self):
         state = NodeState(node_id=1)
-        state2, actions = node_step(state, ConnAckReceived(1, 1), 0.0)
+        state2, actions = node_step(state, ConnAckReceived(1, 1))
         assert state2 == state
         assert actions and isinstance(actions[0], LogWarning)
 
     def test_purity(self):
         state = _streaming_state()
         event = available(1)
-        assert node_step(state, event, 5.0) == node_step(state, event, 5.0)
+        assert node_step(state, event) == node_step(state, event)
 
 
 def _streaming_state() -> NodeState:
@@ -200,19 +198,19 @@ def _streaming_state() -> NodeState:
 class TestServerMachine:
     def test_announce_registers_and_replies(self):
         state = ServerSessionState(node_id=7)
-        state, actions = server_step(state, AnnounceReceived(7, "10.77.0.7"), 0.0)
+        state, actions = server_step(state, AnnounceReceived(7, "10.77.0.7"))
         assert state.phase is ServerPhase.KNOWN_CLIENT
         assert state.client_ip == "10.77.0.7"
         assert actions == [Frame(MessageType.SERVER_IP, wire.encode_serverip("10.0.0.1"))]
 
     def test_reannounce_replaces_ip(self):
         state = ServerSessionState(node_id=7, phase=ServerPhase.KNOWN_CLIENT, client_ip="10.77.0.7")
-        state, _ = server_step(state, AnnounceReceived(7, "10.77.0.8"), 1.0)
+        state, _ = server_step(state, AnnounceReceived(7, "10.77.0.8"))
         assert state.client_ip == "10.77.0.8"
 
     def test_reqconn_accepts_with_session(self):
         state = ServerSessionState(node_id=7, phase=ServerPhase.KNOWN_CLIENT, client_ip="x")
-        state, actions = server_step(state, ReqConnReceived(7, nonce=2, session_id=11), 1.0)
+        state, actions = server_step(state, ReqConnReceived(7, nonce=2, session_id=11))
         assert state.phase is ServerPhase.CONNECTED
         assert state.session_id == 11
         assert sent_types(actions) == [MessageType.CONN_ACK]
@@ -220,40 +218,40 @@ class TestServerMachine:
     def test_senddata_ingests_then_acks(self):
         state = _connected_state()
         payload = SendDataPayload(session_id=11, seq=5, timestamp=99, readings=((1, 2),))
-        state, actions = server_step(state, SendDataReceived(payload), 2.0)
+        state, actions = server_step(state, SendDataReceived(payload))
         assert isinstance(actions[0], ForwardToIngest)  # durability precedes the ack
         assert actions[1] == Frame(MessageType.DATA_ACK, wire.encode_dataack(5))
 
     def test_stale_session_not_acked(self):
         state = _connected_state()
         payload = SendDataPayload(session_id=3, seq=5, timestamp=99, readings=())
-        state2, actions = server_step(state, SendDataReceived(payload), 2.0)
+        state2, actions = server_step(state, SendDataReceived(payload))
         assert state2 == state
         assert sent_types(actions) == []
         assert any(isinstance(a, LogWarning) for a in actions)
 
     def test_senddata_before_connect_is_violation(self):
         state = ServerSessionState(node_id=7)
-        _, actions = server_step(state, SendDataReceived(SendDataPayload(1, 1, 1, ())), 0.0)
+        _, actions = server_step(state, SendDataReceived(SendDataPayload(1, 1, 1, ())))
         assert any(isinstance(a, LogWarning) for a in actions)
 
     def test_link_down_drops_back_to_known_client(self):
         state = _connected_state()
-        state, actions = server_step(state, LinkDown(), 3.0)
+        state, actions = server_step(state, LinkDown())
         assert state.phase is ServerPhase.KNOWN_CLIENT
         assert state.session_id is None
         assert actions == []
 
     def test_reconnect_replaces_session(self):
         state = _connected_state()
-        state, actions = server_step(state, ReqConnReceived(7, nonce=3, session_id=12), 4.0)
+        state, actions = server_step(state, ReqConnReceived(7, nonce=3, session_id=12))
         assert state.session_id == 12
         assert sent_types(actions) == [MessageType.CONN_ACK]
 
     def test_purity(self):
         state = _connected_state()
         event = SendDataReceived(SendDataPayload(11, 5, 99, ()))
-        assert server_step(state, event, 2.0) == server_step(state, event, 2.0)
+        assert server_step(state, event) == server_step(state, event)
 
 
 def _connected_state() -> ServerSessionState:

@@ -35,8 +35,8 @@ def engine(tmp_path):
 
 def connect(engine: ServerEngine) -> int:
     """Announce and connect NODE; returns its session id."""
-    engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
-    (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)), 0.0)
+    engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")))
+    (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)))
     return wire.decode_connack(ack.payload)[0]
 
 
@@ -62,11 +62,11 @@ def test_malformed_send_data_is_a_violation_and_not_acked(engine, corrupt):
     session_id = connect(engine)
     bad = corrupt(send_data(session_id, 0))
     assert wire.decode_frame(wire.encode_frame(bad)) == bad  # the frame itself is valid
-    assert engine.handle_data_frame(bad, 1.0) == []
+    assert engine.handle_data_frame(bad) == []
     assert engine.violations == 1
     assert (engine.batches_ingested, engine.records_stored, len(engine.repo)) == (0, 0, 0)
     # The session is untouched: the next good batch is stored and acked.
-    (ack,) = engine.handle_data_frame(send_data(session_id, 5), 2.0)
+    (ack,) = engine.handle_data_frame(send_data(session_id, 5))
     assert ack.msg_type is MessageType.DATA_ACK and wire.decode_dataack(ack.payload) == 5
     assert engine.records_stored == len(READINGS)
     assert engine.sessions[NODE].phase is ServerPhase.CONNECTED
@@ -82,7 +82,7 @@ def test_malformed_send_data_is_a_violation_and_not_acked(engine, corrupt):
     ids=["req_ip short", "send_ip short", "send_ip long"],
 )
 def test_malformed_control_payload_is_a_violation(engine, frame):
-    assert engine.handle_control_frame(frame, 0.0) == []
+    assert engine.handle_control_frame(frame) == []
     assert engine.violations == 1
     assert engine.sessions == {}
 
@@ -93,8 +93,8 @@ def test_malformed_control_payload_is_a_violation(engine, frame):
     ids=["empty", "short", "long"],
 )
 def test_malformed_req_conn_is_a_violation(engine, payload):
-    engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
-    assert engine.handle_data_frame(Frame(MessageType.REQ_CONN, payload), 1.0) == []
+    engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")))
+    assert engine.handle_data_frame(Frame(MessageType.REQ_CONN, payload)) == []
     assert engine.violations == 1
     assert engine.sessions[NODE].phase is ServerPhase.KNOWN_CLIENT
     # No session id was spent on it.

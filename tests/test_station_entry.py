@@ -8,7 +8,7 @@ from slopewatch import replay, wire
 from slopewatch.config import load_config
 from slopewatch.nodesim import load_scenario, resolve_scenario
 from slopewatch.replay import SimReplay
-from slopewatch.session import SERVER_IP, LossyLink, ServerPhase, TraceLog
+from slopewatch.session import SERVER_IP, LossyLink, ServerPhase, describe
 from slopewatch.station import ServerEngine
 from slopewatch.wire import Frame, MessageType, SendDataPayload
 
@@ -31,11 +31,11 @@ def engine(tmp_path):
 
 
 def announce(engine: ServerEngine) -> None:
-    engine.handle_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
+    engine.handle_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")))
 
 
 def connect(engine: ServerEngine, nonce: int) -> int:
-    (ack,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, nonce)), 0.0)
+    (ack,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, nonce)))
     return wire.decode_connack(ack.payload)[0]
 
 
@@ -45,17 +45,48 @@ def send_data(session_id: int, seq: int) -> Frame:
 
 
 def test_open_builds_the_engine_over_the_store(tmp_path):
-    trace = TraceLog()
-    engine = ServerEngine.open(load_config(DEMO), tmp_path / "store", [NullSink()], trace=trace)
+    steps = []
+    engine = ServerEngine.open(load_config(DEMO), tmp_path / "store", [NullSink()],
+                               observe=lambda *step: steps.append(step))
     try:
         announce(engine)
         connect(engine, 1)
-        engine.handle_frame(send_data(1, 0), 1.0)
+        engine.handle_frame(send_data(1, 0))
         assert engine.records_stored == 1
-        assert trace.records
+        assert len(steps) == 3
     finally:
         engine.repo.close()
     assert (tmp_path / "store" / "readings.csv").exists()
+
+
+def test_observe_sees_each_step_once_before_its_ingest(tmp_path):
+    seen = []
+
+    def observe(node_id, state, event, actions):
+        assert state is engine.sessions[node_id]  # the state the step left
+        seen.append((node_id, state.phase, describe(event), [describe(a) for a in actions],
+                     engine.records_stored))
+
+    engine = ServerEngine.open(load_config(DEMO), tmp_path / "store", [NullSink()], observe=observe)
+    try:
+        engine.handle_frame(Frame(MessageType.REQ_IP, wire.encode_reqip(NODE)))  # no machine step
+        announce(engine)
+        sid = connect(engine, 1)
+        engine.handle_frame(send_data(sid, 0))
+        engine.handle_frame(Frame(MessageType.HEARTBEAT))  # no machine step
+        engine.handle_frame(send_data(sid, 1))
+        engine.handle_link_down(NODE)
+    finally:
+        engine.repo.close()
+    assert seen == [
+        (NODE, ServerPhase.KNOWN_CLIENT, "AnnounceReceived", ["SendFrame(SERVER_IP,control)"], 0),
+        (NODE, ServerPhase.CONNECTED, "ReqConnReceived", ["SendFrame(CONN_ACK,data)"], 0),
+        (NODE, ServerPhase.CONNECTED, "SendDataReceived(seq=0)",
+         ["ForwardToIngest(seq=0)", "SendFrame(DATA_ACK,data)"], 0),
+        (NODE, ServerPhase.CONNECTED, "SendDataReceived(seq=1)",
+         ["ForwardToIngest(seq=1)", "SendFrame(DATA_ACK,data)"], 1),
+        (NODE, ServerPhase.KNOWN_CLIENT, "LinkDown", [], 2),
+    ]
 
 
 @pytest.mark.parametrize("msg_type", list(MessageType), ids=lambda t: t.name)
@@ -64,21 +95,21 @@ def test_handle_frame_routes_like_the_channels(msg_type, engine, monkeypatch):
     # look both handlers up through ``self``.
     reached = []
     monkeypatch.setattr(ServerEngine, "handle_control_frame",
-                        lambda self, frame, now: reached.append("control") or [])
+                        lambda self, frame: reached.append("control") or [])
     monkeypatch.setattr(ServerEngine, "handle_data_frame",
-                        lambda self, frame, now: reached.append("data") or [])
-    assert engine.handle_frame(Frame(msg_type, b""), 0.0) == []
+                        lambda self, frame: reached.append("data") or [])
+    assert engine.handle_frame(Frame(msg_type, b"")) == []
     assert reached == ["control" if msg_type in wire.CONTROL_TYPES else "data"]
 
 
 def test_replies_are_whole_frames(engine):
-    (ip,) = engine.handle_frame(Frame(MessageType.REQ_IP, wire.encode_reqip(NODE)), 0.0)
+    (ip,) = engine.handle_frame(Frame(MessageType.REQ_IP, wire.encode_reqip(NODE)))
     assert ip == Frame(MessageType.IP_ASSIGN, wire.encode_ipassign("10.77.0.3"))
-    (server_ip,) = engine.handle_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")), 0.0)
+    (server_ip,) = engine.handle_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.3")))
     assert server_ip == Frame(MessageType.SERVER_IP, wire.encode_serverip(SERVER_IP))
-    (conn,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 5)), 0.0)
+    (conn,) = engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 5)))
     assert conn == Frame(MessageType.CONN_ACK, wire.encode_connack(1, 5))
-    (ack,) = engine.handle_frame(send_data(1, 0), 1.0)
+    (ack,) = engine.handle_frame(send_data(1, 0))
     assert ack == Frame(MessageType.DATA_ACK, wire.encode_dataack(0))
 
 
@@ -122,30 +153,30 @@ class TestStaleLinkDown:
         old = connect(engine, 1)
         new = connect(engine, 2)
         assert new != old
-        assert engine.handle_link_down(NODE, 1.0, session_id=old) == []
+        assert engine.handle_link_down(NODE, session_id=old) == []
         state = engine.sessions[NODE]
         assert (state.phase, state.session_id) == (ServerPhase.CONNECTED, new)
-        (ack,) = engine.handle_frame(send_data(new, 0), 2.0)
+        (ack,) = engine.handle_frame(send_data(new, 0))
         assert ack.msg_type is MessageType.DATA_ACK
         assert engine.violations == 0
 
     def test_live_session_link_down_ends_it(self, engine):
         announce(engine)
         sid = connect(engine, 1)
-        engine.handle_link_down(NODE, 1.0, session_id=sid)
+        engine.handle_link_down(NODE, session_id=sid)
         assert engine.sessions[NODE].phase is ServerPhase.KNOWN_CLIENT
-        assert engine.handle_frame(send_data(sid, 0), 2.0) == []
+        assert engine.handle_frame(send_data(sid, 0)) == []
 
     def test_link_down_without_a_session_ends_the_live_one(self, engine):
         # The replay's link-down ends whichever session is live.
         announce(engine)
         connect(engine, 1)
         connect(engine, 2)
-        engine.handle_link_down(NODE, 1.0)
+        engine.handle_link_down(NODE)
         assert engine.sessions[NODE].phase is ServerPhase.KNOWN_CLIENT
 
     def test_unknown_node_link_down_with_a_session_is_ignored(self, engine):
-        assert engine.handle_link_down(NODE, 1.0, session_id=1) == []
+        assert engine.handle_link_down(NODE, session_id=1) == []
         assert NODE not in engine.sessions
 
 
@@ -154,7 +185,7 @@ class TestSessionMap:
 
     def test_refused_req_conn_adds_no_entry(self, engine):
         # Unannounced: the request is refused, yet it takes a session id.
-        assert engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 1)), 0.0) == []
+        assert engine.handle_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 1))) == []
         assert engine._session_to_node == {}
         announce(engine)
         assert connect(engine, 2) == 2
@@ -166,7 +197,7 @@ class TestSessionMap:
         new = connect(engine, 2)
         assert engine._session_to_node == {new: NODE}
         with caplog.at_level("WARNING", logger="slopewatch.station"):
-            assert engine.handle_frame(send_data(old, 0), 1.0) == []
+            assert engine.handle_frame(send_data(old, 0)) == []
         assert engine.violations == 1
         assert engine.records_stored == 0
         assert any(f"unknown session {old}" in r.getMessage() for r in caplog.records)
@@ -175,9 +206,9 @@ class TestSessionMap:
         # A late frame of the session just ended still reads as "outside a session".
         announce(engine)
         sid = connect(engine, 1)
-        engine.handle_link_down(NODE, 1.0)
+        engine.handle_link_down(NODE)
         assert engine._session_to_node == {sid: NODE}
-        assert engine.handle_frame(send_data(sid, 0), 2.0) == []
+        assert engine.handle_frame(send_data(sid, 0)) == []
         assert engine.violations == 1
 
     def test_forced_disconnect_replay_ends_with_one_entry_per_node(self, tmp_path):

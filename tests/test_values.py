@@ -182,7 +182,7 @@ _SERVER_STATES = st.builds(
 def _assert_step_keeps_inputs(step, state, events) -> None:
     for i, event in enumerate(events):
         state_before, event_before = copy.deepcopy(state), copy.deepcopy(event)
-        new_state, _ = step(state, event, 10.0 * i)
+        new_state, _ = step(state, event)
         assert state == state_before, (i, event)
         assert event == event_before, (i, event)
         state = new_state
