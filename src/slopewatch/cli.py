@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_node.add_argument("--node-id", type=_node_id, default=1, help="node identifier, 0-65535 (default 1)")
     p_node.add_argument("--connect", default="127.0.0.1:9470", help="station host:port")
     p_node.add_argument("--speedup", type=_speedup, default=3600.0,
-                        help="simulated seconds per wall second (default 3600)")
+                        help="scenario seconds per wall second (default 3600); "
+                             "protocol timers run in wall seconds")
 
     p_server = sub.add_parser("server", help="run the base station")
     p_server.add_argument("--config", help="config file (or set EWS_CONFIG)")

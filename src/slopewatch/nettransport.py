@@ -2,8 +2,10 @@
 
 Frames are byte-identical to the simulated link; both channels share the
 TCP stream, whose reliability stands in for the lossless control path.
-The node runner paces the scenario against the wall clock divided by a
-speedup factor, so multi-day storms can stream in seconds.
+The node runner plays the scenario at ``speedup`` simulated seconds per
+wall second, on the replay's sampling grid, so multi-day storms can stream
+in seconds. Its protocol timers (connect, retransmit, backoff) run in wall
+seconds, unscaled: they guard real round trips.
 """
 
 from __future__ import annotations
@@ -24,18 +26,11 @@ from slopewatch.session import (
     NodeDriver,
     NodeState,
     ReadingsAvailable,
-    SessionTiming,
     TimerFired,
 )
 from slopewatch.station import ServerEngine
 
 logger = logging.getLogger(__name__)
-
-# Wall-clock pacing: protocol timers stay snappy relative to sim time.
-NODE_TIMING = SessionTiming(
-    ip_retry=2.0, announce_timeout=2.0, connect_timeout=5.0,
-    retransmit_interval=5.0, heartbeat_interval=30.0,
-)
 
 
 def parse_address(text: str, *, listening: bool) -> tuple[str, int]:
@@ -177,12 +172,11 @@ class NodeRunner:
         speedup: float = 3600.0,
     ):
         self.addr = parse_address(connect, listening=False)
-        self.scenario = scenario
         self.speedup = speedup
         self.start_wall = time.monotonic()
         self.start_ts = int(time.time())
         self.player = ScenarioPlayer(scenario, start_ts=self.start_ts)
-        self.driver = NodeDriver(NodeState(node_id=node_id), NODE_TIMING, send=self._send,
+        self.driver = NodeDriver(NodeState(node_id=node_id), send=self._send,
                                  set_timer=self._set_timer)
         self.sock: socket.socket | None = None
         self._splitter = wire.FrameSplitter()
@@ -193,16 +187,12 @@ class NodeRunner:
         return self.start_ts + (time.monotonic() - self.start_wall) * self.speedup
 
     def run(self) -> int:
-        self._connect_socket()
         self.driver.feed(TimerFired())  # boot
-        end_ts = self.start_ts + self.scenario.duration
-        next_tick = float(self.start_ts)
         while not (self.player.exhausted and not self.driver.state.pending):
-            now = self._sim_now()
-            if now >= next_tick:
-                for batch in self.player.emit_readings(min(now, end_ts)):
+            # The replay's sampling grid, each tick taken once the scenario clock reaches it.
+            while (tick := self.player.next_tick) is not None and tick <= self._sim_now():
+                for batch in self.player.emit_readings(tick):
                     self.driver.feed(ReadingsAvailable(batch))
-                next_tick += self.scenario.sample_interval
             if self._timer_at is not None and time.monotonic() >= self._timer_at:
                 self._timer_at = None
                 self.driver.feed(TimerFired())
@@ -224,12 +214,14 @@ class NodeRunner:
             self.sock = None
 
     def _set_timer(self, delay: float) -> None:
-        # Protocol timers run on the wall clock, scaled like the scenario.
-        self._timer_at = time.monotonic() + delay / self.speedup
+        # Protocol timers guard real round trips: wall seconds, not scaled by speedup.
+        self._timer_at = time.monotonic() + delay
 
     def _send(self, frame: wire.Frame) -> bool:
-        if frame.msg_type is wire.MessageType.REQ_CONN:
-            self._connect_socket()  # fresh connection attempt
+        # A connection request opens a fresh connection; any other frame opens
+        # one only when there is none: at boot, or a re-announce after failures.
+        if frame.msg_type is wire.MessageType.REQ_CONN or self.sock is None:
+            self._connect_socket()
         if self.sock is None:
             return False
         try:
@@ -249,6 +241,10 @@ class NodeRunner:
         except OSError:
             data = b""
         if not data:
+            # A dead socket is dropped, so the loop waits out the backoff
+            # timer instead of reading EOF again and again.
+            self.sock.close()
+            self.sock = None
             self.driver.feed(LinkDown())
             return
         for item in self._splitter.feed(data):

@@ -169,6 +169,16 @@ class ScenarioPlayer:
         return self._cursor >= len(self.scenario.steps)
 
     @property
-    def next_due(self) -> float | None:
-        """When the first step not yet emitted is due (absolute time); None once exhausted."""
-        return None if self.exhausted else self.start_ts + self.scenario.steps[self._cursor].t_offset
+    def next_tick(self) -> float | None:
+        """The sampling tick that emits the next step: the first grid time
+        ``start_ts + k * sample_interval`` at or after the step is due, capped
+        at the scenario's end; None once exhausted."""
+        if self.exhausted:
+            return None
+        due = self.start_ts + self.scenario.steps[self._cursor].t_offset
+        interval = self.scenario.sample_interval
+        # The rounded quotient may be one off either way; start below and step up.
+        k = max(math.ceil((due - self.start_ts) / interval) - 1, 0)
+        while self.start_ts + k * interval < due:
+            k += 1
+        return min(self.start_ts + k * interval, self.start_ts + self.scenario.duration)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import math
 from dataclasses import dataclass, field
 
 from slopewatch import wire
@@ -26,7 +25,6 @@ from slopewatch.session import (
     NodePhase,
     NodeState,
     ReadingsAvailable,
-    SessionTiming,
     TimerFired,
     TraceLog,
     node_step,
@@ -39,9 +37,6 @@ logger = logging.getLogger(__name__)
 START_TS = 1270166400
 
 CONTROL_LATENCY_S = 0.01
-
-# Sim-time protocol timers: a heartbeat every half hour of storm time.
-TIMING = SessionTiming(heartbeat_interval=1800.0)
 
 
 @dataclass
@@ -115,7 +110,7 @@ class SimReplay:
         self.player = ScenarioPlayer(scenario, start_ts=START_TS)
         # Stepped through this module's ``node_step``, so that a wrapper
         # installed here sees every node step.
-        self.driver = NodeDriver(NodeState(node_id=node_id), TIMING, send=self._transmit_from_node,
+        self.driver = NodeDriver(NodeState(node_id=node_id), send=self._transmit_from_node,
                                  set_timer=self._set_node_timer, observe=self._observe_node, step=node_step)
         self._node_timer_gen = 0
         self._node_phase: NodePhase | None = None
@@ -215,19 +210,11 @@ class SimReplay:
     def _sample_tick(self) -> None:
         for batch in self.player.emit_readings(self.now):
             self.driver.feed(ReadingsAvailable(batch))
-        due = self.player.next_due
-        if due is None:
-            return
-        # Only the tick that emits the next step is queued: the first of the
-        # grid START_TS + k * interval at or after it is due, or the end of
-        # the scenario. Counter 0 puts a tick before every other event at
-        # its time; only one tick is ever queued.
-        interval = self.scenario.sample_interval
-        k = math.ceil((due - START_TS) / interval)
-        while START_TS + k * interval < due:  # a quotient rounded down
-            k += 1
-        at = min(START_TS + k * interval, START_TS + self.scenario.duration)
-        heapq.heappush(self._queue, (at, 0, self._sample_tick))
+        # Only the tick that emits the next step is queued. Counter 0 puts a
+        # tick before every other event at its time; only one is ever queued.
+        at = self.player.next_tick
+        if at is not None:
+            heapq.heappush(self._queue, (at, 0, self._sample_tick))
 
     def _restart_server(self) -> None:
         """Kill-and-restart: in-memory state is lost, the store is reloaded."""

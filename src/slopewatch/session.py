@@ -12,7 +12,9 @@ Both step functions are pure: (state, event) fully determines
 returned as action values; a send is the ``wire.Frame`` itself, whose type
 names its channel (``wire.CONTROL_TYPES``). On the node side ``NodeDriver``
 executes the actions through callbacks of the transport -- the
-discrete-event replay harness or the socket runner.
+discrete-event replay harness or the socket runner. The node's timers have
+one set of values, the ``*_S`` constants below; each transport arms them on
+its own clock, simulated seconds in the replay and wall seconds over TCP.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ from slopewatch.wire import Frame, MessageType, SendDataPayload
 
 logger = logging.getLogger(__name__)
 
+# The node's protocol timers, in seconds of its transport's clock: simulated
+# time in the replay, wall time over TCP.
+IP_RETRY_S = 5.0
+ANNOUNCE_S = 5.0
+CONNECT_S = 10.0
+RETRANSMIT_S = 30.0
+HEARTBEAT_S = 1800.0
 MAX_BACKOFF_S = 60.0
 SERVER_IP = "10.0.0.1"  # the station's address in every SERVER_IP reply
 # The first doubling exponent whose delay reaches the cap; capping the
@@ -183,17 +192,6 @@ class PendingBatch:
     readings: tuple[tuple[int, int], ...]  # (sensor_code, raw) pairs
 
 
-@dataclass(frozen=True)
-class SessionTiming:
-    """Timer intervals driving the node machine (simulated seconds)."""
-
-    ip_retry: float = 5.0
-    announce_timeout: float = 5.0
-    connect_timeout: float = 10.0
-    retransmit_interval: float = 30.0
-    heartbeat_interval: float = 300.0
-
-
 @dataclass(slots=True)
 class NodeState:
     node_id: int
@@ -211,10 +209,10 @@ def _senddata_frame(state: NodeState, batch: PendingBatch) -> Frame:
     return Frame(MessageType.SEND_DATA, wire.encode_senddata(payload))
 
 
-def _reqconn_actions(state: NodeState, timing: SessionTiming) -> tuple[NodeState, list[Action]]:
+def _reqconn_actions(state: NodeState) -> tuple[NodeState, list[Action]]:
     state = replace(state, phase=NodePhase.CONNECTING, conn_nonce=state.conn_nonce + 1)
     frame = Frame(MessageType.REQ_CONN, wire.encode_reqconn(state.node_id, state.conn_nonce))
-    return state, [frame, SetTimer(timing.connect_timeout)]
+    return state, [frame, SetTimer(CONNECT_S)]
 
 
 def _enter_backoff(state: NodeState) -> tuple[NodeState, list[Action]]:
@@ -246,9 +244,7 @@ def node_event_for(frame: Frame) -> NodeEvent | None:
     return None
 
 
-def node_step(
-    state: NodeState, event: NodeEvent, timing: SessionTiming = SessionTiming()
-) -> tuple[NodeState, list[Action]]:
+def node_step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[Action]]:
     """Advance the node machine by one event.
 
     Illegal (state, event) pairs are ignored with a LogWarning action; all
@@ -263,7 +259,7 @@ def node_step(
         if phase is NodePhase.STREAMING:
             return state, [
                 _senddata_frame(state, state.pending[-1]),
-                SetTimer(timing.retransmit_interval),
+                SetTimer(RETRANSMIT_S),
             ]
         return state, []
 
@@ -282,7 +278,7 @@ def node_step(
         if isinstance(event, TimerFired):
             state = replace(state, phase=NodePhase.ACQUIRING_IP)
             frame = Frame(MessageType.REQ_IP, wire.encode_reqip(state.node_id))
-            return state, [frame, SetTimer(timing.ip_retry)]
+            return state, [frame, SetTimer(IP_RETRY_S)]
 
     elif phase is NodePhase.ACQUIRING_IP:
         if isinstance(event, IpAssigned):
@@ -291,24 +287,24 @@ def node_step(
             return state, [frame, SetTimer(0.0)]
         if isinstance(event, TimerFired):
             frame = Frame(MessageType.REQ_IP, wire.encode_reqip(state.node_id))
-            return state, [frame, SetTimer(timing.ip_retry)]
+            return state, [frame, SetTimer(IP_RETRY_S)]
 
     elif phase is NodePhase.ANNOUNCING_IP:
         if isinstance(event, TimerFired):
             state = replace(state, phase=NodePhase.AWAITING_SERVER_IP)
-            return state, [SetTimer(timing.announce_timeout)]
+            return state, [SetTimer(ANNOUNCE_S)]
         if isinstance(event, ServerIpReceived):
             # Reply raced the announce timer; remember it, transition on the timer.
             return replace(state, server_ip=event.ip), []
 
     elif phase is NodePhase.AWAITING_SERVER_IP:
         if isinstance(event, ServerIpReceived):
-            return _reqconn_actions(replace(state, server_ip=event.ip), timing)
+            return _reqconn_actions(replace(state, server_ip=event.ip))
         if isinstance(event, TimerFired):
             if state.server_ip is not None:
-                return _reqconn_actions(state, timing)
+                return _reqconn_actions(state)
             frame = Frame(MessageType.SEND_IP, wire.encode_sendip(state.node_id, state.node_ip or "0.0.0.0"))
-            return state, [frame, SetTimer(timing.announce_timeout)]
+            return state, [frame, SetTimer(ANNOUNCE_S)]
 
     elif phase is NodePhase.CONNECTING:
         if isinstance(event, ConnAckReceived):
@@ -316,7 +312,7 @@ def node_step(
                 return state, [LogWarning(f"stale CONN_ACK nonce {event.nonce}")]
             state = replace(state, phase=NodePhase.STREAMING, session_id=event.session_id, attempt=0)
             actions: list[Action] = [_senddata_frame(state, b) for b in state.pending]
-            actions.append(SetTimer(timing.retransmit_interval if state.pending else timing.heartbeat_interval))
+            actions.append(SetTimer(RETRANSMIT_S if state.pending else HEARTBEAT_S))
             return state, actions
         if isinstance(event, (TimerFired, LinkDown)):
             return _enter_backoff(state)
@@ -325,9 +321,9 @@ def node_step(
         if isinstance(event, TimerFired):
             if state.pending:
                 actions = [_senddata_frame(state, b) for b in state.pending]
-                actions.append(SetTimer(timing.retransmit_interval))
+                actions.append(SetTimer(RETRANSMIT_S))
                 return state, actions
-            return state, [Frame(MessageType.HEARTBEAT), SetTimer(timing.heartbeat_interval)]
+            return state, [Frame(MessageType.HEARTBEAT), SetTimer(HEARTBEAT_S)]
         if isinstance(event, LinkDown):
             return _enter_backoff(replace(state, attempt=0))
         if isinstance(event, ConnAckReceived):
@@ -342,8 +338,8 @@ def node_step(
             if state.attempt >= 3 and state.attempt % 3 == 0 and state.node_ip is not None:
                 state = replace(state, phase=NodePhase.AWAITING_SERVER_IP)
                 frame = Frame(MessageType.SEND_IP, wire.encode_sendip(state.node_id, state.node_ip))
-                return state, [frame, SetTimer(timing.announce_timeout)]
-            return _reqconn_actions(state, timing)
+                return state, [frame, SetTimer(ANNOUNCE_S)]
+            return _reqconn_actions(state)
         if isinstance(event, LinkDown):
             return state, []  # already down
 
@@ -361,14 +357,13 @@ class NodeDriver:
     """
 
     state: NodeState
-    timing: SessionTiming
     send: Callable[[Frame], bool]
     set_timer: Callable[[float], None]
     observe: Callable | None = None
     step: Callable = node_step
 
     def feed(self, event: NodeEvent) -> None:
-        state, actions = self.step(self.state, event, self.timing)
+        state, actions = self.step(self.state, event)
         self.state = state
         if self.observe is not None:
             self.observe(state, event, actions)

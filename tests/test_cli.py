@@ -544,9 +544,72 @@ class TestSocketTransport:
         assert len(reloaded) == 8
         assert {r.node_id for r in reloaded.all_records()} == {3}
 
+    def test_timers_run_in_wall_seconds_at_high_speedup(self, tmp_path, caplog):
+        # At 36000x an hour of scenario passes in 0.1 s of wall time; the
+        # protocol timers must still outlast a loopback round trip, so no
+        # batch is sent twice and no connection attempt is given up early.
+        from slopewatch.config import load_config
+        from slopewatch.nettransport import NodeRunner, StationServer
+        from slopewatch.nodesim import Scenario, ScenarioStep
+        from slopewatch.domain import SensorKind
+
+        steps = tuple(ScenarioStep(3600.0 * h, kind, h) for h in range(1, 25)
+                      for kind in (SensorKind.RAIN_GAUGE, SensorKind.PIEZOMETER))
+        scenario = Scenario(name="hourly", steps=steps, sample_interval=3600.0)
+        server = StationServer(("127.0.0.1", 0), load_config(DEMO), str(tmp_path / "store"))
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        try:
+            runner = NodeRunner(scenario, node_id=3, connect=f"127.0.0.1:{server.server_address[1]}",
+                                speedup=36000.0)
+            with caplog.at_level("WARNING", logger="slopewatch"):
+                assert runner.run() == 0
+            assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+            with server.engine_lock:
+                assert server.engine.records_stored == 48
+                assert server.engine.duplicates_skipped == 0
+        finally:
+            server.shutdown()
+            server.close_store()
+            server.server_close()
+
+    def test_node_started_before_its_station_connects_when_it_comes_up(self, tmp_path, monkeypatch):
+        # The first connection attempt is refused; the node's next REQ_IP
+        # opens a connection of its own once the station listens.
+        import socket
+
+        from slopewatch import session
+        from slopewatch.config import load_config
+        from slopewatch.nettransport import NodeRunner, StationServer
+        from slopewatch.nodesim import Scenario, ScenarioStep
+        from slopewatch.domain import SensorKind
+
+        monkeypatch.setattr(session, "IP_RETRY_S", 0.1)
+        with socket.socket() as probe:  # a free port, for the station to take later
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        steps = tuple(ScenarioStep(15.0 * k, SensorKind.RAIN_GAUGE, k) for k in range(1, 5))
+        runner = NodeRunner(Scenario(name="mini", steps=steps, sample_interval=15.0), node_id=3,
+                            connect=f"127.0.0.1:{port}", speedup=120.0)
+        node = threading.Thread(target=runner.run, daemon=True)
+        node.start()
+        time.sleep(0.3)
+        server = StationServer(("127.0.0.1", port), load_config(DEMO), str(tmp_path / "store"))
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+        try:
+            node.join(timeout=10)
+            assert not node.is_alive()
+            with server.engine_lock:
+                assert server.engine.records_stored == 4
+        finally:
+            server.shutdown()
+            server.close_store()
+            server.server_close()
+
     @pytest.mark.parametrize("fault", ["crc bit", "short payload"])
-    def test_node_survives_a_corrupt_data_ack(self, fault, tmp_path, caplog):
-        from slopewatch import wire
+    def test_node_survives_a_corrupt_data_ack(self, fault, tmp_path, caplog, monkeypatch):
+        from slopewatch import session, wire
         from slopewatch.config import load_config
         from slopewatch.nettransport import NodeRunner, StationServer, _StationHandler
         from slopewatch.nodesim import Scenario, ScenarioStep
@@ -574,6 +637,8 @@ class TestSocketTransport:
 
                 self.wfile.write = corrupt_first_ack
 
+        # The batch whose ack was corrupted waits for a retransmit: shorten its wait.
+        monkeypatch.setattr(session, "RETRANSMIT_S", 0.25)
         steps = tuple(ScenarioStep(15.0 * k, SensorKind.RAIN_GAUGE, k) for k in range(1, 9))
         scenario = Scenario(name="mini", steps=steps, sample_interval=15.0)
         server = StationServer(("127.0.0.1", 0), load_config(DEMO), str(tmp_path / "store"))
@@ -752,6 +817,74 @@ def test_sigint_leaves_parseable_store(tmp_path):
     assert proc.returncode == 0
     repo = Repository(store, read_only=True)
     assert repo.load_warnings == []
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_node_waits_out_its_backoff_when_the_station_dies(tmp_path):
+    # Once the station's process is gone the node's socket reads EOF at once;
+    # the node must drop that socket and sleep until its backoff timer fires,
+    # not feed itself a LinkDown per read.
+    from slopewatch.domain import SensorKind
+    from slopewatch.nettransport import NodeRunner
+    from slopewatch.nodesim import Scenario, ScenarioStep
+    from slopewatch.session import LinkDown, NodePhase, TimerFired
+
+    class Stop(Exception):
+        pass
+
+    killed = threading.Event()
+    link_downs = []
+
+    def watch(state, event, actions):
+        """Counts the LinkDowns fed after the kill; stops the node at the
+        first timer (its backoff's), or once the count shows it spinning."""
+        if killed.is_set():
+            if isinstance(event, LinkDown):
+                link_downs.append(event)
+            if isinstance(event, TimerFired) or len(link_downs) > 100:
+                raise Stop
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slopewatch.cli", "server", "--config", DEMO,
+         "--store", str(tmp_path / "store"), "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    outcome = []
+    try:
+        line = proc.stdout.readline()
+        assert "listening on" in line
+        steps = tuple(ScenarioStep(float(t), SensorKind.RAIN_GAUGE, 1) for t in range(600))
+        runner = NodeRunner(Scenario(name="slow", steps=steps, sample_interval=1.0), node_id=3,
+                            connect=line.split()[-1], speedup=1.0)
+        runner.driver.observe = watch
+
+        def run():
+            try:
+                runner.run()
+            except Stop:
+                outcome.append("stopped")
+            finally:
+                if runner.sock is not None:
+                    runner.sock.close()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while runner.driver.state.phase is not NodePhase.STREAMING and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert runner.driver.state.phase is NodePhase.STREAMING
+        killed.set()
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+        thread.join(timeout=10)
+    finally:
+        killed.set()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert outcome == ["stopped"]
+    assert 1 <= len(link_downs) <= 3
 
 
 def _announce_and_connect(sock, rfile) -> int:

@@ -3,7 +3,7 @@
 import dataclasses
 import logging
 
-from slopewatch import wire
+from slopewatch import session, wire
 from slopewatch.domain import SensorKind
 from slopewatch.session import (
     DataAckReceived,
@@ -13,14 +13,12 @@ from slopewatch.session import (
     NodeState,
     PendingBatch,
     ReadingsAvailable,
-    SessionTiming,
     SetTimer,
     TimerFired,
     node_step,
 )
 from slopewatch.wire import Frame, MessageType
 
-TIMING = SessionTiming()
 RAIN = SensorKind.RAIN_GAUGE.code
 
 
@@ -47,7 +45,7 @@ class Recorder:
         self.log.append(("timer", delay))
 
     def driver(self, state: NodeState, **kwargs) -> NodeDriver:
-        return NodeDriver(state, TIMING, send=self.send, set_timer=self.set_timer, **kwargs)
+        return NodeDriver(state, send=self.send, set_timer=self.set_timer, **kwargs)
 
 
 def streaming(**changes) -> NodeState:
@@ -74,24 +72,24 @@ class TestNodeStateBuilds:
 
     def test_queueing_a_batch_keeps_every_field(self):
         state = self.full_state()
-        after, _ = node_step(state, batch(8), TIMING)
+        after, _ = node_step(state, batch(8))
         self.assert_kept(state, after, state.pending + (PendingBatch(8, 1000, ((RAIN, 5),)),))
 
     def test_acking_the_head_keeps_every_field(self):
         state = self.full_state()
-        after, actions = node_step(state, DataAckReceived(4), TIMING)
+        after, actions = node_step(state, DataAckReceived(4))
         assert actions == []
         self.assert_kept(state, after, pending(5, 6))
 
     def test_acking_a_later_batch_keeps_every_field(self):
         state = self.full_state()
-        after, actions = node_step(state, DataAckReceived(5), TIMING)
+        after, actions = node_step(state, DataAckReceived(5))
         assert actions == []
         self.assert_kept(state, after, pending(4, 6))
 
     def test_unknown_ack_changes_nothing(self):
         state = self.full_state()
-        after, actions = node_step(state, DataAckReceived(99), TIMING)
+        after, actions = node_step(state, DataAckReceived(99))
         assert after is state
         assert "unknown batch seq 99" in actions[0].message
 
@@ -101,7 +99,7 @@ class TestNodeDriver:
         rec = Recorder()
         driver = rec.driver(streaming())
         driver.feed(batch(1))
-        assert rec.log == [("timer", TIMING.retransmit_interval), ("send", MessageType.SEND_DATA)]
+        assert rec.log == [("timer", session.RETRANSMIT_S), ("send", MessageType.SEND_DATA)]
         assert driver.state.pending == (PendingBatch(1, 1000, ((RAIN, 5),)),)
 
     def test_a_failed_send_feeds_one_link_down_and_stops_sending(self):
@@ -109,7 +107,7 @@ class TestNodeDriver:
         driver = rec.driver(streaming(pending=pending(1, 2)))
         driver.feed(TimerFired())  # retransmits both batches
         # The first send fails: one LinkDown, so Backoff's timer; the second batch is not sent.
-        assert rec.log == [("timer", TIMING.retransmit_interval), ("send", MessageType.SEND_DATA),
+        assert rec.log == [("timer", session.RETRANSMIT_S), ("send", MessageType.SEND_DATA),
                            ("timer", 1.0)]
         assert driver.state.phase is NodePhase.BACKOFF
 
@@ -120,7 +118,7 @@ class TestNodeDriver:
         ((state, event, actions),) = seen
         assert (state, event) == (driver.state, TimerFired())
         assert state.phase is NodePhase.ACQUIRING_IP
-        assert SetTimer(TIMING.ip_retry) in actions
+        assert SetTimer(session.IP_RETRY_S) in actions
 
     def test_step_is_the_callers(self):
         calls = []

@@ -148,6 +148,36 @@ class TestScenarioPlayer:
                                                                               (511, 5, 90)]
         assert [raw for b in batches for _, raw in b.readings] == list(range(600))
 
+    @pytest.mark.parametrize("interval, start", [(10.0, 1000), (0.1, 1270166400)])
+    def test_next_tick_of_an_on_grid_step_is_its_due_time(self, interval, start):
+        # A quotient rounded up past an integer must not make a tick one
+        # interval late: at the second start, 0.2 / 0.1 comes out above 2.
+        steps = tuple(ScenarioStep(k * interval, SensorKind.RAIN_GAUGE, k) for k in range(1, 51))
+        player = ScenarioPlayer(Scenario(name="grid", steps=steps, sample_interval=interval), start_ts=start)
+        ticks = []
+        while (tick := player.next_tick) is not None:
+            ticks.append(tick)
+            player.emit_readings(tick)
+        assert ticks == [start + k * interval for k in range(1, 51)]
+
+    def test_next_tick_rounds_an_off_grid_step_up_and_stops_at_the_end(self):
+        start = 1270166400
+        offsets = (0.05, 0.15, 0.3, 1.234, 7.77, 33.333, 100.07)
+        steps = tuple(ScenarioStep(t, SensorKind.RAIN_GAUGE, 1) for t in offsets)
+        player = ScenarioPlayer(Scenario(name="fine", steps=steps, sample_interval=0.1), start_ts=start)
+        ticks = []
+        while (tick := player.next_tick) is not None:
+            ticks.append(tick)
+            assert len(player.emit_readings(tick)) == 1  # one step per tick, none left behind
+        # The last step's grid time, start + 100.1, lies past the scenario's end.
+        assert ticks == [start + k * 0.1 for k in (1, 2, 3, 13, 78, 334)] + [start + 100.07]
+
+    def test_next_tick_is_none_once_exhausted(self):
+        player = ScenarioPlayer(self.scenario(), start_ts=1000)
+        player.emit_readings(1030.0)
+        assert player.next_tick is None
+        assert ScenarioPlayer(Scenario(name="e", steps=(), sample_interval=1.0), start_ts=0).next_tick is None
+
 
 # The player and batch splitter as they were when the node built one value
 # per reading, kept as the oracle of test_batches_match_the_per_reading_player.

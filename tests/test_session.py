@@ -28,7 +28,6 @@ from slopewatch.session import (
     ServerIpReceived,
     ServerPhase,
     ServerSessionState,
-    SessionTiming,
     SetTimer,
     TimerFired,
     backoff_delay,
@@ -38,8 +37,6 @@ from slopewatch.session import (
 )
 from slopewatch import wire
 from slopewatch.wire import Frame, MessageType, SendDataPayload, decode_senddata
-
-T = SessionTiming()
 
 
 RAIN = SensorKind.RAIN_GAUGE.code

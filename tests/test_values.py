@@ -53,7 +53,6 @@ from slopewatch.session import (
     ServerIpReceived,
     ServerPhase,
     ServerSessionState,
-    SessionTiming,
     TimerFired,
     node_step,
     server_step,
@@ -76,7 +75,7 @@ VALUE_CLASSES = [
 # Built once per run. ``_check_finite`` reads their fields through vars(),
 # which a slotted instance does not have.
 CONFIG_CLASSES = [
-    Thresholds, AnalysisConfig, LinkConfig, SessionTiming, CalibrationConstants,
+    Thresholds, AnalysisConfig, LinkConfig, CalibrationConstants,
     Config, Scenario, ScenarioStep, ARModel,
 ]
 
