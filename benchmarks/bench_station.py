@@ -9,13 +9,15 @@ filled with 600 five-sensor batches, so every window is full. Then
 ``--frames`` more batches are timed through ``ServerEngine.handle_data_frame``.
 Prints µs per frame, and its split into ``decode_senddata``,
 ``ingest_batch`` and ``evaluate_batch``, with the share of the last spent
-in ``ar_forecast_max``. "non-AR" is a whole frame less the time spent in
-``ar_forecast_max``, both timed in one more pass. A last pass sleeps
+in ``ar_forecast_max_rows``, the engine's stacked AR solve (one LAPACK
+call for each length among the series a batch changed), and that call's
+count per frame. "non-AR" is a whole frame less the time spent in
+``ar_forecast_max_rows``, both timed in one more pass. A last pass sleeps
 10 ms before each frame, as perfbench's ``tcp_station`` node does at its
-100/s rung, and times the whole frame and its ``ar_forecast_max`` share
-in thread CPU time: after an idle gap, caches are cold and a frame costs
-more than back to back. Each figure is the best of ``--rounds`` rounds,
-each pass on a freshly filled station.
+100/s rung, and times the whole frame and its AR share in thread CPU
+time: after an idle gap, caches are cold and a frame costs more than
+back to back. Each figure is the best of ``--rounds`` rounds, each pass
+on a freshly filled station.
 
 Two streams of batches, one reading per sensor each, alternated round by round:
 
@@ -101,26 +103,29 @@ def filled_station(stream: str, store_dir: str) -> tuple[ServerEngine, int]:
 
 
 class ArTimer:
-    """Adds the time spent in ``alert.ar_forecast_max``, read on ``clock``, to ``seconds`` while active."""
+    """Adds the time spent in ``alert.ar_forecast_max_rows``, the engine's stacked
+    AR solve, read on ``clock``, to ``seconds``, and counts its calls, while active."""
 
     def __init__(self, clock=time.perf_counter):
         self.seconds = 0.0
+        self.calls = 0
         self.clock = clock
-        self._forecast_max = alert_module.ar_forecast_max
+        self._forecast_max_rows = alert_module.ar_forecast_max_rows
 
     def _timed(self, *args):
         t0 = self.clock()
         try:
-            return self._forecast_max(*args)
+            return self._forecast_max_rows(*args)
         finally:
             self.seconds += self.clock() - t0
+            self.calls += 1
 
     def __enter__(self):
-        alert_module.ar_forecast_max = self._timed
+        alert_module.ar_forecast_max_rows = self._timed
         return self
 
     def __exit__(self, *exc) -> None:
-        alert_module.ar_forecast_max = self._forecast_max
+        alert_module.ar_forecast_max_rows = self._forecast_max_rows
 
 
 def time_frames(engine: ServerEngine, frames: list[Frame]) -> float:
@@ -130,8 +135,9 @@ def time_frames(engine: ServerEngine, frames: list[Frame]) -> float:
     return time.perf_counter() - start
 
 
-def round_times(stream: str, frames: int) -> dict[str, float]:
-    """Seconds per frame of one round, per stage; each pass runs on its own filled station."""
+def round_times(stream: str, frames: int) -> tuple[dict[str, float], float]:
+    """Seconds per frame of one round, per stage, and stacked AR solves per
+    frame; each pass runs on its own filled station."""
     out = {}
     with tempfile.TemporaryDirectory() as whole_dir, tempfile.TemporaryDirectory() as split_dir, \
             tempfile.TemporaryDirectory() as ar_dir, tempfile.TemporaryDirectory() as idle_dir:
@@ -155,6 +161,7 @@ def round_times(stream: str, frames: int) -> dict[str, float]:
                 engine.alert_engine.evaluate_batch(records)
             out["evaluate_batch"] = time.perf_counter() - start
         out["  of which AR"] = ar.seconds
+        solves = ar.calls
         repo.close()
 
         # And whole once more, less the AR share timed in the same pass.
@@ -177,7 +184,7 @@ def round_times(stream: str, frames: int) -> dict[str, float]:
         out["idle:   of which AR"] = ar.seconds
         out["idle: non-AR"] = whole - ar.seconds
         engine.repo.close()
-    return {stage: s / frames for stage, s in out.items()}
+    return {stage: s / frames for stage, s in out.items()}, solves / frames
 
 
 def main() -> None:
@@ -186,9 +193,11 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=5, help="rounds; each figure is the best")
     args = parser.parse_args()
     best = {stream: {} for stream in STREAMS}
+    solves = {}  # the same frames every round, so the same count
     for _ in range(args.rounds):
         for stream in STREAMS:  # alternated, so host drift hits both alike
-            for stage, s in round_times(stream, args.frames).items():
+            times, solves[stream] = round_times(stream, args.frames)
+            for stage, s in times.items():
                 best[stream][stage] = min(best[stream].get(stage, s), s)
     print(f"five sensors, {FILL}-batch fill, 512-sample windows, durable=False, "
           f"best of {args.rounds} x {args.frames} frames; Python {sys.version.split()[0]}")
@@ -197,6 +206,7 @@ def main() -> None:
         print(f"\n{stream} stream (a batch every {STREAMS[stream][0]} s)")
         for stage, s in best[stream].items():
             print(f"{stage:<20} {s * 1e6:8.1f} µs/frame")
+        print(f"{'AR solves':<20} {solves[stream]:8.2f} LAPACK calls/frame")
 
 
 if __name__ == "__main__":

@@ -28,9 +28,8 @@ import numpy as np
 
 from slopewatch.domain import AlertLevel, SensorKind
 from slopewatch.analytics import (
-    InvalidSeriesError,
     RainEvent,
-    ar_forecast_max,
+    ar_forecast_max_rows,
     exceeds_caine,
     last_event,
     median_of_sorted,
@@ -526,7 +525,10 @@ class AlertEngine:
     arrive late after retransmission.
 
     State kept between batches makes a batch cost what it changed: each
-    series' forecast is refitted only after an insert into that series.
+    series' forecast is refitted only after an insert into that series,
+    and the series a batch refits are solved with one stacked LAPACK call
+    per distinct length, so a five-sensor batch over full windows makes
+    one call, not five.
     For rain the engine also keeps the hourly bins, the sorted gaps
     between neighbouring samples (their median is the sampling interval)
     and the window's last rain event as (first wet time, last wet time,
@@ -765,11 +767,23 @@ class AlertEngine:
         return window.buf.item(1, hi - 1) if hi > window.lo else None
 
     def _predicted_snapshot(self) -> ValueSnapshot:
+        # Dirty series of one length are forecast together, in one stacked solve.
+        order = self.analysis.ar_order
+        by_length: dict[int, dict[str, np.ndarray]] = {}
         for key, window in self._series.items():
             if key in self._dirty:
                 # Rain is forecast on its hourly accumulation bins, which are already mm/h.
                 values = self._bins.row(0) if key == "rain" else window.row(1)
-                self._forecast[key] = self._forecast_max(values)
+                if len(values) < 2 * order + 2:
+                    self._forecast[key] = None  # too short for an AR(order) fit
+                else:
+                    by_length.setdefault(len(values), {})[key] = values
+        for group in by_length.values():
+            tops = ar_forecast_max_rows(list(group.values()), order, self.thresholds.prediction_horizon)
+            for key, top in zip(group, tops):
+                if top is None:
+                    logger.debug("forecast unavailable: series contains non-finite values")
+                self._forecast[key] = top
         self._dirty.clear()
         forecast = self._forecast
         return ValueSnapshot(
@@ -779,16 +793,6 @@ class AlertEngine:
             inclinometer_deg=forecast["inclinometer"],
             tiltmeter_deg=forecast["tiltmeter"],
         )
-
-    def _forecast_max(self, values: np.ndarray) -> float | None:
-        order = self.analysis.ar_order
-        if len(values) < 2 * order + 2:
-            return None  # too short for an AR(order) fit
-        try:
-            return ar_forecast_max(values, order, self.thresholds.prediction_horizon)
-        except InvalidSeriesError as exc:
-            logger.debug("forecast unavailable: %s", exc)
-            return None
 
     # -- evaluation ------------------------------------------------------------
 

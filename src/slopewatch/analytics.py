@@ -8,14 +8,21 @@ alert engine's "predicted" pathway.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 CAINE_COEFF = 14.82
 CAINE_EXPONENT = -0.39
 CAINE_D_MIN_H = 0.167  # open interval bounds, in hours
 CAINE_D_MAX_H = 500.0
+
+
+# LAPACK's least-squares solver over a stack of matrices (numpy >= 2.0).
+_gelsd = _umath_linalg.lstsq
+_EPS = float(np.finfo(float).eps)
 
 
 class AnalyticsError(ValueError):
@@ -195,60 +202,92 @@ class ARModel:
             )
 
 
-def _ar_solve(
-    series: list[float] | np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Check the series, centre it and solve the AR(p) least-squares problem.
+def _raise_svd_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    The series is mean-centered before solving, which keeps constant series
-    exactly reproducible and leaves rank-deficient designs to the
-    minimum-norm solution of the centered problem. The design is built as
-    an ``(order + 1, rows)`` C array and handed to ``lstsq`` transposed, so
-    LAPACK's column-major copy of it is a contiguous one.
 
-    Returns the series as a float array, the design, the target, the
-    solution (centered intercept first, then phi_1 .. phi_p) and the
-    intercept of the uncentered model.
+def _finite_rows(series: list, order: int) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+    """Check equal-length series and stack those with no non-finite value.
+
+    Returns the stack, the sum of each of its rows and the indices in
+    ``series`` of its rows. A single series is stacked as a view of itself.
     """
     if order < 1:
         raise AnalyticsError(f"order must be >= 1, got {order}")
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise InvalidSeriesError("series must be one-dimensional")
-    n = x.size
-    total = x.sum()
+    rows = []
+    for s in series:
+        row = np.asarray(s, dtype=float)
+        if row.ndim != 1:
+            raise InvalidSeriesError("series must be one-dimensional")
+        rows.append(row)
+    x = rows[0][None] if len(rows) == 1 else np.stack(rows)
+    totals = x.sum(axis=1)
     # A finite sum has no inf or nan among its terms; only overflow needs the full scan.
-    if not math.isfinite(total) and not np.isfinite(x).all():
-        raise InvalidSeriesError("series contains non-finite values")
+    if all(map(math.isfinite, totals.tolist())):
+        return x, totals, range(len(rows))
+    finite = np.isfinite(x).all(axis=1)
+    return x[finite], totals[finite], finite.nonzero()[0].tolist()
+
+
+def _ar_solve(
+    x: np.ndarray, totals: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Centre each row of ``x`` and solve its AR(p) least-squares problem.
+
+    ``totals`` holds the rows' sums. All rows are solved in one call of
+    the LAPACK ``gelsd`` gufunc that ``np.linalg.lstsq`` runs once per
+    matrix, over the stack of their designs, with ``lstsq``'s ``rcond`` and
+    error handling; each solution is bit for bit the one ``lstsq`` gives
+    for its row alone. Rows are mean-centered before solving, which keeps
+    constant series exactly reproducible and leaves rank-deficient designs
+    to the minimum-norm solution of the centered problem. The designs are
+    built as ``(order + 1, rows)`` C arrays and handed over transposed, so
+    LAPACK's column-major copy of each is a contiguous one.
+
+    Returns the designs, the centered rows (the targets are their tails
+    from ``order`` on), the solutions (centered intercept first, then
+    phi_1 .. phi_p) and the rows' means.
+    """
+    n = x.shape[1]
     if n < 2 * order + 2:
         raise InsufficientDataError(
             f"AR({order}) needs at least {2 * order + 2} samples, got {n}"
         )
-    mean = total / n
-    xc = x - mean
+    means = totals / n
+    xc = x - means[:, None]
     rows = n - order
-    design = np.empty((order + 1, rows))
-    design[0] = 1.0
+    design = np.empty((len(x), order + 1, rows))
+    design[:, 0] = 1.0
     for lag in range(1, order + 1):
-        design[lag] = xc[order - lag : n - lag]
-    target = xc[order:]
-    beta = np.linalg.lstsq(design.T, target, rcond=None)[0]
-    intercept = float(mean * (1.0 - sum(beta[1:].tolist())) + float(beta[0]))
-    return x, design, target, beta, intercept
+        design[:, lag] = xc[:, order - lag : n - lag]
+    # lstsq's rcond=None is eps * max(rows, order + 1), and rows > order + 1.
+    with np.errstate(call=_raise_svd_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        beta = _gelsd(design.transpose(0, 2, 1), xc[:, order:, None], _EPS * rows, signature="ddd->ddid")[0]
+    return design, xc, beta[..., 0], means.tolist()
+
+
+def _intercept(mean: float, beta: list[float]) -> float:
+    """The uncentered model's intercept, from the centered solution of a series with this mean."""
+    return float(mean * (1.0 - sum(beta[1:])) + beta[0])
 
 
 def ar_fit(series: list[float], order: int) -> ARModel:
     """Least-squares AR(p) fit over all usable rows of the series."""
-    _, design, target, beta, intercept = _ar_solve(series, order)
+    x, totals, finite = _finite_rows([series], order)
+    if not finite:
+        raise InvalidSeriesError("series contains non-finite values")
+    design, xc, beta, (mean,) = _ar_solve(x, totals, order)
+    beta, target = beta[0], xc[0, order:]
+    solution = beta.tolist()
     # The product runs over a row-major copy: BLAS rounds the transposed
     # design's product differently, and the printed RMS is that of a
     # (rows, order + 1) design.
-    residuals = np.ascontiguousarray(design.T) @ beta - target
+    residuals = np.ascontiguousarray(design[0].T) @ beta - target
     rms = math.sqrt(np.square(residuals).sum() / target.size)
     return ARModel(
         order=order,
-        coefficients=tuple(beta[1:].tolist()),
-        intercept=intercept,
+        coefficients=tuple(solution[1:]),
+        intercept=_intercept(mean, solution),
         fit_residual_rms=rms,
     )
 
@@ -285,6 +324,25 @@ def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[floa
     return _ar_recurse(model.coefficients, model.intercept, history[-model.order :], horizon)
 
 
+def ar_forecast_max_rows(series: list, order: int, horizon: int) -> list[float | None]:
+    """Largest value of the h-step forecast from an AR(p) fit of each of several equal-length series.
+
+    Item i is ``ar_forecast_max(series[i], order, horizon)``, bit for bit,
+    or None if ``series[i]`` holds a non-finite value. Every other series
+    is solved in one stacked LAPACK call; the errors are
+    ``ar_forecast_max``'s.
+    """
+    x, totals, finite = _finite_rows(series, order)
+    out: list[float | None] = [None] * len(series)
+    if finite:
+        _, _, beta, means = _ar_solve(x, totals, order)
+        if horizon < 1:
+            raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
+        for i, b, mean, history in zip(finite, beta.tolist(), means, x[:, -order:].tolist()):
+            out[i] = max(_ar_recurse(b[1:], _intercept(mean, b), history, horizon))
+    return out
+
+
 def ar_forecast_max(series: list[float] | np.ndarray, order: int, horizon: int) -> float:
     """Largest value of the h-step forecast from an AR(p) fit of the series.
 
@@ -292,7 +350,7 @@ def ar_forecast_max(series: list[float] | np.ndarray, order: int, horizon: int) 
     horizon))`` and raises the same errors, but computes no residuals and
     builds no model.
     """
-    x, _, _, beta, intercept = _ar_solve(series, order)
-    if horizon < 1:
-        raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
-    return max(_ar_recurse(beta[1:].tolist(), intercept, x[-order:].tolist(), horizon))
+    (top,) = ar_forecast_max_rows([series], order, horizon)
+    if top is None:
+        raise InvalidSeriesError("series contains non-finite values")
+    return top

@@ -244,6 +244,11 @@ def node_event_for(frame: Frame) -> NodeEvent | None:
     return None
 
 
+_LINK_DOWN_IS_NOOP = frozenset(
+    (NodePhase.ACQUIRING_IP, NodePhase.ANNOUNCING_IP, NodePhase.AWAITING_SERVER_IP, NodePhase.BACKOFF)
+)
+
+
 def node_step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[Action]]:
     """Advance the node machine by one event.
 
@@ -273,6 +278,11 @@ def node_step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[Actio
         if len(remaining) == len(pending):
             return state, [LogWarning(f"ack for unknown batch seq {event.seq}")]
         return _with_pending(state, remaining), []
+
+    # A send that fails before a session is up is retried by the phase's own
+    # timer; in BACKOFF the link is already down.
+    if isinstance(event, LinkDown) and phase in _LINK_DOWN_IS_NOOP:
+        return state, []
 
     if phase is NodePhase.BOOT:
         if isinstance(event, TimerFired):
@@ -340,8 +350,6 @@ def node_step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[Actio
                 frame = Frame(MessageType.SEND_IP, wire.encode_sendip(state.node_id, state.node_ip))
                 return state, [frame, SetTimer(ANNOUNCE_S)]
             return _reqconn_actions(state)
-        if isinstance(event, LinkDown):
-            return state, []  # already down
 
     return state, [LogWarning(f"ignoring {describe(event)} in {phase.value}")]
 

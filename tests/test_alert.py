@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopewatch import alert as alert_module
+from slopewatch import analytics
 from slopewatch.domain import AlertLevel, CalibratedReading, SensorKind
 from slopewatch.analytics import (
     InsufficientDataError,
@@ -347,6 +348,7 @@ RAIN, PIEZO, EXTENSO, INCLINO, TILT = (
     SensorKind.INCLINOMETER,
     SensorKind.TILTMETER,
 )
+FIVE_SENSORS = (RAIN, PIEZO, EXTENSO, INCLINO, TILT)  # in ValueSnapshot order
 
 
 class ListSink:
@@ -471,21 +473,18 @@ class ScratchReference:
         except (InsufficientDataError, InvalidSeriesError):
             return None
 
-    def forecast_window(self, kind):
+    def forecast_input(self, kind) -> list[float]:
+        """The values ``kind``'s forecast is fitted to: hourly bins for rain, else the window."""
         window = self.windows[kind]
-        return self.forecast([v for _, v in window]) if window else None
+        if kind is not RAIN:
+            return [v for _, v in window]
+        bins = {}
+        for t, mm in window:
+            bins[int(t // 3600)] = bins.get(int(t // 3600), 0.0) + mm
+        return [bins.get(h, 0.0) for h in range(min(bins), max(bins) + 1)] if bins else []
 
     def predicted(self) -> ValueSnapshot:
-        rain_forecast = None
-        if self.windows[RAIN]:
-            bins = {}
-            for t, mm in self.windows[RAIN]:
-                bins[int(t // 3600)] = bins.get(int(t // 3600), 0.0) + mm
-            rain_forecast = self.forecast([bins.get(h, 0.0) for h in range(min(bins), max(bins) + 1)])
-        return ValueSnapshot(
-            rain_forecast, self.forecast_window(PIEZO), self.forecast_window(EXTENSO),
-            self.forecast_window(INCLINO), self.forecast_window(TILT),
-        )
+        return ValueSnapshot(*(self.forecast(self.forecast_input(kind)) for kind in FIVE_SENSORS))
 
 
 def evaluate_spied(engine: AlertEngine, batch) -> list[tuple[ValueSnapshot, ValueSnapshot]]:
@@ -619,6 +618,95 @@ class TestIncrementalEngine:
         t, v = float(item[0]), item[1]
         expected = bisect.bisect_right(pairs, (t, v))
         assert alert_module._bisect_right_pairs(columns[0], columns[1], t, v) == expected
+
+
+def five_sensor_stream(ticks: int, seed: int) -> list[CalibratedReading]:
+    """``ticks`` hours, each a reading of all five sensors at one timestamp.
+
+    In the first 20 ticks the clock may also skip an hour, repeat the
+    latest hour or give an hour three back, which splits the forecast
+    inputs into groups of different lengths; after that it steps hourly,
+    so once those ticks have left a window of ``cap`` samples, ``cap`` + 20
+    ticks in, the rain bins and the four other windows have one length.
+    """
+    rng = random.Random(seed)
+    clock, records = T0, []
+    for tick in range(ticks):
+        move = rng.choice(["step", "step", "gap", "same", "back"]) if tick < 20 else "step"
+        clock += {"step": 3600, "gap": 7200}.get(move, 0)
+        ts = clock - 3 * 3600 if move == "back" else clock
+        for kind in FIVE_SENSORS:
+            value = rng.choice([0.0, 0.2, 1.0, 3.0, 8.6]) if kind is RAIN else rng.uniform(-5.0, 80.0)
+            records.append(CalibratedReading(1, ts, kind, value, len(records)))
+    return records
+
+
+def assert_one_solve_per_length(records, analysis: AnalysisConfig, batch_sizes) -> list[int]:
+    """Each batch makes one LAPACK call per distinct length of the forecast
+    inputs it changed, skipping those too short to fit; returns the stack
+    heights of the calls."""
+    engine = AlertEngine(TH, analysis, Dispatcher([ListSink()]))
+    reference = ScratchReference(analysis, TH.prediction_horizon)
+    heights = []
+    gelsd = analytics._gelsd
+
+    def counted(a, *args, **kwargs):
+        heights.append(a.shape[0])
+        return gelsd(a, *args, **kwargs)
+
+    changed = set(FIVE_SENSORS)  # the first batch refits every series
+    i = 0
+    with mock.patch.object(analytics, "_gelsd", counted):
+        for size in itertools.cycle(batch_sizes):
+            if i >= len(records):
+                break
+            batch = records[i : i + size]
+            i += size
+            reference.observe(batch)
+            changed.update(r.sensor for r in batch)
+            lengths = {len(reference.forecast_input(kind)) for kind in changed}
+            before = len(heights)
+            engine.evaluate_batch(batch)
+            assert len(heights) - before == len({n for n in lengths if n >= 2 * analysis.ar_order + 2})
+            changed.clear()
+    return heights
+
+
+class TestStackedForecasts:
+    """Dirty series of one length are forecast in one stacked solve."""
+
+    @pytest.mark.parametrize("cap", [8, 16, 512])
+    def test_five_sensors_per_batch_match_a_from_scratch_evaluation(self, cap):
+        records = five_sensor_stream(cap + 60, seed=cap)
+        heights = []
+        forecast_rows = alert_module.ar_forecast_max_rows
+
+        def spy(rows, *args):
+            heights.append(len(rows))
+            return forecast_rows(rows, *args)
+
+        with mock.patch.object(alert_module, "ar_forecast_max_rows", spy):
+            assert_matches_reference(records, AnalysisConfig(max_window_samples=cap), [5])
+        assert heights[-40:] == [5] * 40  # once the windows are clean, all five in one solve
+        assert {1, 4} <= set(heights)  # before that, rain apart from the other four
+
+    @pytest.mark.parametrize("cap", [8, 16, 512])
+    def test_one_solve_per_length_on_five_sensor_batches(self, cap):
+        heights = assert_one_solve_per_length(
+            five_sensor_stream(cap + 60, seed=cap), AnalysisConfig(max_window_samples=cap), [5]
+        )
+        assert heights[-40:] == [5] * 40
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(_STEPS, min_size=1, max_size=120),
+        batch_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        cap=st.sampled_from([8, 16]),
+        ar_order=st.sampled_from([1, 2]),
+    )
+    def test_one_solve_per_length_on_mixed_streams(self, steps, batch_sizes, cap, ar_order):
+        analysis = AnalysisConfig(ar_order=ar_order, max_window_samples=cap)
+        assert_one_solve_per_length(build_stream(steps), analysis, batch_sizes)
 
 
 def rain_records(times, values):

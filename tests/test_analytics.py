@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopewatch import analytics
+
 from slopewatch.analytics import (
     ARModel,
     AnalyticsError,
@@ -27,6 +29,7 @@ from slopewatch.analytics import (
     ar_fit,
     ar_forecast,
     ar_forecast_max,
+    ar_forecast_max_rows,
     caine_threshold,
     exceeds_caine,
     median_of_sorted,
@@ -468,3 +471,97 @@ class TestArForecastMaxMatchesEarlierFormulation:
         series = make_series("gaussian", 40, seed=1)
         assert outcome(ar_forecast_max, series, 2, 0) is outcome(self.oracle, series, 2, 0)
         assert outcome(ar_forecast_max, series, 2, 0) is AnalyticsError
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def poisoned(series: list[float], bad: float | None, at: int) -> list[float]:
+    """The series with ``bad`` written over one sample, or unchanged if ``bad`` is None."""
+    if bad is None:
+        return series
+    series = list(series)
+    series[at % len(series)] = bad
+    return series
+
+
+@st.composite
+def ar_stacks(draw):
+    """One to five equal-length series of any shapes, some with a non-finite sample."""
+    order = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * order + 1, 600))
+    rows = [
+        poisoned(
+            make_series(draw(st.sampled_from(SERIES_SHAPES)), n, draw(st.integers(0, 2**32 - 1))),
+            draw(st.one_of(st.none(), st.none(), st.sampled_from(NON_FINITE))),
+            draw(st.integers(0, n - 1)),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    return rows, order
+
+
+class TestStackedArKernel:
+    """``ar_forecast_max_rows`` solves several series in one LAPACK call, and
+    gives each the earlier fit-then-forecast maximum, or None if it holds a
+    non-finite value."""
+
+    oracle = staticmethod(TestArForecastMaxMatchesEarlierFormulation.oracle)
+
+    def expected(self, rows, order, horizon):
+        return [None if outcome(self.oracle, row, order, horizon) is InvalidSeriesError
+                else self.oracle(row, order, horizon) for row in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ar_stacks(), horizon=st.integers(1, 12))
+    def test_each_row_bit_identical_to_the_oracle(self, case, horizon):
+        rows, order = case
+        got = outcome(ar_forecast_max_rows, rows, order, horizon)
+        if all(not np.isfinite(row).all() for row in rows) or len(rows[0]) >= 2 * order + 2:
+            assert got == self.expected(rows, order, horizon)
+            assert all(type(v) is float for v in got if v is not None)
+        else:
+            assert got is InsufficientDataError
+
+    @pytest.mark.parametrize("n", [20, 168, 512])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", SERIES_SHAPES)
+    def test_every_shape_and_stack_height(self, shape, k, n):
+        # Row 1 of a stack of two or more holds a nan, and gives None alone.
+        rows = [make_series(shape, n, seed=31 * k + i) for i in range(k)]
+        if k > 1:
+            rows[1] = poisoned(rows[1], float("nan"), n // 3)
+        got = ar_forecast_max_rows([np.asarray(row) for row in rows], 2, 6)
+        assert got == self.expected(rows, 2, 6)
+        assert [v is None for v in got] == [i == 1 for i in range(k)]
+
+    def test_one_call_for_the_whole_stack(self, monkeypatch):
+        calls = []
+        gelsd = analytics._gelsd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return gelsd(a, *args, **kwargs)
+
+        monkeypatch.setattr(analytics, "_gelsd", counted)
+        rows = [make_series("gaussian", 40, seed=i) for i in range(5)]
+        rows[2] = poisoned(rows[2], float("inf"), 7)
+        ar_forecast_max_rows(rows, 2, 4)
+        assert calls == [(4, 38, 3)]  # the four finite rows, each a (rows, order + 1) design
+        calls.clear()
+        assert ar_forecast_max_rows([rows[2]], 2, 4) == [None]
+        assert calls == []
+
+    def test_finite_values_whose_sum_overflows_fail_the_stack(self):
+        series = [1e308, 1.5e308, 1.2e308, 1.7e308, 1.1e308, 1.6e308]
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            ar_forecast_max_rows([make_series("gaussian", 6, seed=1), series], 1, 3)
+
+    def test_errors_before_the_solve(self):
+        rows = [make_series("gaussian", 20, seed=i) for i in range(3)]
+        assert outcome(ar_forecast_max_rows, rows, 0, 4) is AnalyticsError
+        assert outcome(ar_forecast_max_rows, [rows[0], np.ones((4, 5))], 2, 4) is InvalidSeriesError
+        assert outcome(ar_forecast_max_rows, rows, 2, 0) is AnalyticsError
+        short = [row[:5] for row in rows]
+        assert outcome(ar_forecast_max_rows, short, 2, 4) is InsufficientDataError
+        assert ar_forecast_max_rows([poisoned(row, float("nan"), 0) for row in short], 2, 4) == [None] * 3

@@ -574,9 +574,10 @@ class TestSocketTransport:
             server.close_store()
             server.server_close()
 
-    def test_node_started_before_its_station_connects_when_it_comes_up(self, tmp_path, monkeypatch):
+    def test_node_started_before_its_station_connects_when_it_comes_up(self, tmp_path, monkeypatch, caplog):
         # The first connection attempt is refused; the node's next REQ_IP
-        # opens a connection of its own once the station listens.
+        # opens a connection of its own once the station listens. The
+        # refused sends are retried by the IP timer, and warn of nothing.
         import socket
 
         from slopewatch import session
@@ -586,6 +587,7 @@ class TestSocketTransport:
         from slopewatch.domain import SensorKind
 
         monkeypatch.setattr(session, "IP_RETRY_S", 0.1)
+        caplog.set_level("WARNING", logger="slopewatch")
         with socket.socket() as probe:  # a free port, for the station to take later
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -602,6 +604,7 @@ class TestSocketTransport:
             assert not node.is_alive()
             with server.engine_lock:
                 assert server.engine.records_stored == 4
+            assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
         finally:
             server.shutdown()
             server.close_store()

@@ -134,6 +134,14 @@ class TestNodeMachine:
         assert state.attempt == 1
         assert any(isinstance(a, SetTimer) and a.delay == 1.0 for a in actions)
 
+    @pytest.mark.parametrize("phase", [
+        NodePhase.ACQUIRING_IP, NodePhase.ANNOUNCING_IP, NodePhase.AWAITING_SERVER_IP, NodePhase.BACKOFF,
+    ])
+    def test_link_down_before_a_session_changes_nothing(self, phase):
+        # The phase's own timer retries the send that failed; nothing to warn of.
+        state = NodeState(node_id=1, phase=phase, node_ip="10.0.0.1")
+        assert node_step(state, LinkDown()) == (state, [])
+
     def test_consecutive_connect_failures_escalate(self):
         state = _streaming_state()
         state, _ = node_step(state, LinkDown())
