@@ -11,13 +11,16 @@ Prints µs per frame, and its split into ``decode_senddata``,
 ``ingest_batch`` and ``evaluate_batch``, with the share of the last spent
 in ``ar_forecast_max_rows``, the engine's stacked AR solve (one LAPACK
 call for each length among the series a batch changed), and that call's
-count per frame. "non-AR" is a whole frame less the time spent in
-``ar_forecast_max_rows``, both timed in one more pass. A last pass sleeps
-10 ms before each frame, as perfbench's ``tcp_station`` node does at its
-100/s rung, and times the whole frame and its AR share in thread CPU
-time: after an idle gap, caches are cold and a frame costs more than
-back to back. Each figure is the best of ``--rounds`` rounds, each pass
-on a freshly filled station.
+count per frame. The AR share is split into "LAPACK", the time inside
+``analytics._gelsd``, and "bookkeeping", the rest: stacking, centring,
+building the designs and the recursion. "non-AR" is a whole frame less
+the time spent in ``ar_forecast_max_rows``, both timed in one more pass.
+A last pass sleeps 10 ms before each frame, as perfbench's
+``tcp_station`` node does at its 100/s rung, and times the whole frame
+and its AR share, split the same way, in thread CPU time: after an idle
+gap, caches are cold and a frame costs more than back to back. Each
+figure is the best of ``--rounds`` rounds, each pass on a freshly filled
+station.
 
 Two streams of batches, one reading per sensor each, alternated round by round:
 
@@ -36,7 +39,7 @@ import time
 from pathlib import Path
 
 from slopewatch import alert as alert_module
-from slopewatch import wire
+from slopewatch import analytics, wire
 from slopewatch.alert import AlertEngine, Dispatcher
 from slopewatch.config import load_config
 from slopewatch.domain import SensorKind
@@ -104,13 +107,16 @@ def filled_station(stream: str, store_dir: str) -> tuple[ServerEngine, int]:
 
 class ArTimer:
     """Adds the time spent in ``alert.ar_forecast_max_rows``, the engine's stacked
-    AR solve, read on ``clock``, to ``seconds``, and counts its calls, while active."""
+    AR solve, read on ``clock``, to ``seconds``, and counts its calls, while
+    active; ``lapack_seconds`` is the part of it inside ``analytics._gelsd``."""
 
     def __init__(self, clock=time.perf_counter):
         self.seconds = 0.0
+        self.lapack_seconds = 0.0
         self.calls = 0
         self.clock = clock
         self._forecast_max_rows = alert_module.ar_forecast_max_rows
+        self._gelsd = analytics._gelsd
 
     def _timed(self, *args):
         t0 = self.clock()
@@ -120,12 +126,21 @@ class ArTimer:
             self.seconds += self.clock() - t0
             self.calls += 1
 
+    def _timed_gelsd(self, *args, **kwargs):
+        t0 = self.clock()
+        try:
+            return self._gelsd(*args, **kwargs)
+        finally:
+            self.lapack_seconds += self.clock() - t0
+
     def __enter__(self):
         alert_module.ar_forecast_max_rows = self._timed
+        analytics._gelsd = self._timed_gelsd
         return self
 
     def __exit__(self, *exc) -> None:
         alert_module.ar_forecast_max_rows = self._forecast_max_rows
+        analytics._gelsd = self._gelsd
 
 
 def time_frames(engine: ServerEngine, frames: list[Frame]) -> float:
@@ -161,6 +176,8 @@ def round_times(stream: str, frames: int) -> tuple[dict[str, float], float]:
                 engine.alert_engine.evaluate_batch(records)
             out["evaluate_batch"] = time.perf_counter() - start
         out["  of which AR"] = ar.seconds
+        out["    LAPACK"] = ar.lapack_seconds
+        out["    bookkeeping"] = ar.seconds - ar.lapack_seconds
         solves = ar.calls
         repo.close()
 
@@ -182,6 +199,8 @@ def round_times(stream: str, frames: int) -> tuple[dict[str, float], float]:
                 whole += time.thread_time() - start
         out["idle: frame"] = whole
         out["idle:   of which AR"] = ar.seconds
+        out["idle:     LAPACK"] = ar.lapack_seconds
+        out["idle:     bookkeeping"] = ar.seconds - ar.lapack_seconds
         out["idle: non-AR"] = whole - ar.seconds
         engine.repo.close()
     return {stage: s / frames for stage, s in out.items()}, solves / frames

@@ -209,29 +209,39 @@ def _raise_svd_error(err, flag):
 def _finite_rows(series: list, order: int) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
     """Check equal-length series and stack those with no non-finite value.
 
-    Returns the stack, the sum of each of its rows and the indices in
-    ``series`` of its rows. A single series is stacked as a view of itself.
+    Several series are stacked with one copy, ``np.array(series)``; a
+    single series as a view of itself, and none as an empty stack. Returns
+    the stack, the sum of each of its rows (one ``np.add.reduce``) and the
+    indices in ``series`` of its rows.
     """
     if order < 1:
         raise AnalyticsError(f"order must be >= 1, got {order}")
-    rows = []
-    for s in series:
-        row = np.asarray(s, dtype=float)
-        if row.ndim != 1:
-            raise InvalidSeriesError("series must be one-dimensional")
-        rows.append(row)
-    x = rows[0][None] if len(rows) == 1 else np.stack(rows)
-    totals = x.sum(axis=1)
+    if not len(series):
+        return np.empty((0, 0)), np.empty(0), ()
+    try:
+        x = np.asarray(series[0], dtype=float)[None] if len(series) == 1 else np.array(series, dtype=float)
+    except ValueError:
+        # Ragged: a row that is not 1-D, or rows of unequal lengths.
+        rows = [np.asarray(s, dtype=float) for s in series]
+        if any(row.ndim != 1 for row in rows):
+            raise InvalidSeriesError("series must be one-dimensional") from None
+        raise InvalidSeriesError(f"series of unequal lengths {[row.size for row in rows]}") from None
+    if x.ndim != 2:
+        raise InvalidSeriesError("series must be one-dimensional")
+    totals = np.add.reduce(x, axis=1)
     # A finite sum has no inf or nan among its terms; only overflow needs the full scan.
     if all(map(math.isfinite, totals.tolist())):
-        return x, totals, range(len(rows))
+        return x, totals, range(len(x))
     finite = np.isfinite(x).all(axis=1)
     return x[finite], totals[finite], finite.nonzero()[0].tolist()
 
 
+# lstsq's error handling, over the whole solve: an SVD that does not converge
+# raises LinAlgError. As a decorator, the errstate is made once, at import.
+@np.errstate(call=_raise_svd_error, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _ar_solve(
     x: np.ndarray, totals: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Centre each row of ``x`` and solve its AR(p) least-squares problem.
 
     ``totals`` holds the rows' sums. All rows are solved in one call of
@@ -246,7 +256,8 @@ def _ar_solve(
 
     Returns the designs, the centered rows (the targets are their tails
     from ``order`` on), the solutions (centered intercept first, then
-    phi_1 .. phi_p) and the rows' means.
+    phi_1 .. phi_p) and each row's model as ``[intercept, phi_1, ..,
+    phi_p]``, the intercept that of the uncentered series.
     """
     n = x.shape[1]
     if n < 2 * order + 2:
@@ -261,14 +272,11 @@ def _ar_solve(
     for lag in range(1, order + 1):
         design[:, lag] = xc[:, order - lag : n - lag]
     # lstsq's rcond=None is eps * max(rows, order + 1), and rows > order + 1.
-    with np.errstate(call=_raise_svd_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        beta = _gelsd(design.transpose(0, 2, 1), xc[:, order:, None], _EPS * rows, signature="ddd->ddid")[0]
-    return design, xc, beta[..., 0], means.tolist()
-
-
-def _intercept(mean: float, beta: list[float]) -> float:
-    """The uncentered model's intercept, from the centered solution of a series with this mean."""
-    return float(mean * (1.0 - sum(beta[1:])) + beta[0])
+    beta = _gelsd(design.transpose(0, 2, 1), xc[:, order:, None], _EPS * rows, signature="ddd->ddid")[0][..., 0]
+    models = beta.tolist()
+    for model, mean in zip(models, means.tolist()):
+        model[0] = mean * (1.0 - sum(model[1:])) + model[0]
+    return design, xc, beta, models
 
 
 def ar_fit(series: list[float], order: int) -> ARModel:
@@ -276,9 +284,8 @@ def ar_fit(series: list[float], order: int) -> ARModel:
     x, totals, finite = _finite_rows([series], order)
     if not finite:
         raise InvalidSeriesError("series contains non-finite values")
-    design, xc, beta, (mean,) = _ar_solve(x, totals, order)
+    design, xc, beta, ((intercept, *coefficients),) = _ar_solve(x, totals, order)
     beta, target = beta[0], xc[0, order:]
-    solution = beta.tolist()
     # The product runs over a row-major copy: BLAS rounds the transposed
     # design's product differently, and the printed RMS is that of a
     # (rows, order + 1) design.
@@ -286,31 +293,35 @@ def ar_fit(series: list[float], order: int) -> ARModel:
     rms = math.sqrt(np.square(residuals).sum() / target.size)
     return ARModel(
         order=order,
-        coefficients=tuple(solution[1:]),
-        intercept=_intercept(mean, solution),
+        coefficients=tuple(coefficients),
+        intercept=intercept,
         fit_residual_rms=rms,
     )
 
 
-def _ar_recurse(
-    coefficients: tuple[float, ...] | list[float],
-    intercept: float,
-    history: list[float],
-    horizon: int,
-) -> list[float]:
-    # Predictions are appended, never trimmed, so window[-lag] is the lag-th
-    # newest value. The terms are added from int 0 in lag order, the rounding
-    # the recorded alert decisions were made with.
-    window = list(history)
-    out: list[float] = []
-    for _ in range(horizon):
-        acc = 0
-        for lag, phi in enumerate(coefficients, start=1):
-            acc += phi * window[-lag]
-        nxt = intercept + acc
-        out.append(nxt)
-        window.append(nxt)
-    return out
+def _ar_recurse(models: list, windows: list[list[float]], horizon: int) -> list[float]:
+    """Run each ``[intercept, phi_1, .., phi_p]`` model, all of one order p, ``horizon``
+    steps on from its window (at least p values), feeding its predictions back;
+    appends them to the windows and returns each one's largest."""
+    # window[end - lag] is the lag-th newest value. The terms are added from
+    # 0.0 (as from int 0) in lag order, the rounding the recorded alert
+    # decisions were made with.
+    lags = range(1, len(models[0]))
+    tops = []
+    for model, window in zip(models, windows):
+        intercept = model[0]
+        top = None
+        for end in range(len(window), len(window) + horizon):
+            acc = 0.0
+            for lag in lags:
+                acc += model[lag] * window[end - lag]
+            nxt = intercept + acc
+            window.append(nxt)
+            # max()'s choice: the first prediction, then any greater one.
+            if top is None or nxt > top:
+                top = nxt
+        tops.append(top)
+    return tops
 
 
 def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[float]:
@@ -321,25 +332,29 @@ def ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[floa
         raise InsufficientDataError(
             f"AR({model.order}) forecast needs {model.order} history samples, got {len(history)}"
         )
-    return _ar_recurse(model.coefficients, model.intercept, history[-model.order :], horizon)
+    window = list(history[-model.order :])
+    _ar_recurse([(model.intercept, *model.coefficients)], [window], horizon)
+    return window[model.order :]
 
 
 def ar_forecast_max_rows(series: list, order: int, horizon: int) -> list[float | None]:
     """Largest value of the h-step forecast from an AR(p) fit of each of several equal-length series.
 
     Item i is ``ar_forecast_max(series[i], order, horizon)``, bit for bit,
-    or None if ``series[i]`` holds a non-finite value. Every other series
-    is solved in one stacked LAPACK call; the errors are
-    ``ar_forecast_max``'s.
+    or None if ``series[i]`` holds a non-finite value. The series are
+    stacked with one copy (a single one is a view of itself), and every
+    finite one is solved in one stacked LAPACK call and run on in one
+    recursion; the errors are ``ar_forecast_max``'s, and series of unequal
+    lengths raise ``InvalidSeriesError``. No series gives ``[]``.
     """
     x, totals, finite = _finite_rows(series, order)
     out: list[float | None] = [None] * len(series)
     if finite:
-        _, _, beta, means = _ar_solve(x, totals, order)
+        _, _, _, models = _ar_solve(x, totals, order)
         if horizon < 1:
             raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
-        for i, b, mean, history in zip(finite, beta.tolist(), means, x[:, -order:].tolist()):
-            out[i] = max(_ar_recurse(b[1:], _intercept(mean, b), history, horizon))
+        for i, top in zip(finite, _ar_recurse(models, x[:, -order:].tolist(), horizon)):
+            out[i] = top
     return out
 
 

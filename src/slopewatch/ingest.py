@@ -84,6 +84,14 @@ class _SeqRuns:
         return True
 
 
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class Repository:
     """Append-only calibrated-reading store over ``readings.csv``.
 
@@ -102,6 +110,7 @@ class Repository:
 
     def __init__(self, store_dir: str | Path, durable: bool = True, read_only: bool = False):
         self.store_dir = Path(store_dir)
+        new_dir = not read_only and not self.store_dir.is_dir()
         if not read_only:
             self.store_dir.mkdir(parents=True, exist_ok=True)
         elif not self.store_dir.is_dir():
@@ -129,6 +138,12 @@ class Repository:
             self._fh.flush()
             self._lines += 1
             self._dirty = True  # not yet synced; close() syncs it
+            if durable:
+                # The file's fsync does not make its directory entry durable:
+                # without these, a crash could lose the file with acked rows.
+                _fsync_dir(self.store_dir)
+                if new_dir:
+                    _fsync_dir(self.store_dir.parent)
 
     # -- persistence --------------------------------------------------------
 

@@ -8,11 +8,12 @@ bit-identity with its earlier, straightforward numpy formulation.
 
 import random
 import statistics
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slopewatch import analytics
@@ -565,3 +566,40 @@ class TestStackedArKernel:
         short = [row[:5] for row in rows]
         assert outcome(ar_forecast_max_rows, short, 2, 4) is InsufficientDataError
         assert ar_forecast_max_rows([poisoned(row, float("nan"), 0) for row in short], 2, 4) == [None] * 3
+
+    def test_rows_of_unequal_lengths_are_named(self):
+        with pytest.raises(InvalidSeriesError, match=r"unequal lengths \[10, 12\]"):
+            ar_forecast_max_rows([np.arange(10.0), np.arange(12.0)], 2, 6)
+        with pytest.raises(InvalidSeriesError, match=r"unequal lengths \[20, 20, 19\]"):
+            ar_forecast_max_rows([make_series("gaussian", n, seed=n) for n in (20, 20, 19)], 2, 6)
+
+    def test_no_rows_give_no_forecasts_and_no_solve(self):
+        calls = []
+        with mock.patch.object(analytics, "_gelsd", lambda *args, **kwargs: calls.append(args)):
+            assert ar_forecast_max_rows([], 2, 6) == []
+            assert ar_forecast_max_rows(np.empty((0, 40)), 2, 6) == []
+        assert calls == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ar_stacks(), horizon=st.integers(1, 12), pad=st.integers(0, 3))
+    def test_views_lists_and_one_array_agree(self, case, horizon, pad):
+        # The same rows as views into a wider buffer, as lists and as one 2-D array.
+        rows, order = case
+        n = len(rows[0])
+        assume(n >= 2 * order + 2 and any(np.isfinite(row).all() for row in rows))
+        buffer = np.zeros((len(rows), n + 2 * pad))
+        buffer[:, pad : pad + n] = rows
+        calls = []
+        gelsd = analytics._gelsd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return gelsd(a, *args, **kwargs)
+
+        results = []
+        with mock.patch.object(analytics, "_gelsd", counted):
+            for form in (list(buffer[:, pad : pad + n]), rows, np.array(rows)):
+                calls.clear()
+                results.append(ar_forecast_max_rows(form, order, horizon))
+                assert len(calls) == 1
+        assert results[0] == results[1] == results[2]

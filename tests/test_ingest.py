@@ -1,5 +1,6 @@
 """Calibration, dedup and store persistence tests."""
 
+import os
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -272,9 +273,12 @@ class TestPersistence:
 class TestFsyncCount:
     @pytest.fixture
     def fsyncs(self, monkeypatch):
+        """The inode of each fsynced file or directory, in call order."""
         calls = []
         real = ingest_module.os.fsync
-        monkeypatch.setattr(ingest_module.os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
+        monkeypatch.setattr(
+            ingest_module.os, "fsync", lambda fd: (calls.append(os.fstat(fd).st_ino), real(fd))[1]
+        )
         return calls
 
     def test_one_fsync_per_stored_batch_and_none_on_close(self, tmp_path, fsyncs):
@@ -283,9 +287,11 @@ class TestFsyncCount:
         for seq in (1, 3, 1, 5, 3, 7):  # 1 and 3 come twice: retransmits store nothing
             stored_batches += bool(repo.ingest_batch(payload(seq, [(1, 5), (2, 2300)]), 1, CONSTANTS))
         assert stored_batches == 4
-        assert len(fsyncs) == stored_batches
+        # The new store's directory and the one that gained it, before any batch.
+        dirs = [inode(tmp_path / "s"), inode(tmp_path)]
+        assert fsyncs == dirs + [inode(repo.path)] * stored_batches
         repo.close()
-        assert len(fsyncs) == stored_batches
+        assert fsyncs == dirs + [inode(repo.path)] * stored_batches
 
     def test_reopen_and_close_without_writes_does_not_fsync(self, tmp_path, fsyncs):
         Repository(tmp_path / "s").close()
@@ -294,17 +300,35 @@ class TestFsyncCount:
         assert repo.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS)
         assert repo.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS) == []
         repo.close()
-        assert len(fsyncs) == 1
+        assert fsyncs == [inode(repo.path)]
         fsyncs.clear()
         Repository(tmp_path / "s").close()
         assert fsyncs == []
 
     def test_header_only_store_fsyncs_on_close(self, tmp_path, fsyncs):
         repo = Repository(tmp_path / "s")
-        assert fsyncs == []
+        dirs = [inode(tmp_path / "s"), inode(tmp_path)]
+        assert fsyncs == dirs
         repo.close()
-        assert len(fsyncs) == 1
+        assert fsyncs == dirs + [inode(repo.path)]
         assert (tmp_path / "s" / "readings.csv").read_text() == "ts_unix,node_id,sensor,seq,value\n"
+
+    def test_new_file_in_an_existing_directory_fsyncs_that_directory_only(self, tmp_path, fsyncs):
+        (tmp_path / "s").mkdir()
+        repo = Repository(tmp_path / "s")
+        assert fsyncs == [inode(tmp_path / "s")]
+        repo.close()
+
+    def test_non_durable_and_read_only_stores_never_fsync(self, tmp_path, fsyncs):
+        repo = Repository(tmp_path / "s", durable=False)
+        assert repo.ingest_batch(payload(1, [(1, 5)]), 1, CONSTANTS)
+        repo.close()
+        Repository(tmp_path / "s", read_only=True).close()
+        assert fsyncs == []
+
+
+def inode(path: Path) -> int:
+    return os.stat(path).st_ino
 
 
 class TestSeqIndex:
