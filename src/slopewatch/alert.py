@@ -416,7 +416,6 @@ class AnalysisConfig:
     """Windows and model settings for building snapshots from stored data."""
 
     dry_gap_h: float = 6.0
-    antecedent_lookback_h: float = 72.0
     ar_order: int = 2
     max_window_samples: int = 512
 
@@ -424,9 +423,8 @@ class AnalysisConfig:
         _check_finite(self, ValueError)
         if self.ar_order < 1:
             raise ValueError(f"ar_order must be >= 1, got {self.ar_order}")
-        for name in ("dry_gap_h", "antecedent_lookback_h"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.dry_gap_h <= 0:
+            raise ValueError(f"dry_gap_h must be positive, got {self.dry_gap_h}")
         if self.max_window_samples < 1:
             raise ValueError(f"max_window_samples must be >= 1, got {self.max_window_samples}")
 
@@ -542,7 +540,7 @@ class AlertEngine:
     compute it, so the decisions are identical.
     """
 
-    def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig, dispatcher: Dispatcher):
+    def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig, dispatcher: Dispatcher | None):
         self.thresholds = thresholds
         self.analysis = analysis
         self.dispatcher = dispatcher
@@ -794,6 +792,11 @@ class AlertEngine:
             tiltmeter_deg=forecast["tiltmeter"],
         )
 
+    def snapshots(self) -> tuple[ValueSnapshot, ValueSnapshot]:
+        """The current and the predicted values of what was observed: those
+        an evaluation after the last ``observe`` judges."""
+        return self._current_snapshot(), self._predicted_snapshot()
+
     # -- evaluation ------------------------------------------------------------
 
     def evaluate_batch(self, records) -> list[Notification]:
@@ -803,9 +806,7 @@ class AlertEngine:
             # No new data and ``now`` unchanged: the decisions would equal the
             # previous ones, and stepping the ladder again on them is a no-op.
             return []
-        decisions = evaluate(
-            self._current_snapshot(), self._predicted_snapshot(), self.thresholds, self.now
-        )
+        decisions = evaluate(*self.snapshots(), self.thresholds, self.now)
         new_state, notes = step_alert_state(
             self.state, decisions, self.now, self.thresholds.hold_period_s
         )

@@ -1,8 +1,8 @@
 """Hydrological features and per-sensor forecasting.
 
-Rain-event segmentation, antecedent rainfall, the global intensity-duration
-threshold of Caine (1980), and autoregressive value prediction used by the
-alert engine's "predicted" pathway.
+Rain-event segmentation, the global intensity-duration threshold of Caine
+(1980), and autoregressive value prediction used by the alert engine's
+"predicted" pathway.
 """
 
 from __future__ import annotations
@@ -119,14 +119,6 @@ def segment_events(rain: list[tuple[float, float]], dry_gap: float) -> list[Rain
     return events
 
 
-def antecedent_rainfall(rain: list[tuple[float, float]], now: float, lookback: float) -> float:
-    """Sum of rainfall samples within [now - lookback, now], inclusive."""
-    if lookback <= 0:
-        raise AnalyticsError(f"lookback must be positive, got {lookback}")
-    lo = now - lookback
-    return sum(mm for t, mm in rain if lo <= t <= now)
-
-
 def last_event(times: np.ndarray, mm: np.ndarray, dry_gap: float, interval: float) -> tuple[float, float, float] | None:
     """(first wet time, last wet time, total mm) of a time-ordered series' last rain event.
 
@@ -193,7 +185,6 @@ class ARModel:
     order: int
     coefficients: tuple[float, ...]  # phi_1 .. phi_p (lag-1 first)
     intercept: float
-    fit_residual_rms: float
 
     def __post_init__(self) -> None:
         if len(self.coefficients) != self.order:
@@ -239,9 +230,7 @@ def _finite_rows(series: list, order: int) -> tuple[np.ndarray, np.ndarray, Sequ
 # lstsq's error handling, over the whole solve: an SVD that does not converge
 # raises LinAlgError. As a decorator, the errstate is made once, at import.
 @np.errstate(call=_raise_svd_error, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _ar_solve(
-    x: np.ndarray, totals: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+def _ar_solve(x: np.ndarray, totals: np.ndarray, order: int) -> list[list[float]]:
     """Centre each row of ``x`` and solve its AR(p) least-squares problem.
 
     ``totals`` holds the rows' sums. All rows are solved in one call of
@@ -254,10 +243,8 @@ def _ar_solve(
     built as ``(order + 1, rows)`` C arrays and handed over transposed, so
     LAPACK's column-major copy of each is a contiguous one.
 
-    Returns the designs, the centered rows (the targets are their tails
-    from ``order`` on), the solutions (centered intercept first, then
-    phi_1 .. phi_p) and each row's model as ``[intercept, phi_1, ..,
-    phi_p]``, the intercept that of the uncentered series.
+    Returns each row's model as ``[intercept, phi_1, .., phi_p]``, the
+    intercept that of the uncentered series.
     """
     n = x.shape[1]
     if n < 2 * order + 2:
@@ -276,7 +263,7 @@ def _ar_solve(
     models = beta.tolist()
     for model, mean in zip(models, means.tolist()):
         model[0] = mean * (1.0 - sum(model[1:])) + model[0]
-    return design, xc, beta, models
+    return models
 
 
 def ar_fit(series: list[float], order: int) -> ARModel:
@@ -284,19 +271,8 @@ def ar_fit(series: list[float], order: int) -> ARModel:
     x, totals, finite = _finite_rows([series], order)
     if not finite:
         raise InvalidSeriesError("series contains non-finite values")
-    design, xc, beta, ((intercept, *coefficients),) = _ar_solve(x, totals, order)
-    beta, target = beta[0], xc[0, order:]
-    # The product runs over a row-major copy: BLAS rounds the transposed
-    # design's product differently, and the printed RMS is that of a
-    # (rows, order + 1) design.
-    residuals = np.ascontiguousarray(design[0].T) @ beta - target
-    rms = math.sqrt(np.square(residuals).sum() / target.size)
-    return ARModel(
-        order=order,
-        coefficients=tuple(coefficients),
-        intercept=intercept,
-        fit_residual_rms=rms,
-    )
+    ((intercept, *coefficients),) = _ar_solve(x, totals, order)
+    return ARModel(order=order, coefficients=tuple(coefficients), intercept=intercept)
 
 
 def _ar_recurse(models: list, windows: list[list[float]], horizon: int) -> list[float]:
@@ -350,7 +326,7 @@ def ar_forecast_max_rows(series: list, order: int, horizon: int) -> list[float |
     x, totals, finite = _finite_rows(series, order)
     out: list[float | None] = [None] * len(series)
     if finite:
-        _, _, _, models = _ar_solve(x, totals, order)
+        models = _ar_solve(x, totals, order)
         if horizon < 1:
             raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
         for i, top in zip(finite, _ar_recurse(models, x[:, -order:].tolist(), horizon)):

@@ -10,22 +10,14 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
-from slopewatch.analytics import (
-    CaineDomainError,
-    InsufficientDataError,
-    InvalidSeriesError,
-    antecedent_rainfall,
-    ar_fit,
-    ar_forecast,
-    caine_threshold,
-    segment_events,
-)
-from slopewatch.alert import AnalysisConfig
-from slopewatch.config import ConfigError, load_config, resolve_config_path
-from slopewatch.domain import SensorKind
+from slopewatch.analytics import CaineDomainError, RainEvent, caine_threshold, segment_events
+from slopewatch.alert import AlertEngine, AlertMode, AnalysisConfig, ValueSource, evaluate
+from slopewatch.config import ENV_CONFIG, ConfigError, load_config, resolve_config_path
+from slopewatch.domain import CalibratedReading, SensorKind
 from slopewatch.ingest import READINGS_FILE, Repository, StoreError
 from slopewatch.nodesim import ScenarioError, load_scenario, resolve_scenario
 
@@ -87,9 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "0 to the scenario's number of sampling intervals")
     p_replay.add_argument("--trace", help="write the protocol event trace to this CSV file")
 
-    p_analyze = sub.add_parser("analyze", help="rain events, threshold exceedances, forecasts")
+    p_analyze = sub.add_parser("analyze", help="rain events, and what the station's alert engine "
+                                                "judges the next batch on")
     p_analyze.add_argument("--store", required=True, help="store directory")
-    p_analyze.add_argument("--config", help="config file for analysis windows (optional)")
+    p_analyze.add_argument("--config", help="config file (or set EWS_CONFIG); without one, the rain events alone")
     p_analyze.add_argument("--format", choices=("text", "csv"), default="text")
 
     p_report = sub.add_parser("report", help="alert history for a store directory")
@@ -159,14 +152,66 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _analysis_config(args) -> AnalysisConfig:
-    if getattr(args, "config", None):
-        return load_config(resolve_config_path(args.config)).analysis
-    return AnalysisConfig()
+def _stored_records(repo: Repository, rain: list):
+    """Every stored row as a record, in file order, which is the order the
+    station observed them in; appends each rain row's (ts, node_id, seq, mm) to ``rain``."""
+    for ts, node_id, seq, sensor, value in repo.rows():
+        if sensor is SensorKind.RAIN_GAUGE:
+            rain.append((ts, node_id, seq, value))
+        yield CalibratedReading(node_id, ts, sensor, value, seq)
+
+
+# The station view's rows: sensor, unit, ValueSnapshot field, Thresholds field.
+_VIEW_ROWS = (
+    ("rain_gauge", "mm/h", "rain_intensity_mm_per_h", "mt_rain_mm_per_h"),
+    ("piezometer", "kPa", "pore_kpa", "mt_pore_kpa"),
+    ("extensometer", "mm", "displacement_mm", "mt_displacement_mm"),
+    ("inclinometer", "deg", "inclinometer_deg", "mt_inclination_deg"),
+    ("tiltmeter", "deg", "tiltmeter_deg", "mt_inclination_deg"),
+)
+
+
+def _caine_columns(event: RainEvent) -> tuple[str, str]:
+    """The event's Caine bound in mm/h and "yes" or "no" it is reached; "" and "n/a" off the curve."""
+    try:
+        bound = caine_threshold(event.duration_h)
+    except CaineDomainError:
+        return "", "n/a"
+    return f"{bound:.3f}", "yes" if event.mean_intensity_mm_per_h >= bound else "no"
+
+
+def _number(value: float | None) -> str:
+    return "-" if value is None else f"{value:.4f}"
+
+
+def _print_station_view(engine: AlertEngine) -> None:
+    """What the station's engine judges the next batch on, after observing the store."""
+    th = engine.thresholds
+    current, predicted = engine.snapshots()
+    print(f"\nstation view at ts {engine.now:.0f} (forecast max over {th.prediction_horizon} steps):")
+    _print_table(("sensor", "unit", "current", "forecast_max", "threshold"), [
+        (sensor, unit, _number(getattr(current, field)), _number(getattr(predicted, field)), f"{getattr(th, limit):g}")
+        for sensor, unit, field, limit in _VIEW_ROWS
+    ])
+    event = current.active_event
+    if event is None:
+        print("active rain event: none")
+    else:
+        bound, exceeds = _caine_columns(event)
+        print(f"active rain event: {event.duration_h:.3f} h, {event.total_mm:.3f} mm, "
+              f"{event.mean_intensity_mm_per_h:.3f} mm/h; "
+              + (f"Caine bound {bound} mm/h, exceeded: {exceeds}" if bound else "Caine bound n/a"))
+    levels = {d.source: d.level.name for d in evaluate(current, predicted, th, engine.now)
+              if d.mode is AlertMode.MULTI}
+    print(f"multi_level: current {levels[ValueSource.CURRENT]}, predicted {levels[ValueSource.PREDICTED]}")
 
 
 def cmd_analyze(args) -> int:
-    analysis = _analysis_config(args)
+    try:
+        path = resolve_config_path(args.config)
+    except ConfigError:
+        path = None  # neither --config nor EWS_CONFIG: the rain table alone
+    cfg = load_config(path) if path else None
     repo = Repository(args.store, read_only=True)
     for warning in repo.load_warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -174,30 +219,25 @@ def cmd_analyze(args) -> int:
         print("error: no parseable rows in store", file=sys.stderr)
         return EXIT_RUNTIME
 
-    by_kind: dict[SensorKind, list[tuple[int, float]]] = {kind: [] for kind in SensorKind}
-    for ts, _, _, sensor, value in repo.sorted_rows():  # the one pass over readings.csv
-        by_kind[sensor].append((ts, value))
-    rain = by_kind[SensorKind.RAIN_GAUGE]
-    events = segment_events(rain, analysis.dry_gap_h * 3600.0) if rain else []
-    rows = []
-    for ev in events:
-        try:
-            threshold = caine_threshold(ev.duration_h)
-            exceeds = "yes" if ev.mean_intensity_mm_per_h >= threshold else "no"
-            threshold_s = f"{threshold:.3f}"
-        except CaineDomainError:
-            threshold_s, exceeds = "", "n/a"
-        rows.append(
-            (
-                f"{ev.start:.0f}",
-                f"{ev.end:.0f}",
-                f"{ev.duration_h:.3f}",
-                f"{ev.total_mm:.3f}",
-                f"{ev.mean_intensity_mm_per_h:.6f}",
-                threshold_s,
-                exceeds,
-            )
-        )
+    # One streaming pass: the engine observes every row, as the station did
+    # when it stored them, without evaluating, dispatching or writing.
+    engine = AlertEngine(cfg.thresholds, cfg.analysis, None) if cfg and args.format == "text" else None
+    rain_rows: list[tuple[int, int, int, float]] = []
+    records = _stored_records(repo, rain_rows)
+    if engine is not None:
+        engine.observe(records)
+    else:
+        for _ in records:
+            pass
+    rain_rows.sort()  # by (ts, node, seq), as Repository.series orders the rain
+    rain = [(ts, mm) for ts, _, _, mm in rain_rows]
+    dry_gap_h = (cfg.analysis if cfg else AnalysisConfig()).dry_gap_h
+    events = segment_events(rain, dry_gap_h * 3600.0) if rain else []
+    rows = [
+        (f"{ev.start:.0f}", f"{ev.end:.0f}", f"{ev.duration_h:.3f}", f"{ev.total_mm:.3f}",
+         f"{ev.mean_intensity_mm_per_h:.6f}", *_caine_columns(ev))
+        for ev in events
+    ]
     header = ("start_ts", "end_ts", "duration_h", "total_mm", "intensity_mm_per_h",
               "caine_mm_per_h", "exceeds_caine")
 
@@ -208,24 +248,13 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
 
     print(f"store: {args.store} ({len(repo)} records)")
-    print(f"\nrain events (dry gap {analysis.dry_gap_h} h): {len(events)}")
+    print(f"\nrain events (dry gap {dry_gap_h} h): {len(events)}")
     if rows:
         _print_table(header, rows)
-    if rain:
-        now = rain[-1][0]
-        ante = antecedent_rainfall(rain, now, analysis.antecedent_lookback_h * 3600.0)
-        print(f"\nantecedent rainfall over {analysis.antecedent_lookback_h:.0f} h: {ante:.2f} mm")
-
-    print("\nAR forecast snapshot (next step / max over 6):")
-    for kind in SensorKind:
-        series = [v for _, v in by_kind[kind][-256:]]
-        label = kind.name.lower()
-        try:
-            model = ar_fit(series, analysis.ar_order)
-            steps = ar_forecast(model, series, 6)
-            print(f"  {label:<13} {steps[0]:>12.4f} / {max(steps):>12.4f}  (rms {model.fit_residual_rms:.2e})")
-        except (InsufficientDataError, InvalidSeriesError):
-            print(f"  {label:<13} {'-':>12} / {'-':>12}  (insufficient data)")
+    if engine is None:
+        print(f"\nstation view: needs a config (--config or {ENV_CONFIG})")
+    else:
+        _print_station_view(engine)
     return EXIT_OK
 
 
@@ -297,7 +326,14 @@ def main(argv=None) -> int:
         "report": cmd_report,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # here, so that a reader gone away is met inside the try
+        return code
+    except BrokenPipeError:
+        # stdout's reader went away, as ``| head`` does. As Python's "Note on SIGPIPE"
+        # advises, no error line, and stdout goes to devnull so that the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_RUNTIME
     except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

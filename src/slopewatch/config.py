@@ -39,7 +39,6 @@ THRESHOLD_KEYS = (
     "prediction_horizon",
     "ar_order",
     "dry_gap_h",
-    "antecedent_lookback_h",
 )
 
 KNOWN_SINKS = ("console", "file", "sms", "webhook")
@@ -122,7 +121,6 @@ def load_config(path: str | Path) -> Config:
     try:
         analysis = AnalysisConfig(
             dry_gap_h=t_float("dry_gap_h"),
-            antecedent_lookback_h=t_float("antecedent_lookback_h"),
             ar_order=t_int("ar_order"),
         )
     except ValueError as exc:

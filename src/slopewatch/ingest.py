@@ -42,11 +42,6 @@ def _parse_row(line: str) -> tuple[int, int, int, SensorKind, float]:
     return t, node, int(seq), kind, float(value)
 
 
-def _sorted_records(rows) -> list[CalibratedReading]:
-    """Records of (ts, node_id, seq, sensor, value) rows with unique keys, sorted by (ts, node, seq)."""
-    return [CalibratedReading(node, ts, kind, value, seq) for ts, node, seq, kind, value in sorted(rows)]
-
-
 class _SeqRuns:
     """The seqs stored for one node, as sorted, disjoint, non-adjacent [lo, hi] runs.
 
@@ -308,7 +303,7 @@ class Repository:
         runs = self._index.get(node_id)
         return list(zip(runs.los, runs.his)) if runs else []
 
-    def _rows(self):
+    def rows(self):
         """Yield (ts, node_id, seq, sensor, value) of each stored row, in file order.
 
         Reads the flushed lines only and skips what the index skipped on
@@ -329,18 +324,11 @@ class Repository:
                     continue  # the header, a blank or an unparseable row
                 yield row
 
-    def sorted_rows(self) -> list[tuple[int, int, int, SensorKind, float]]:
-        """Every stored row as a (ts, node_id, seq, sensor, value) tuple, sorted by (ts, node, seq).
-
-        ``all_records`` without a record object per row.
-        """
-        return sorted(self._rows())
-
     def all_records(self) -> list[CalibratedReading]:
         """Every stored record, sorted by (ts, node, seq)."""
-        return _sorted_records(self._rows())
+        return [CalibratedReading(node, ts, kind, value, seq) for ts, node, seq, kind, value in sorted(self.rows())]
 
     def series(self, sensor: SensorKind) -> list[tuple[int, float]]:
         """(timestamp, value) pairs for one sensor kind, oldest first."""
-        rows = sorted(row for row in self._rows() if row[3] is sensor)
+        rows = sorted(row for row in self.rows() if row[3] is sensor)
         return [(ts, value) for ts, _, _, _, value in rows]

@@ -25,7 +25,6 @@ from slopewatch.analytics import (
     _check_dry_gap,
     _check_ordered,
     _infer_interval,
-    antecedent_rainfall,
     ar_fit,
     ar_forecast,
     last_event,
@@ -369,7 +368,6 @@ class ListSink:
 @dataclass(frozen=True)
 class RainfallFeatures:
     total_mm: float
-    antecedent_mm: float
     event_duration_h: float | None  # None when no event is active
     event_intensity_mm_per_h: float | None
 
@@ -401,7 +399,6 @@ def active_event(
 def compute_rainfall_features(
     rain: list[tuple[float, float]],
     now: float,
-    lookback: float,
     dry_gap: float,
     sample_interval: float | None = None,
 ) -> RainfallFeatures:
@@ -411,7 +408,6 @@ def compute_rainfall_features(
     event = active_event(rain, now, dry_gap, interval)
     return RainfallFeatures(
         total_mm=sum(mm for _, mm in rain),
-        antecedent_mm=antecedent_rainfall(rain, now, lookback),
         event_duration_h=event.duration_h if event is not None else None,
         event_intensity_mm_per_h=event.mean_intensity_mm_per_h if event is not None else None,
     )
@@ -454,10 +450,7 @@ class ScratchReference:
         if rain:
             width = INTENSITY_WINDOW_S
             intensity = sum(mm for t, mm in rain if now - width < t <= now) / (width / 3600.0)
-            feats = compute_rainfall_features(
-                rain, now, self.analysis.antecedent_lookback_h * 3600.0,
-                self.analysis.dry_gap_h * 3600.0,
-            )
+            feats = compute_rainfall_features(rain, now, self.analysis.dry_gap_h * 3600.0)
             if feats.event_duration_h is not None:
                 d = feats.event_duration_h
                 event = RainEvent(now - d * 3600.0, now, feats.event_intensity_mm_per_h * d)

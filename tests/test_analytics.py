@@ -26,7 +26,6 @@ from slopewatch.analytics import (
     InvalidSeriesError,
     RainEvent,
     _infer_interval,
-    antecedent_rainfall,
     ar_fit,
     ar_forecast,
     ar_forecast_max,
@@ -97,30 +96,6 @@ def test_median_of_sorted_matches_statistics_median(values):
     assert median_of_sorted(sorted(values)) == statistics.median(values)
 
 
-class TestAntecedentRainfall:
-    def test_empty_series(self):
-        assert antecedent_rainfall([], now=1000.0, lookback=H) == 0.0
-
-    def test_sums_window(self):
-        series = [(100.0, 1.0), (200.0, 2.0), (300.0, 3.0)]
-        assert antecedent_rainfall(series, now=300.0, lookback=250.0) == 6.0
-
-    def test_window_edge_inclusive(self):
-        series = [(100.0, 1.5)]
-        assert antecedent_rainfall(series, now=200.0, lookback=100.0) == 1.5
-
-    def test_additive_over_adjacent_windows(self):
-        rng = random.Random(11)
-        series = hourly([rng.uniform(0, 5) for _ in range(48)])
-        now = 48 * H
-        whole = antecedent_rainfall(series, now, 48 * H)
-        # split at an off-sample instant so the windows partition the samples
-        split = 24 * H + 1.0
-        first = antecedent_rainfall(series, split, split)
-        second = sum(v for t, v in series if split < t <= now)
-        assert whole == pytest.approx(first + second)
-
-
 class TestCaineThreshold:
     def oracle(self, d: float) -> float:
         mp.mp.dps = 50
@@ -167,15 +142,14 @@ class TestExceedsCaine:
 class TestRainfallFeatures:
     def test_active_event_reported(self):
         series = hourly([0, 0, 3.0, 4.0])
-        feats = compute_rainfall_features(series, now=4 * H, lookback=24 * H, dry_gap=6 * H)
+        feats = compute_rainfall_features(series, now=4 * H, dry_gap=6 * H)
         assert feats.total_mm == 7.0
-        assert feats.antecedent_mm == 7.0
         assert feats.event_duration_h == pytest.approx(2.0)
         assert feats.event_intensity_mm_per_h == pytest.approx(3.5)
 
     def test_stale_event_not_active(self):
         series = hourly([3.0] + [0] * 10)
-        feats = compute_rainfall_features(series, now=11 * H, lookback=24 * H, dry_gap=6 * H)
+        feats = compute_rainfall_features(series, now=11 * H, dry_gap=6 * H)
         assert feats.event_duration_h is None
 
 
@@ -247,7 +221,6 @@ class TestArFit:
         assert model.coefficients[0] == pytest.approx(0.6, abs=1e-6)
         assert model.coefficients[1] == pytest.approx(-0.2, abs=1e-6)
         assert model.intercept == pytest.approx(1.0, abs=1e-6)
-        assert model.fit_residual_rms < 1e-9
 
     def test_agrees_with_normal_equations_oracle(self):
         series = generate_ar2(seed=7)
@@ -276,12 +249,12 @@ class TestArFit:
 
     def test_coefficient_length_enforced(self):
         with pytest.raises(AnalyticsError):
-            ARModel(order=2, coefficients=(0.5,), intercept=0.0, fit_residual_rms=0.0)
+            ARModel(order=2, coefficients=(0.5,), intercept=0.0)
 
 
 class TestArForecast:
     def test_one_step_matches_formula(self):
-        model = ARModel(order=2, coefficients=(0.5, 0.25), intercept=1.0, fit_residual_rms=0.0)
+        model = ARModel(order=2, coefficients=(0.5, 0.25), intercept=1.0)
         history = [2.0, 4.0]  # oldest first
         expected = 1.0 + 0.5 * 4.0 + 0.25 * 2.0
         assert ar_forecast(model, history, 1) == [pytest.approx(expected)]
@@ -294,7 +267,7 @@ class TestArForecast:
         assert forecast == pytest.approx(continued, abs=1e-6)
 
     def test_short_history_rejected(self):
-        model = ARModel(order=3, coefficients=(0.1, 0.1, 0.1), intercept=0.0, fit_residual_rms=0.0)
+        model = ARModel(order=3, coefficients=(0.1, 0.1, 0.1), intercept=0.0)
         with pytest.raises(InsufficientDataError):
             ar_forecast(model, [1.0, 2.0], 4)
 
@@ -305,7 +278,8 @@ class TestArForecast:
 
 
 def oracle_ar_fit(series: list[float], order: int) -> ARModel:
-    """The earlier ``ar_fit``, verbatim: alert decisions were recorded with it."""
+    """The earlier ``ar_fit``, verbatim but for the residual RMS, which
+    ``ARModel`` no longer carries: alert decisions were recorded with it."""
     if order < 1:
         raise AnalyticsError(f"order must be >= 1, got {order}")
     x = np.asarray(series, dtype=float)
@@ -329,9 +303,7 @@ def oracle_ar_fit(series: list[float], order: int) -> ARModel:
     centered_intercept = float(beta[0])
     coeffs = tuple(float(b) for b in beta[1:])
     intercept = float(mean * (1.0 - sum(coeffs)) + centered_intercept)
-    residuals = design @ beta - target
-    rms = float(np.sqrt(np.mean(residuals**2))) if rows else 0.0
-    return ARModel(order=order, coefficients=coeffs, intercept=intercept, fit_residual_rms=rms)
+    return ARModel(order=order, coefficients=coeffs, intercept=intercept)
 
 
 def oracle_ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[float]:
@@ -401,7 +373,7 @@ class TestArKernelMatchesEarlierFormulation:
         if not isinstance(model, ARModel):
             assert len(series) < 2 * order + 2
             return
-        numbers = [*model.coefficients, model.intercept, model.fit_residual_rms]
+        numbers = [*model.coefficients, model.intercept]
         assert all(type(v) is float for v in numbers)
         forecast = ar_forecast(model, series, horizon)
         assert forecast == oracle_ar_forecast(model, series, horizon)

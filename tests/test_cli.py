@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import random
 import signal
 import subprocess
 import sys
@@ -11,11 +12,17 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from slopewatch import cli
+from slopewatch.alert import AlertEngine, AlertMode, ValueSource, evaluate
 from slopewatch.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from slopewatch.config import load_config
 from slopewatch.ingest import Repository
+from slopewatch.nodesim import load_scenario, resolve_scenario
+from slopewatch.replay import SimReplay
 
 DEMO = str(Path(__file__).resolve().parent.parent / "config" / "demo.ini")
 
@@ -64,7 +71,6 @@ def test_missing_threshold_keys_exit_two(tmp_path, capsys):
     [
         ("ar_order = 2", "ar_order = 0"),
         ("dry_gap_h = 6.0", "dry_gap_h = 0"),
-        ("antecedent_lookback_h = 72.0", "antecedent_lookback_h = 0"),
     ],
 )
 def test_invalid_analysis_setting_exits_two(line, bad, tmp_path, capsys):
@@ -377,7 +383,6 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(["analyze", "--store", str(store), "--config", DEMO], capsys)
         assert code == EXIT_OK
         assert "rain events" in out
-        assert "antecedent rainfall" in out
         assert "rain_gauge" in out
 
     def test_event_count_matches_replay_summary(self, tmp_path, capsys):
@@ -441,6 +446,158 @@ class TestAnalyzeCommand:
         (store / "readings.csv").write_text("ts_unix,node_id,sensor,seq,value\nnot,good\nbad,too\n")
         code, _, err = run_cli(["analyze", "--store", str(store)], capsys)
         assert code == EXIT_RUNTIME
+
+
+def ten_minute_storm(path: Path) -> str:
+    """72 h of rain and pore pressure sampled every 600 s: 432 values a
+    sensor, so a forecast over fewer than the engine's window (as the last
+    256) differs, and several rain samples an hour, which the engine bins."""
+    rng = random.Random(600)
+    lines = ["# sample_interval_s: 600", "t_offset_s,sensor,raw"]
+    pore = 3000
+    for tick in range(1, 433):
+        rain = rng.choice([0, 1, 1, 2, 3]) if 60 <= tick < 400 else 0
+        pore += rng.randint(-5, 12)
+        lines += [f"{tick * 600},rain_gauge,{rain}", f"{tick * 600},piezometer,{pore}"]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# Each station-view row of analyze's text, by sensor, and the snapshot field it shows.
+VIEW_FIELDS = {
+    "rain_gauge": "rain_intensity_mm_per_h",
+    "piezometer": "pore_kpa",
+    "extensometer": "displacement_mm",
+    "inclinometer": "inclinometer_deg",
+    "tiltmeter": "tiltmeter_deg",
+}
+
+
+def shown(value) -> str:
+    return "-" if value is None else f"{value:.4f}"
+
+
+class TestAnalyzeStationView:
+    """analyze shows what the live engine judged the store's last batch on."""
+
+    @staticmethod
+    def live_engine(scenario: str, store: Path, seed: int, disconnects: int) -> AlertEngine:
+        """The engine of a replay with the demo config, after its last batch, as ``replay`` runs it."""
+        sc = load_scenario(resolve_scenario(scenario))
+        offsets = tuple(sc.duration * (i + 1) / (disconnects + 1) for i in range(disconnects))
+        sim = SimReplay(sc, load_config(DEMO), store, seed=seed, force_disconnect_at=offsets)
+        summary = sim.run()
+        assert summary.records_stored == summary.readings_generated
+        return sim.server.alert_engine
+
+    @staticmethod
+    def analyze(store: Path, capsys) -> tuple[str, AlertEngine]:
+        """analyze's text output for the store and the engine it built."""
+        built = []
+
+        class Recorded(AlertEngine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        with mock.patch.object(cli, "AlertEngine", Recorded):
+            code, out, err = run_cli(["analyze", "--store", str(store), "--config", DEMO], capsys)
+        assert code == EXIT_OK and err == ""
+        (engine,) = built
+        return out, engine
+
+    @pytest.mark.parametrize("scenario, seed, disconnects", [
+        *((scenario, seed, disconnects) for scenario in ("seven_day_rain", "three_day_rain")
+          for seed in (7, 17, 44) for disconnects in (0, 3)),
+        ("ten_minute_storm", 7, 0),
+    ])
+    def test_station_view_is_the_live_engines(self, scenario, seed, disconnects, tmp_path, capsys):
+        if scenario == "ten_minute_storm":
+            scenario = ten_minute_storm(tmp_path / "ten_minute_storm.csv")
+        store = tmp_path / "store"
+        live = self.live_engine(scenario, store, seed, disconnects)
+        current, predicted = live._current_snapshot(), live._predicted_snapshot()
+        capsys.readouterr()
+        out, engine = self.analyze(store, capsys)
+        # repr tells every two floats apart, -0.0 from 0.0 too: bit for bit.
+        assert repr(engine.snapshots()) == repr((current, predicted))
+        assert engine.now == live.now
+        rows = {fields[0]: fields[2:4] for fields in map(str.split, out.splitlines())
+                if fields and fields[0] in VIEW_FIELDS}
+        assert rows == {name: [shown(getattr(current, field)), shown(getattr(predicted, field))]
+                        for name, field in VIEW_FIELDS.items()}
+        event = current.active_event
+        assert event is not None  # every scenario here ends inside its storm
+        assert f"active rain event: {event.duration_h:.3f} h, {event.total_mm:.3f} mm," in out
+        levels = {d.source: d.level.name for d in evaluate(current, predicted, live.thresholds, live.now)
+                  if d.mode is AlertMode.MULTI}
+        assert (f"multi_level: current {levels[ValueSource.CURRENT]}, "
+                f"predicted {levels[ValueSource.PREDICTED]}") in out
+
+    def test_analyze_writes_nothing(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        self.live_engine("three_day_rain", store, seed=7, disconnects=0)
+        for name in ("alerts.ndjson", "sms_outbox.txt"):
+            (store / name).unlink()
+        before = {p.name: p.read_bytes() for p in store.iterdir()}
+        assert list(before) == ["readings.csv"]
+        capsys.readouterr()
+        out, _ = self.analyze(store, capsys)  # the demo config's sinks are console, file and sms
+        assert "[ALERT]" not in out and "multi_level: current ORANGE" in out
+        assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+
+    def test_config_from_the_environment(self, tmp_path, capsys, monkeypatch):
+        # A dry spell of 3 h: two events at a 1 h dry gap, one at the default 6 h.
+        rain = [5] * 6 + [0] * 3 + [5] * 6
+        scenario = tmp_path / "two_showers.csv"
+        scenario.write_text("# sample_interval_s: 3600\nt_offset_s,sensor,raw\n" + "".join(
+            f"{3600 * (i + 1)},rain_gauge,{raw}\n" for i, raw in enumerate(rain)))
+        config = tmp_path / "gap1.ini"
+        config.write_text(Path(DEMO).read_text().replace("dry_gap_h = 6.0", "dry_gap_h = 1.0"))
+        monkeypatch.setenv("EWS_CONFIG", str(config))
+        store = tmp_path / "store"
+        code, out, _ = run_cli(["replay", "--scenario", str(scenario), "--store", str(store)], capsys)
+        assert code == EXIT_OK
+        summary_events = int(next(l for l in out.splitlines() if l.startswith("rain events")).split()[-1])
+        assert summary_events == 2
+        code, out, _ = run_cli(["analyze", "--store", str(store), "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert len(list(csv.DictReader(io.StringIO(out)))) == summary_events
+        code, out, _ = run_cli(["analyze", "--store", str(store)], capsys)
+        assert code == EXIT_OK
+        assert "rain events (dry gap 1.0 h): 2" in out and "multi_level:" in out
+
+    def test_without_a_config_the_rain_table_alone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("EWS_CONFIG", raising=False)
+        store = tmp_path / "store"
+        self.live_engine("three_day_rain", store, seed=7, disconnects=0)
+        capsys.readouterr()
+        code, out, _ = run_cli(["analyze", "--store", str(store)], capsys)
+        assert code == EXIT_OK
+        assert "rain events (dry gap 6.0 h): 1" in out
+        assert out.endswith("\nstation view: needs a config (--config or EWS_CONFIG)\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_a_reader_that_goes_away_is_no_error(command, tmp_path, capsys):
+    # As ``slopewatch analyze ... | head`` when head exits before the output is written.
+    store = tmp_path / "store"
+    assert main(["replay", "--config", DEMO, "--scenario", "three_day_rain",
+                 "--store", str(store), "--seed", "3"]) == EXIT_OK
+    capsys.readouterr()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slopewatch.cli", command, "--store", str(store)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # before the child writes: its every write meets a closed pipe
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert err == ""
+    assert proc.returncode == EXIT_RUNTIME
 
 
 class TestReportCommand:

@@ -27,7 +27,6 @@ hold_period_s = 1800
 prediction_horizon = 6
 ar_order = 2
 dry_gap_h = 6.0
-antecedent_lookback_h = 72.0
 """
 
 
@@ -39,6 +38,13 @@ class TestLoadConfig:
         assert set(cfg.calibration) == set(SensorKind)
         assert cfg.link.bandwidth_bps == 115200
         assert cfg.sinks == ("console", "file", "sms")
+
+    def test_a_key_no_longer_read_is_ignored(self, tmp_path):
+        # The demo config's text before antecedent_lookback_h was dropped still loads.
+        text = DEMO.read_text()
+        old = text.replace("dry_gap_h = 6.0\n", "dry_gap_h = 6.0\nantecedent_lookback_h = 72.0\n")
+        assert old != text
+        assert load_config(write_config(tmp_path, old)) == load_config(DEMO)
 
     def test_minimal_config_gets_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
@@ -99,8 +105,7 @@ class TestLoadConfig:
 class TestAnalysisSettings:
     @pytest.mark.parametrize(
         "key, value",
-        [("ar_order", "0"), ("ar_order", "-1"), ("dry_gap_h", "0"), ("dry_gap_h", "-6"),
-         ("antecedent_lookback_h", "0"), ("antecedent_lookback_h", "-1")],
+        [("ar_order", "0"), ("ar_order", "-1"), ("dry_gap_h", "0"), ("dry_gap_h", "-6")],
     )
     def test_ini_value_out_of_range_is_config_error(self, tmp_path, key, value):
         lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
@@ -110,8 +115,7 @@ class TestAnalysisSettings:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("ar_order", 0), ("dry_gap_h", 0.0), ("antecedent_lookback_h", 0.0),
-         ("max_window_samples", 0)],
+        [("ar_order", 0), ("dry_gap_h", 0.0), ("max_window_samples", 0)],
     )
     def test_field_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -121,7 +125,7 @@ class TestAnalysisSettings:
     @pytest.mark.parametrize(
         "key",
         ["mt_rain_mm_per_h", "mt_pore_kpa", "mt_displacement_mm", "mt_inclination_deg",
-         "hold_period_s", "dry_gap_h", "antecedent_lookback_h"],
+         "hold_period_s", "dry_gap_h"],
     )
     def test_non_finite_ini_value_is_config_error(self, tmp_path, key, value):
         # nan <= 0 is False, so a range check alone lets a nan through.
@@ -138,7 +142,7 @@ class TestAnalysisSettings:
         assert "mt_rain_mm_per_h" in str(exc.value) and "dry_gap_h" in str(exc.value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["dry_gap_h", "antecedent_lookback_h"])
+    @pytest.mark.parametrize("field", ["dry_gap_h"])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             AnalysisConfig(**{field: value})
@@ -156,8 +160,7 @@ class TestAnalysisSettings:
             Thresholds(**fields)
 
     def test_smallest_valid_values_accepted(self):
-        AnalysisConfig(dry_gap_h=1e-9, antecedent_lookback_h=1e-9, ar_order=1,
-                       max_window_samples=1)
+        AnalysisConfig(dry_gap_h=1e-9, ar_order=1, max_window_samples=1)
 
 
 class TestResolveConfigPath:

@@ -450,7 +450,8 @@ def test_repository_matches_reference_model(ops, data):
             records = ref.records()
             assert len(r) == len(records)
             assert r.all_records() == records
-            assert r.sorted_rows() == [(x.timestamp, x.node_id, x.seq, x.sensor, x.value) for x in records]
+            # The reference dict holds each key's first occurrence in insertion order: file order.
+            assert list(r.rows()) == [(x.timestamp, x.node_id, x.seq, x.sensor, x.value) for x in ref.rows.values()]
             for node in (1, 2, 3):
                 assert r.seq_runs(node) == ref.runs(node)
             kind = data.draw(st.sampled_from(list(SensorKind)), label="series sensor")
