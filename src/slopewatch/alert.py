@@ -447,7 +447,8 @@ class _Columns:
     Appending writes past ``hi`` and dropping from the front moves ``lo``,
     so the live columns are copied only when the free tail runs out: to the
     front of the buffer, or into one twice their size once they fill more
-    than half of it.
+    than half of it. A window of (time, value) columns changes only through
+    ``append`` and ``insert_sorted``, which both hold it to ``cap`` columns.
     """
 
     __slots__ = ("buf", "lo", "hi")
@@ -476,16 +477,48 @@ class _Columns:
             self.buf[:, :n] = self.live  # numpy copies overlapping slices safely
         self.lo, self.hi = 0, n
 
-    def insert(self, i: int, *column: float) -> None:
-        """Insert ``column`` before live column ``i``."""
-        if self.hi == self.buf.shape[1]:
+    def append(self, t: float, v: float, cap: int) -> bool:
+        """Write the column (t, v) after the live ones and drop the front one
+        if that leaves more than ``cap``; True if a column was dropped.
+
+        Room is made before the write, so the dropped column stays readable
+        at ``lo - 1`` until the next write.
+        """
+        hi = self.hi
+        if hi == self.buf.shape[1]:
             self._make_room(1)
-        at = self.lo + i
-        if at < self.hi:
-            self.buf[:, at + 1 : self.hi + 1] = self.buf[:, at : self.hi]
-        for r, x in enumerate(column):
-            self.buf[r, at] = x
-        self.hi += 1
+            hi = self.hi
+        buf = self.buf
+        buf[0, hi] = t
+        buf[1, hi] = v
+        self.hi = hi = hi + 1
+        if hi - self.lo > cap:
+            self.lo += 1
+            return True
+        return False
+
+    def insert_sorted(self, t: float, v: float, cap: int) -> None:
+        """Insert the column (t, v) where ``bisect.insort`` puts (t, v) in the
+        list of live (time, value) pairs, then drop the front one past ``cap``.
+
+        Appends keep an equal-time run in arrival order, which need not be
+        sorted by value, so only the same probes find the same position.
+        """
+        buf, lo = self.buf, self.lo
+
+        def pair(j: int) -> tuple[float, float]:
+            return buf.item(0, lo + j), buf.item(1, lo + j)
+
+        i = bisect.bisect_right(range(self.hi - lo), (t, v), key=pair)
+        if self.hi == buf.shape[1]:
+            self._make_room(1)  # moves the live columns, not their order
+        buf, at, hi = self.buf, self.lo + i, self.hi
+        buf[:, at + 1 : hi + 1] = buf[:, at:hi]
+        buf[0, at] = t
+        buf[1, at] = v
+        self.hi = hi = hi + 1
+        if hi - self.lo > cap:
+            self.lo += 1
 
     def extend(self, k: int) -> None:
         """Add ``k`` zero columns after the live ones."""
@@ -496,23 +529,6 @@ class _Columns:
 
     def drop_front(self, k: int) -> None:
         self.lo = min(self.lo + k, self.hi)
-
-
-def _bisect_right_pairs(times: np.ndarray, values: np.ndarray, t: float, v: float) -> int:
-    """``bisect.bisect_right`` over the (time, value) pairs, probe for probe.
-
-    Appends keep an equal-time run in arrival order, which need not be
-    sorted by value, so only the same probes find the same position.
-    """
-    lo, hi = 0, len(times)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        tm = times[mid]
-        if t < tm or (t == tm and v < values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 class AlertEngine:
@@ -531,11 +547,13 @@ class AlertEngine:
     between neighbouring samples (their median is the sampling interval)
     and the window's last rain event as (first wet time, last wet time,
     total mm). An in-order rain sample advances all three from itself and
-    the sample it evicts. A late one is inserted into the window, and the
-    gaps and bins are then rebuilt from the window in one pass; after it,
-    or after a change of the interval, the event is recomputed from the
-    window when the next snapshot is built. Windows and bins are numpy
-    buffers, so no in-order step rebuilds a window-sized Python list.
+    the sample it evicts. After a late one the gaps and bins are rebuilt
+    from the window in one pass; after it, or after a change of the
+    interval, the event is recomputed from the window when the next
+    snapshot is built. Windows and bins are numpy buffers, so no in-order
+    step rebuilds a window-sized Python list, and a window changes only
+    through ``_Columns.append`` and ``_Columns.insert_sorted``, which
+    apply the sample cap.
     Every value is computed as a from-scratch pass over the window would
     compute it, so the decisions are identical.
     """
@@ -550,7 +568,6 @@ class AlertEngine:
         # Windows with rows (time, value), sorted by time and capped at max_window_samples.
         self._series = {key: _Columns(2) for key in _KEY_BY_KIND.values()}
         self._rain = self._series["rain"]  # (ts, mm)
-        self._rain_end = 0.0  # time of the rain window's last sample, once it has one
         self._forecast: dict[str, float | None] = dict.fromkeys(self._series)
         self._dirty = set(self._series)  # series whose forecast is out of date
         # mm of the rain samples in each hour from the window's first to its last.
@@ -569,10 +586,10 @@ class AlertEngine:
         """Feed newly stored calibrated readings (duplicates already removed).
 
         A reading at or after its window's last time, the common case of
-        in-order data, is appended at the window's tail: a non-rain one is
-        written straight into the buffer, a rain one goes through
-        ``_append_rain``. A late reading goes through ``_insert``; a late
-        rain one then has the rain state rebuilt by ``_rebuild_rain``.
+        in-order data, is appended at the window's tail, and a rain one then
+        advances the rain state in ``_rain_appended``. A late reading is
+        inserted where a sorted list of (time, value) pairs would put it,
+        and a rain one then has the rain state rebuilt by ``_rebuild_rain``.
         """
         series, dirty, cap, now = self._series, self._dirty, self.analysis.max_window_samples, self.now
         rain = self._rain
@@ -580,54 +597,39 @@ class AlertEngine:
             key = _KEY_BY_CODE[rec.sensor._value_]
             t = float(rec.timestamp)
             window = series[key]
-            if window is rain:
-                if t >= self._rain_end or rain.hi == rain.lo:
-                    self._append_rain(t, rec.value)
-                else:
-                    self._insert(rain, t, rec.value)
-                    self._rebuild_rain()
+            hi = window.hi
+            if hi == window.lo or t >= window.buf.item(0, hi - 1):
+                evicted = window.append(t, rec.value, cap)
+                if window is rain:
+                    self._rain_appended(t, rec.value, evicted)
             else:
-                buf, hi = window.buf, window.hi
-                if hi == window.lo or t >= buf[0, hi - 1]:
-                    if hi == buf.shape[1]:
-                        window._make_room(1)
-                        buf, hi = window.buf, window.hi
-                    buf[0, hi] = t
-                    buf[1, hi] = rec.value
-                    window.hi = hi = hi + 1
-                    if hi - window.lo > cap:
-                        window.lo += 1
-                else:
-                    self._insert(window, t, rec.value)
+                window.insert_sorted(t, rec.value, cap)
+                if window is rain:
+                    self._rebuild_rain()
             dirty.add(key)
             if t > now:
                 now = t
         self.now = now
 
-    def _append_rain(self, t: float, mm: float) -> None:
-        """Append the rain sample (t, mm), no earlier than the window's last.
+    def _rain_appended(self, t: float, mm: float, evicted: bool) -> None:
+        """Advance the rain state past the sample (t, mm) just appended at the
+        window's tail, and past the sample that append evicted, if any.
 
         The gap list gains the gap to the previous sample and loses the
         evicted sample's. The sample's hour bin is ``bin + mm``, or
-        ``0.0 + mm`` for a new hour, the sum ``_rebin`` would compute; the
+        ``0.0 + mm`` for a new hour, the sum a rebuild would compute; the
         oldest hour is re-summed only if the eviction left samples in it.
         The cached event is extended or restarted by a wet sample and, if
         the eviction took its first wet sample, re-summed over the window.
         """
         mm = float(mm)
         rain, bins = self._rain, self._bins
-        if rain.hi == rain.buf.shape[1]:
-            rain._make_room(1)
         buf, lo, hi = rain.buf, rain.lo, rain.hi
-        buf[0, hi] = t
-        buf[1, hi] = mm
-        rain.hi = hi + 1
         hour = int(t // 3600)
-        if hi == lo:  # the first rain sample: the bins start at its hour
+        if hi - lo == 1 and not evicted:  # the first rain sample: the bins start at its hour
             self._first_hour = hour
         else:
-            self._add_gap(self._rain_end, t)
-        self._rain_end = t
+            self._add_gap(buf.item(0, hi - 2), t)
         new_hours = hour - (self._first_hour + bins.hi - bins.lo - 1)
         if new_hours:
             bins.extend(new_hours)
@@ -635,17 +637,15 @@ class AlertEngine:
         else:
             bins.buf[0, bins.hi - 1] += mm
 
-        evicted = hi + 1 - lo > self.analysis.max_window_samples
-        if evicted:
-            t0, mm0, t1 = buf.item(0, lo), buf.item(1, lo), buf.item(0, lo + 1)
-            rain.lo = lo + 1
+        if evicted:  # the evicted sample is still readable at lo - 1
+            t0, mm0, t1 = buf.item(0, lo - 1), buf.item(1, lo - 1), buf.item(0, lo)
             self._drop_gap(t0, t1)
             first_hour = int(t1 // 3600)
             if first_hour > self._first_hour:
                 bins.drop_front(first_hour - self._first_hour)
                 self._first_hour = first_hour
             else:
-                self._rebin(first_hour)
+                self._rebin_first_hour()
 
         if self._event_stale:
             return
@@ -666,22 +666,14 @@ class AlertEngine:
         if evicted and mm0 > 0 and t0 >= event[0]:
             self._event = last_event(rain.row(0), rain.row(1), self._dry_gap, interval)
 
-    def _insert(self, window: _Columns, t: float, value: float) -> None:
-        """Insert the late sample (t, value), earlier than the window's last,
-        where a sorted list of (t, value) pairs would put it; then cap the window."""
-        window.insert(_bisect_right_pairs(window.row(0), window.row(1), t, value), t, value)
-        if len(window) > self.analysis.max_window_samples:
-            window.drop_front(1)
-
     def _rebuild_rain(self) -> None:
-        """Recompute the gaps, the window's ends and the bins from the rain
+        """Recompute the gaps, the first hour and the bins from the rain
         window, as appending its samples to an empty engine would, and mark
         the event stale."""
         times, mms = self._rain.row(0).tolist(), self._rain.row(1).tolist()
         gaps = [b - a for a, b in zip(times, times[1:])]
         self._rain_gaps = sorted(gap for gap in gaps if gap > 0)
         self._first_hour = first_hour = int(times[0] // 3600)
-        self._rain_end = times[-1]
         totals = [0.0] * (int(times[-1] // 3600) - first_hour + 1)
         for t, mm in zip(times, mms):
             totals[int(t // 3600) - first_hour] += mm
@@ -701,15 +693,16 @@ class AlertEngine:
         if gap > 0:
             del self._rain_gaps[bisect.bisect_left(self._rain_gaps, gap)]
 
-    def _rebin(self, hour: int) -> None:
-        # Re-sum in window order from 0.0, as a rebuild of every bin would.
-        # The hour's samples are those with hour * 3600 <= t < (hour + 1) * 3600.
-        times = self._rain.row(0)
-        lo, hi = times.searchsorted(hour * 3600.0), times.searchsorted((hour + 1) * 3600.0)
+    def _rebin_first_hour(self) -> None:
+        # Re-sum the first hour's samples, those from the window's front up
+        # to the next hour, in window order from 0.0, as a rebuild of every
+        # bin would.
+        rain = self._rain
+        n = rain.row(0).searchsorted((self._first_hour + 1) * 3600.0)
         total = 0.0
-        for mm in self._rain.row(1)[lo:hi].tolist():
+        for mm in rain.row(1)[:n].tolist():
             total += mm
-        self._bins.buf[0, self._bins.lo + hour - self._first_hour] = total
+        self._bins.buf[0, self._bins.lo] = total
 
     def _rain_interval(self) -> float:
         """Median positive gap between rain samples, else 1 h."""

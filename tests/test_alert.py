@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopewatch import alert as alert_module
@@ -47,6 +47,7 @@ from slopewatch.alert import (
     ValueSnapshot,
     ValueSource,
     WebhookSink,
+    _Columns,
     evaluate,
     multi_level,
     step_alert_state,
@@ -602,15 +603,39 @@ class TestIncrementalEngine:
         times=st.lists(st.integers(0, 6), max_size=40),
         values=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=40, max_size=40),
         item=st.tuples(st.integers(0, 7), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])),
+        lo=st.integers(0, 5),
+        full_tail=st.booleans(),
+        at_cap=st.booleans(),
     )
-    def test_out_of_order_insert_lands_where_a_pair_list_puts_it(self, times, values, item):
+    def test_out_of_order_insert_lands_where_a_pair_list_puts_it(self, times, values, item, lo, full_tail, at_cap):
         # Sorted by time only: appends leave an equal-time run in arrival
-        # order, so runs need not be sorted by value.
+        # order, so runs need not be sorted by value. The live columns start
+        # at ``lo`` and end at the buffer's last column or before free ones.
         pairs = sorted(zip((float(t) for t in times), values), key=lambda p: p[0])
-        columns = np.array(pairs).reshape(-1, 2).T
+        n = len(pairs)
+        columns = _Columns(2)
+        columns.buf = np.full((2, lo + n + (0 if full_tail else 3)), np.nan)
+        columns.buf[:, lo : lo + n] = np.array(pairs).reshape(-1, 2).T
+        columns.lo, columns.hi = lo, lo + n
+        cap = max(n, 1) if at_cap else n + 1
         t, v = float(item[0]), item[1]
-        expected = bisect.bisect_right(pairs, (t, v))
-        assert alert_module._bisect_right_pairs(columns[0], columns[1], t, v) == expected
+        columns.insert_sorted(t, v, cap)
+        bisect.insort(pairs, (t, v))
+        assert list(zip(columns.row(0).tolist(), columns.row(1).tolist())) == pairs[-cap:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cap=st.integers(1, 40), n=st.integers(1, 160))
+    @example(cap=4, n=60)  # compacts to the buffer's front
+    @example(cap=40, n=160)  # grows the buffer
+    def test_append_reports_each_drop_and_keeps_it_readable(self, cap, n):
+        columns = _Columns(2)
+        for k in range(n):
+            front = columns.live[:, 0].tolist() if len(columns) else None
+            dropped = columns.append(float(k), -0.5 * k, cap)
+            assert dropped == (k >= cap)
+            assert columns.row(0).tolist() == [float(j) for j in range(max(0, k + 1 - cap), k + 1)]
+            if dropped:
+                assert columns.buf[:, columns.lo - 1].tolist() == front
 
 
 def five_sensor_stream(ticks: int, seed: int) -> list[CalibratedReading]:
@@ -938,7 +963,7 @@ class TestLateRainRebuild:
         window = engine._rain.row(0).tolist(), engine._rain.row(1).tolist()
         fresh.observe(rain_records(*window))
         assert engine._rain_gaps == fresh._rain_gaps
-        assert (engine._first_hour, engine._rain_end) == (fresh._first_hour, fresh._rain_end)
+        assert engine._first_hour == fresh._first_hour
         assert engine._bins.row(0).tobytes() == fresh._bins.row(0).tobytes()
 
     def test_rebuild_runs_once_per_late_rain_sample(self):

@@ -1,14 +1,16 @@
 """End-to-end simulated replays: liveness, determinism, safety, durability."""
 
+import csv
 import dataclasses
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopewatch.alert import AnalysisConfig, Thresholds
+from slopewatch.alert import AlertEngine, AnalysisConfig, Thresholds
 from slopewatch.config import Config, load_config
 from slopewatch.domain import CalibrationConstants, SensorKind
 from slopewatch.nodesim import Scenario, ScenarioStep, load_scenario, resolve_scenario
@@ -384,3 +386,109 @@ def test_trace_matches_recorded_digest(scenario, seed, disconnects, tmp_path, ca
                  "--trace", str(trace)]) == 0
     capsys.readouterr()
     assert sha256(trace.read_bytes()) == TRACE_DIGESTS[(scenario, seed, disconnects)]
+
+
+def late_heavy_scenario(ticks: int = 400, interval: float = 10.0) -> Scenario:
+    """Five sensors sampled every ``interval`` s, faster than the node's
+    retransmit timeout, so that under loss a retransmitted batch is stored
+    after later ones. Rain turns wet after the first tenth, and pore
+    pressure, displacement and tilt ramp up to and past the demo
+    thresholds, which moves the ladder."""
+    rng = random.Random(400)
+    steps = []
+    for k in range(1, ticks + 1):
+        t, ramp = k * interval, k / ticks
+        steps.append(ScenarioStep(t, SensorKind.RAIN_GAUGE, rng.choice([0, 0, 0, 1, 2]) if ramp > 0.1 else 0))
+        steps.append(ScenarioStep(t, SensorKind.PIEZOMETER, rng.randint(3000, 4000) + int(2500 * ramp)))
+        steps.append(ScenarioStep(t, SensorKind.EXTENSOMETER, rng.randint(100, 400) + int(400 * ramp)))
+        steps.append(ScenarioStep(t, SensorKind.INCLINOMETER, rng.randint(100, 400) + int(300 * ramp)))
+        steps.append(ScenarioStep(t, SensorKind.TILTMETER, rng.randint(100, 400) + int(300 * ramp)))
+    return Scenario(name="late_heavy", steps=tuple(steps), sample_interval=interval)
+
+
+def late_heavy_config() -> Config:
+    demo = load_config(DEMO)
+    return dataclasses.replace(
+        demo,
+        analysis=dataclasses.replace(demo.analysis, max_window_samples=64),
+        link=dataclasses.replace(demo.link, drop_probability=0.3),
+    )
+
+
+def rows_stored_late(readings_csv: Path) -> int:
+    """Rows of ``readings.csv``, in file order, earlier than a row stored before them for their sensor."""
+    latest: dict[str, float] = {}
+    late = 0
+    with open(readings_csv, newline="") as fh:
+        for row in csv.DictReader(fh):
+            sensor, ts = row["sensor"], float(row["ts_unix"])
+            if ts < latest.get(sensor, ts):
+                late += 1
+            else:
+                latest[sensor] = ts
+    return late
+
+
+# sha256 of the console output, of each store file and of ReplaySummary.format()
+# for late_heavy_scenario() under late_heavy_config(), per link seed.
+LATE_HEAVY_DIGESTS = {
+    0: {
+        "console": "9aaa20cf3edd0aba21f60278037b71d7b71f91ed0af3c5ecb5fabc12690c5be4",
+        "readings.csv": "79cb3e60a6d03dbe4acd9d2e132d693332557a6118c69bc533039881d9617332",
+        "alerts.ndjson": "35b250f399de502811f253c1742e45565ad9fed1a9f7d0f1745ad28e36079644",
+        "sms_outbox.txt": "725fbef143ee0c554e8f006846780d4995ad90906724f2a6d00fca06176edc5a",
+        "summary": "f93659f9ae4865d6a5790ef9b24889bbf25ecd82f75f95e5a6c963597696eb3c",
+    },
+    1: {
+        "console": "78f08135a625934497032c82e7f4534b2a4770e779f02a8c81295ec8803fb197",
+        "readings.csv": "08bc38743ae74b1e361106a1a6ce1babd4f95ac681847b1fb2d5b8a021cd38d4",
+        "alerts.ndjson": "b6aca26e8ba952f4ab7d1db54b01f3ef4634fc9cdcd564f50229fc8bc2fe590d",
+        "sms_outbox.txt": "de922c04bc61adcf078e0439aad1177ce2d02006e2b5412b9267ba7bfe712a86",
+        "summary": "a4d6d952be95f81be1deb7f2a8717354baae1b759828f2f0a6c85209c48ddd07",
+    },
+    2: {
+        "console": "d3c2e2db5f58adb649cf6424ad670e64be47aea1f5c401d6c659a1cfb59c1f0f",
+        "readings.csv": "28a3e4ae4a7e03e69b4f25c2f75d064202b69ecb3b28e49801d0e3e5f41ed1b2",
+        "alerts.ndjson": "fa7e56d77323d92b1317e77c2e44d269fa213823e70b5f4ad993362f2e793963",
+        "sms_outbox.txt": "0d9ea9c191d383a9016d16b23312d3e04cca849e17eb10604b2587809acf0367",
+        "summary": "7a07a764b37a97917be6c850a4ae85add2bc0689307985da3a56ca61dfc065e7",
+    },
+    3: {
+        "console": "c056d3459a68cfc8240c9919c8300940ce0a51f5f209f25e03fcfc2f8786ef5a",
+        "readings.csv": "b9754f783e133442661f70948149ed67b7da6c3ea6d3b57dd8eec527d923af9a",
+        "alerts.ndjson": "33e8198d240cf304b3605da3115cd49bc6ea4be6e66802d8b025e68a3f669e4c",
+        "sms_outbox.txt": "d3c432859260a6ea990e4f1fbcdbbfd133b3ad6ba53d80b1bd87c7d62f31b914",
+        "summary": "8e31eced1f84d52f3fbaabe4acdb257cf15846a3c2f12c17b7f66b31a5291762",
+    },
+    4: {
+        "console": "c056d3459a68cfc8240c9919c8300940ce0a51f5f209f25e03fcfc2f8786ef5a",
+        "readings.csv": "3bd3b52f26b713f4271a3ae013ae66cb001d00ca22bf1c90cbf238c127e8cdb7",
+        "alerts.ndjson": "5099bf8eadfadf5d7a7bfefcbd9653f8653330e3d96448331f8524129d2b7054",
+        "sms_outbox.txt": "d3c432859260a6ea990e4f1fbcdbbfd133b3ad6ba53d80b1bd87c7d62f31b914",
+        "summary": "ae19880efb9f8eee78e6a5d432d2e3762054bad90d6e109b8cfdd3d523b8d0ce",
+    },
+}
+
+
+class TestLateHeavyReplay:
+    """Readings stored out of time order are judged as the time-sorted store would be."""
+
+    @pytest.mark.parametrize("seed", sorted(LATE_HEAVY_DIGESTS))
+    def test_late_rows_decide_as_the_sorted_store(self, seed, tmp_path, capsys):
+        config = late_heavy_config()
+        store = tmp_path / "store"
+        sim = SimReplay(late_heavy_scenario(), config, str(store), seed=seed)
+        summary = sim.run()
+        digests = {"console": sha256(capsys.readouterr().out.encode())}
+        for name in ("readings.csv", "alerts.ndjson", "sms_outbox.txt"):
+            digests[name] = sha256((store / name).read_bytes())
+        digests["summary"] = sha256(summary.format().encode())
+
+        assert rows_stored_late(store / "readings.csv") > 0
+        records = sim.server.repo.all_records()
+        assert summary.records_stored == summary.readings_generated == len(records)
+        assert len({(r.node_id, r.seq) for r in records}) == len(records)
+        fresh = AlertEngine(config.thresholds, config.analysis, None)
+        fresh.observe(sorted(records, key=lambda r: (r.timestamp, r.node_id, r.seq)))
+        assert repr(sim.server.alert_engine.snapshots()) == repr(fresh.snapshots())
+        assert digests == LATE_HEAVY_DIGESTS[seed]
