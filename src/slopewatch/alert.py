@@ -1,8 +1,8 @@
 """Decision support: threshold evaluation, warning ladder, notifications.
 
-Every ingested batch triggers one evaluation producing exactly four
-decisions -- current and AR-predicted values, each judged in uni-parameter
-and multi-parameter mode. The multi-parameter ladder:
+Every ingested batch is judged four ways -- current and AR-predicted
+values, each in uni-parameter and multi-parameter mode -- and the ladder
+steps on the highest of the four levels. The multi-parameter ladder:
 
     GREEN   all monitored values below their thresholds
     YELLOW  rainfall threshold reached or exceeded
@@ -150,6 +150,14 @@ def multi_level(e: ExceedanceSet) -> AlertLevel:
     return AlertLevel.GREEN
 
 
+def uni_level(e: ExceedanceSet) -> AlertLevel:
+    """Uni-parameter mode: YELLOW (a first-level warning) when any parameter
+    exceeds, GREEN otherwise; the graded ladder belongs to multi-parameter mode."""
+    if e.rain or e.pore or e.displacement or e.inclination:
+        return AlertLevel.YELLOW
+    return AlertLevel.GREEN
+
+
 def _exceedances(snapshot: ValueSnapshot, th: Thresholds, use_caine: bool) -> ExceedanceSet:
     # A missing value (None) never exceeds.
     v = snapshot.rain_intensity_mm_per_h
@@ -166,27 +174,34 @@ def _exceedances(snapshot: ValueSnapshot, th: Thresholds, use_caine: bool) -> Ex
     )
 
 
+def exceedance_sets(
+    snapshot: ValueSnapshot, predicted: ValueSnapshot, th: Thresholds
+) -> tuple[ExceedanceSet, ExceedanceSet]:
+    """The current values' exceedances, the rain one also by the Caine
+    curve, and the predicted values' exceedances, by thresholds alone."""
+    return _exceedances(snapshot, th, use_caine=True), _exceedances(predicted, th, use_caine=False)
+
+
 def evaluate(
     snapshot: ValueSnapshot,
     predicted: ValueSnapshot,
     th: Thresholds,
     now: float,
 ) -> list[AlertDecision]:
-    """The four-way alarm matrix: (current|predicted) x (uni|multi).
-
-    Uni-parameter decisions carry YELLOW when any parameter exceeds (a
-    first-level warning) and GREEN otherwise; the graded ladder belongs to
-    multi-parameter mode.
-    """
-    current_e = _exceedances(snapshot, th, use_caine=True)
-    predicted_e = _exceedances(predicted, th, use_caine=False)
+    """The four-way alarm matrix: (current|predicted) x (uni|multi)."""
+    current_e, predicted_e = exceedance_sets(snapshot, predicted, th)
     decisions = []
     for source, exc in ((ValueSource.CURRENT, current_e), (ValueSource.PREDICTED, predicted_e)):
-        any_exceeded = exc.rain or exc.pore or exc.displacement or exc.inclination
-        uni_level = AlertLevel.YELLOW if any_exceeded else AlertLevel.GREEN
-        decisions.append(AlertDecision(uni_level, AlertMode.UNI, source, exc, now))
+        decisions.append(AlertDecision(uni_level(exc), AlertMode.UNI, source, exc, now))
         decisions.append(AlertDecision(multi_level(exc), AlertMode.MULTI, source, exc, now))
     return decisions
+
+
+def candidate_level(snapshot: ValueSnapshot, predicted: ValueSnapshot, th: Thresholds) -> AlertLevel:
+    """The highest level of the four decisions ``evaluate`` makes on these
+    snapshots: the candidate ``step_alert_state`` steps the ladder towards."""
+    current_e, predicted_e = exceedance_sets(snapshot, predicted, th)
+    return max(uni_level(current_e), multi_level(current_e), uni_level(predicted_e), multi_level(predicted_e))
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +553,12 @@ class AlertEngine:
     timestamp seen so far, which keeps hysteresis well-defined when batches
     arrive late after retransmission.
 
+    Every batch with new data builds the current and predicted snapshots
+    and their candidate level. Most batches leave the ladder where it is,
+    and those stop there; only a transition, or a batch inside a
+    de-escalation hold, builds the four ``AlertDecision``s and runs
+    ``step_alert_state``.
+
     State kept between batches makes a batch cost what it changed: each
     series' forecast is refitted only after an insert into that series,
     and the series a batch refits are solved with one stacked LAPACK call
@@ -793,17 +814,24 @@ class AlertEngine:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate_batch(self, records) -> list[Notification]:
-        """Ingest-side hook: observe new records, evaluate, step, dispatch."""
+        """Ingest-side hook: observe new records, evaluate, step, dispatch.
+
+        A batch whose candidate level is the active one, with no
+        de-escalation hold running, leaves the ladder where it is and
+        notifies nobody, so it is judged on that level alone.
+        """
         self.observe(records)
         if not self._dirty:
             # No new data and ``now`` unchanged: the decisions would equal the
             # previous ones, and stepping the ladder again on them is a no-op.
             return []
-        decisions = evaluate(*self.snapshots(), self.thresholds, self.now)
-        new_state, notes = step_alert_state(
-            self.state, decisions, self.now, self.thresholds.hold_period_s
-        )
-        if new_state.active_level != self.state.active_level:
+        current, predicted = self.snapshots()
+        state, th = self.state, self.thresholds
+        if state.below_since is None and candidate_level(current, predicted, th) == state.active_level:
+            return []  # step_alert_state would return ``state`` and no notification
+        decisions = evaluate(current, predicted, th, self.now)
+        new_state, notes = step_alert_state(state, decisions, self.now, th.hold_period_s)
+        if new_state.active_level != state.active_level:
             self.timeline.append((self.now, new_state.active_level))
         self.state = new_state
         for note in notes:

@@ -262,7 +262,12 @@ def _ar_solve(x: np.ndarray, totals: np.ndarray, order: int) -> list[list[float]
     beta = _gelsd(design.transpose(0, 2, 1), xc[:, order:, None], _EPS * rows, signature="ddd->ddid")[0][..., 0]
     models = beta.tolist()
     for model, mean in zip(models, means.tolist()):
-        model[0] = mean * (1.0 - sum(model[1:])) + model[0]
+        # The coefficients are added left to right from 0.0, as _ar_recurse
+        # adds its terms: from Python 3.12 on, sum() of floats is compensated.
+        phi_sum = 0.0
+        for phi in model[1:]:
+            phi_sum += phi
+        model[0] = mean * (1.0 - phi_sum) + model[0]
     return models
 
 

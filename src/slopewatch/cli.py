@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from slopewatch.analytics import CaineDomainError, RainEvent, caine_threshold, segment_events
-from slopewatch.alert import AlertEngine, AlertMode, AnalysisConfig, ValueSource, evaluate
+from slopewatch.alert import AlertEngine, AnalysisConfig, exceedance_sets, multi_level
 from slopewatch.config import ENV_CONFIG, ConfigError, load_config, resolve_config_path
 from slopewatch.domain import CalibratedReading, SensorKind
 from slopewatch.ingest import READINGS_FILE, Repository, StoreError
@@ -201,9 +201,8 @@ def _print_station_view(engine: AlertEngine) -> None:
         print(f"active rain event: {event.duration_h:.3f} h, {event.total_mm:.3f} mm, "
               f"{event.mean_intensity_mm_per_h:.3f} mm/h; "
               + (f"Caine bound {bound} mm/h, exceeded: {exceeds}" if bound else "Caine bound n/a"))
-    levels = {d.source: d.level.name for d in evaluate(current, predicted, th, engine.now)
-              if d.mode is AlertMode.MULTI}
-    print(f"multi_level: current {levels[ValueSource.CURRENT]}, predicted {levels[ValueSource.PREDICTED]}")
+    current_e, predicted_e = exceedance_sets(current, predicted, th)
+    print(f"multi_level: current {multi_level(current_e).name}, predicted {multi_level(predicted_e).name}")
 
 
 def cmd_analyze(args) -> int:

@@ -2,6 +2,7 @@
 
 import bisect
 import collections
+import dataclasses
 import itertools
 import json
 import random
@@ -482,14 +483,19 @@ class ScratchReference:
 
 
 def evaluate_spied(engine: AlertEngine, batch) -> list[tuple[ValueSnapshot, ValueSnapshot]]:
-    """Run one batch, returning the (current, predicted) snapshots it evaluated."""
+    """Run one batch, returning the (current, predicted) snapshots it was judged on.
+
+    A batch builds them through ``AlertEngine.snapshots`` whether or not it
+    goes on to build the four decisions and step the ladder.
+    """
     seen = []
+    snapshots = engine.snapshots
 
-    def spy(snapshot, predicted, th, now):
-        seen.append((snapshot, predicted))
-        return evaluate(snapshot, predicted, th, now)
+    def spy():
+        seen.append(snapshots())
+        return seen[-1]
 
-    with mock.patch.object(alert_module, "evaluate", spy):
+    with mock.patch.object(engine, "snapshots", spy):
         engine.evaluate_batch(batch)
     return seen
 
@@ -1018,3 +1024,107 @@ class TestBatchWithoutNewData:
             once, _ = step_alert_state(start, decisions, 1000.0, hold)
             twice, notes = step_alert_state(once, decisions, 1000.0, hold)
             assert twice == once and notes == [], (active, below_since, candidate)
+
+
+# ---------------------------------------------------------------------------
+# Judging a batch on levels alone against stepping the ladder on every batch
+# ---------------------------------------------------------------------------
+
+
+class SteppingEngine(AlertEngine):
+    """The reference for judging on levels: every batch with new data builds
+    the four decisions and steps the ladder on them."""
+
+    def evaluate_batch(self, records):
+        self.observe(records)
+        if not self._dirty:
+            return []
+        decisions = evaluate(*self.snapshots(), self.thresholds, self.now)
+        new_state, notes = step_alert_state(
+            self.state, decisions, self.now, self.thresholds.hold_period_s
+        )
+        if new_state.active_level != self.state.active_level:
+            self.timeline.append((self.now, new_state.active_level))
+        self.state = new_state
+        for note in notes:
+            self.dispatcher.dispatch(note)
+        return notes
+
+
+def assert_steps_as_the_stepping_engine(
+    records, th: Thresholds, analysis: AnalysisConfig, batch_sizes
+) -> list[bool]:
+    """Feed both engines the same batches; after each, their states,
+    timelines, returned notes and sink records are equal, and the engine
+    built the four decisions exactly when stepping could change its state:
+    inside a hold, or when the step moved the ladder or started a hold.
+    Returns, per batch, whether the decisions were built."""
+    sink, oracle_sink = ListSink(), ListSink()
+    engine = AlertEngine(th, analysis, Dispatcher([sink]))
+    oracle = SteppingEngine(th, analysis, Dispatcher([oracle_sink]))
+    built = []
+    evaluated = []
+
+    def spy(*args):
+        evaluated.append(True)
+        return evaluate(*args)
+
+    i = 0
+    for size in itertools.cycle(batch_sizes):
+        if i >= len(records):
+            break
+        batch = records[i : i + size]
+        i += size
+        before = oracle.state
+        evaluated.clear()
+        with mock.patch.object(alert_module, "evaluate", spy):
+            notes = engine.evaluate_batch(batch)
+        assert notes == oracle.evaluate_batch(batch)
+        assert engine.state == oracle.state
+        assert engine.timeline == oracle.timeline
+        assert [n.as_record() for n in sink.notes] == [n.as_record() for n in oracle_sink.notes]
+        built.append(bool(evaluated))
+        assert built[-1] == (before.below_since is not None or oracle.state != before)
+    return built
+
+
+class TestLevelOnlyJudgement:
+    @settings(max_examples=150, deadline=None)
+    # Twenty steps or more: shorter streams seldom go up the ladder and back.
+    @given(
+        steps=st.lists(_STEPS, min_size=20, max_size=160),
+        batch_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        hold=st.sampled_from([0.0, 1800.0, 21600.0]),
+        cap=st.sampled_from([8, 512]),
+    )
+    def test_same_ladder_as_stepping_every_batch(self, steps, batch_sizes, hold, cap):
+        th = dataclasses.replace(TH, hold_period_s=hold)
+        analysis = AnalysisConfig(max_window_samples=cap)
+        assert_steps_as_the_stepping_engine(build_stream(steps), th, analysis, batch_sizes)
+
+    def test_dip_shorter_than_the_hold_then_the_full_hold(self):
+        # A 4-sample window never holds the 6 an AR(2) fit needs, so only the
+        # current rain intensity (mm in the last hour, threshold 5) moves the ladder.
+        th = dataclasses.replace(TH, hold_period_s=7200.0)
+        hours_mm = [(0, 0.0), (1, 6.0), (1.5, 1.0), (2, 0.0), (3, 0.0), (4, 6.0),
+                    (5, 0.0), (6, 0.0), (7, 0.0), (8, 0.0)]
+        records = [CalibratedReading(1, T0 + int(3600 * h), RAIN, mm, k) for k, (h, mm) in enumerate(hours_mm)]
+        sink = ListSink()
+        engine = AlertEngine(th, AnalysisConfig(max_window_samples=4), Dispatcher([sink]))
+        states = []
+        for rec in records:
+            engine.evaluate_batch([rec])
+            states.append((engine.state.active_level, engine.state.below_since))
+        below = [T0 + 3600 * h for h in (2, 5)]
+        assert states == [
+            (G, None), (Y, None), (Y, None),  # escalate, then stay
+            (Y, below[0]), (Y, below[0]),  # dip for one hour of the two-hour hold
+            (Y, None),  # return
+            (Y, below[1]), (Y, below[1]), (G, None),  # dip for the full hold
+            (G, None),
+        ]
+        assert [(n.level, n.all_clear, n.ts) for n in sink.notes] == [
+            (Y, False, T0 + 3600), (G, True, T0 + 7 * 3600)
+        ]
+        built = assert_steps_as_the_stepping_engine(records, th, AnalysisConfig(max_window_samples=4), [1])
+        assert built == [False, True, False, True, True, True, True, True, True, False]

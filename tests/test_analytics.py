@@ -6,6 +6,7 @@ generating recurrence for the AR fits. The AR kernel is also held to
 bit-identity with its earlier, straightforward numpy formulation.
 """
 
+import math
 import random
 import statistics
 from unittest import mock
@@ -277,9 +278,19 @@ class TestArForecast:
 # ---------------------------------------------------------------------------
 
 
+def sum_left_to_right(values) -> float:
+    """``sum()`` of floats as Python 3.11 computes it: added left to right
+    from 0.0. From 3.12 on, ``sum()`` of floats is compensated."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def oracle_ar_fit(series: list[float], order: int) -> ARModel:
     """The earlier ``ar_fit``, verbatim but for the residual RMS, which
-    ``ARModel`` no longer carries: alert decisions were recorded with it."""
+    ``ARModel`` no longer carries, and for its ``sum()``, spelt as the
+    Python 3.11 the alert decisions were recorded with adds."""
     if order < 1:
         raise AnalyticsError(f"order must be >= 1, got {order}")
     x = np.asarray(series, dtype=float)
@@ -302,17 +313,13 @@ def oracle_ar_fit(series: list[float], order: int) -> ARModel:
     beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     centered_intercept = float(beta[0])
     coeffs = tuple(float(b) for b in beta[1:])
-    intercept = float(mean * (1.0 - sum(coeffs)) + centered_intercept)
+    intercept = float(mean * (1.0 - sum_left_to_right(coeffs)) + centered_intercept)
     return ARModel(order=order, coefficients=coeffs, intercept=intercept)
 
 
 def oracle_ar_forecast(model: ARModel, history: list[float], horizon: int) -> list[float]:
-    """The earlier ``ar_forecast``, verbatim.
-
-    Its ``sum()`` adds left to right on Python 3.11; from 3.12 on, ``sum()``
-    of floats is compensated, and AR(3) forecasts may then differ in the
-    last bit from the plain loop in ``ar_forecast``.
-    """
+    """The earlier ``ar_forecast``, verbatim but for its ``sum()``, spelt as
+    Python 3.11 adds."""
     if horizon < 1:
         raise AnalyticsError(f"horizon must be >= 1, got {horizon}")
     if len(history) < model.order:
@@ -322,7 +329,7 @@ def oracle_ar_forecast(model: ARModel, history: list[float], horizon: int) -> li
     window = list(history[-model.order :])
     out: list[float] = []
     for _ in range(horizon):
-        nxt = model.intercept + sum(
+        nxt = model.intercept + sum_left_to_right(
             phi * window[-lag] for lag, phi in enumerate(model.coefficients, start=1)
         )
         out.append(nxt)
@@ -394,6 +401,23 @@ class TestArKernelMatchesEarlierFormulation:
             series = make_series("gaussian", n, seed=n)
             assert outcome(ar_fit, series, order) is outcome(oracle_ar_fit, series, order)
             assert outcome(ar_fit, series, order) in (InsufficientDataError, AnalyticsError)
+
+
+class TestArInterceptSum:
+    """The intercept adds the coefficients left to right, as the forecast
+    adds its terms, so a compensated ``sum()`` (Python 3.12 on) or a plain
+    one (up to 3.11) leaves every fit as it is."""
+
+    SERIES = [make_series("gaussian", 24 + seed % 40, seed) for seed in range(400)]
+
+    @pytest.mark.parametrize("shadow", [math.fsum, sum_left_to_right], ids=["fsum", "left_to_right"])
+    def test_ar3_fits_unchanged_with_sum_shadowed(self, shadow):
+        fits = [ar_fit(series, 3) for series in self.SERIES]
+        rows = self.SERIES[::40]  # ten series of 24 samples
+        stacked = ar_forecast_max_rows(rows, 3, 6)
+        with mock.patch.object(analytics, "sum", shadow, create=True):
+            assert [ar_fit(series, 3) for series in self.SERIES] == fits
+            assert ar_forecast_max_rows(rows, 3, 6) == stacked
 
 
 class TestArForecastMaxMatchesEarlierFormulation:
