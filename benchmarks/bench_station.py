@@ -22,13 +22,18 @@ gap, caches are cold and a frame costs more than back to back. Each
 figure is the best of ``--rounds`` rounds, each pass on a freshly filled
 station.
 
-Two streams of batches, one reading per sensor each, alternated round by round:
+Three streams of batches, one reading per sensor each, alternated round by round:
 
 * ``600s``: a batch every 600 s, rain raw mostly 0 (0, 0, 0, 1, 2 or 5);
 * ``hourly``: a batch every hour with raws drawn uniformly from the ranges
   of perfbench's ``tcp_station`` node (``perfbench/loadgen.py``), rain
   raw 0-2, so two batches in three carry rain and the rain event often
-  spans the whole window.
+  spans the whole window;
+* ``storm``: a batch every hour with rain (6-12 mm/h), pore pressure
+  (55-70 kPa), displacement and inclination (6-9) over their ``demo.ini``
+  thresholds, so the ladder is at RED from the first batch on. A frame
+  there is a settled one: no forecast can move the level, so it refits
+  nothing, and its AR solves per frame are 0.
 """
 
 import argparse
@@ -68,6 +73,14 @@ STREAMS = {
         SensorKind.PIEZOMETER: lambda rng: rng.randint(1900, 2100),
         SensorKind.EXTENSOMETER: lambda rng: rng.randint(40, 60),
         SensorKind.INCLINOMETER: lambda rng: rng.randint(180, 220),
+        SensorKind.TILTMETER: lambda rng: rng.randint(140, 160),
+    }),
+    # demo.ini's gains are 0.2 mm per rain raw and 0.01 per other raw.
+    "storm": (3600, {
+        SensorKind.RAIN_GAUGE: lambda rng: rng.randint(30, 60),
+        SensorKind.PIEZOMETER: lambda rng: rng.randint(5500, 7000),
+        SensorKind.EXTENSOMETER: lambda rng: rng.randint(600, 900),
+        SensorKind.INCLINOMETER: lambda rng: rng.randint(600, 900),
         SensorKind.TILTMETER: lambda rng: rng.randint(140, 160),
     }),
 }

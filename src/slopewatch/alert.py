@@ -454,6 +454,14 @@ _KEY_BY_KIND = {
 # By wire code (an int): a dict lookup keyed by the enum member would run
 # Enum.__hash__, a Python-level call, for every reading.
 _KEY_BY_CODE = {kind._value_: key for kind, key in _KEY_BY_KIND.items()}
+# The ValueSnapshot field each series' value goes in.
+_FIELD_BY_KEY = {
+    "rain": "rain_intensity_mm_per_h",
+    "pore": "pore_kpa",
+    "displacement": "displacement_mm",
+    "inclinometer": "inclinometer_deg",
+    "tiltmeter": "tiltmeter_deg",
+}
 
 
 class _Columns:
@@ -553,17 +561,20 @@ class AlertEngine:
     timestamp seen so far, which keeps hysteresis well-defined when batches
     arrive late after retransmission.
 
-    Every batch with new data builds the current and predicted snapshots
-    and their candidate level. Most batches leave the ladder where it is,
-    and those stop there; only a transition, or a batch inside a
-    de-escalation hold, builds the four ``AlertDecision``s and runs
-    ``step_alert_state``.
+    Every batch with new data builds the current snapshot and is judged
+    on its candidate level. Most batches leave the ladder where it is, and
+    those stop there; only a transition, or a batch inside a de-escalation
+    hold, builds the four ``AlertDecision``s and runs ``step_alert_state``.
 
     State kept between batches makes a batch cost what it changed: each
     series' forecast is refitted only after an insert into that series,
-    and the series a batch refits are solved with one stacked LAPACK call
-    per distinct length, so a five-sensor batch over full windows makes
-    one call, not five.
+    and only when a decision or ``snapshots()`` needs it: above GREEN, a
+    batch that no forecast could move off the active level refits nothing
+    (``evaluate_batch``). A forecast depends only on its window, so a
+    later refit gives the value an immediate one would have. The series
+    refitted together are solved with one stacked LAPACK call per
+    distinct length, so a five-sensor batch over full windows makes one
+    call, not five.
     For rain the engine also keeps the hourly bins, the sorted gaps
     between neighbouring samples (their median is the sampling interval)
     and the window's last rain event as (first wet time, last wet time,
@@ -591,6 +602,7 @@ class AlertEngine:
         self._rain = self._series["rain"]  # (ts, mm)
         self._forecast: dict[str, float | None] = dict.fromkeys(self._series)
         self._dirty = set(self._series)  # series whose forecast is out of date
+        self._unjudged = True  # readings observed since the last evaluation, or none evaluated yet
         # mm of the rain samples in each hour from the window's first to its last.
         self._bins = _Columns(1)
         self._first_hour = 0
@@ -614,6 +626,7 @@ class AlertEngine:
         """
         series, dirty, cap, now = self._series, self._dirty, self.analysis.max_window_samples, self.now
         rain = self._rain
+        rec = None
         for rec in records:
             key = _KEY_BY_CODE[rec.sensor._value_]
             t = float(rec.timestamp)
@@ -630,6 +643,8 @@ class AlertEngine:
             dirty.add(key)
             if t > now:
                 now = t
+        if rec is not None:  # ``records`` may be any iterable, an empty generator too
+            self._unjudged = True
         self.now = now
 
     def _rain_appended(self, t: float, mm: float, evicted: bool) -> None:
@@ -797,14 +812,14 @@ class AlertEngine:
                     logger.debug("forecast unavailable: series contains non-finite values")
                 self._forecast[key] = top
         self._dirty.clear()
-        forecast = self._forecast
-        return ValueSnapshot(
-            rain_intensity_mm_per_h=forecast["rain"],
-            pore_kpa=forecast["pore"],
-            displacement_mm=forecast["displacement"],
-            inclinometer_deg=forecast["inclinometer"],
-            tiltmeter_deg=forecast["tiltmeter"],
-        )
+        return self._forecasts(None)
+
+    def _forecasts(self, stale: float | None) -> ValueSnapshot:
+        """The cached forecast maxima, with ``stale`` in place of each dirty series' one."""
+        dirty = self._dirty
+        return ValueSnapshot(**{
+            _FIELD_BY_KEY[key]: stale if key in dirty else top for key, top in self._forecast.items()
+        })
 
     def snapshots(self) -> tuple[ValueSnapshot, ValueSnapshot]:
         """The current and the predicted values of what was observed: those
@@ -818,16 +833,32 @@ class AlertEngine:
 
         A batch whose candidate level is the active one, with no
         de-escalation hold running, leaves the ladder where it is and
-        notifies nobody, so it is judged on that level alone.
+        notifies nobody, so it is judged on that level alone. Above GREEN,
+        that level is first bounded without a refit: with every dirty
+        series' forecast as never exceeding (None) and as always exceeding
+        (inf). If both bounds are the active level, the batch is settled
+        and the dirty series stay dirty, to be refitted from their windows
+        by the next batch or ``snapshots()`` that needs them. At GREEN any
+        dirty forecast could give a uni-parameter YELLOW, so the bounds
+        could never agree there.
         """
         self.observe(records)
-        if not self._dirty:
+        if not self._unjudged:
             # No new data and ``now`` unchanged: the decisions would equal the
             # previous ones, and stepping the ladder again on them is a no-op.
             return []
-        current, predicted = self.snapshots()
-        state, th = self.state, self.thresholds
-        if state.below_since is None and candidate_level(current, predicted, th) == state.active_level:
+        self._unjudged = False
+        current, state, th = self._current_snapshot(), self.state, self.thresholds
+        active, holding = state.active_level, state.below_since is not None
+        if (
+            not holding
+            and active is not AlertLevel.GREEN
+            and candidate_level(current, self._forecasts(None), th) == active
+            and candidate_level(current, self._forecasts(math.inf), th) == active
+        ):
+            return []  # no forecast can move the candidate off the active level
+        predicted = self._predicted_snapshot()
+        if not holding and candidate_level(current, predicted, th) == active:
             return []  # step_alert_state would return ``state`` and no notification
         decisions = evaluate(current, predicted, th, self.now)
         new_state, notes = step_alert_state(state, decisions, self.now, th.hold_period_s)

@@ -483,21 +483,23 @@ class ScratchReference:
 
 
 def evaluate_spied(engine: AlertEngine, batch) -> list[tuple[ValueSnapshot, ValueSnapshot]]:
-    """Run one batch, returning the (current, predicted) snapshots it was judged on.
+    """Run one batch; if it was judged, return the (current, predicted)
+    snapshots that ``AlertEngine.snapshots`` gives after it.
 
-    A batch builds them through ``AlertEngine.snapshots`` whether or not it
-    goes on to build the four decisions and step the ladder.
+    A batch is judged when it builds the current snapshot. It may settle
+    before any refit, so its forecasts are read after it, as every later
+    decision would compute them.
     """
-    seen = []
-    snapshots = engine.snapshots
+    built = []
+    current = engine._current_snapshot
 
     def spy():
-        seen.append(snapshots())
-        return seen[-1]
+        built.append(True)
+        return current()
 
-    with mock.patch.object(engine, "snapshots", spy):
+    with mock.patch.object(engine, "_current_snapshot", spy):
         engine.evaluate_batch(batch)
-    return seen
+    return [engine.snapshots()] if built else []
 
 
 # One stream step: (sensor, how time moves, seconds, value). "step" advances
@@ -512,6 +514,12 @@ _STEPS = st.tuples(
         st.floats(-20.0, 120.0, allow_nan=False, allow_infinity=False),
     ),
 )
+
+# Streams long enough, and caps small enough, that most drawn examples
+# evict, fit an AR forecast and go up the ladder: hypothesis keeps a list
+# near twice its min_size, and a shorter stream seldom does any of these.
+LONG_STREAMS = st.lists(_STEPS, min_size=16, max_size=96)
+SMALL_CAPS = st.integers(4, 16)
 
 
 def build_stream(steps) -> list[CalibratedReading]:
@@ -528,16 +536,21 @@ def build_stream(steps) -> list[CalibratedReading]:
     return records
 
 
-def assert_matches_reference(records, analysis: AnalysisConfig, batch_sizes) -> None:
-    """After every batch, the engine evaluated exactly the from-scratch snapshots."""
-    engine = AlertEngine(TH, analysis, Dispatcher([ListSink()]))
-    reference = ScratchReference(analysis, TH.prediction_horizon)
+def batched(records, batch_sizes):
+    """``records`` cut into consecutive batches of the sizes in ``batch_sizes``, cycled."""
     i = 0
     for size in itertools.cycle(batch_sizes):
         if i >= len(records):
-            break
-        batch = records[i : i + size]
+            return
+        yield records[i : i + size]
         i += size
+
+
+def assert_matches_reference(records, analysis: AnalysisConfig, batch_sizes) -> None:
+    """Every batch is judged, and after it ``snapshots()`` equals the from-scratch snapshots."""
+    engine = AlertEngine(TH, analysis, Dispatcher([ListSink()]))
+    reference = ScratchReference(analysis, TH.prediction_horizon)
+    for batch in batched(records, batch_sizes):
         seen = evaluate_spied(engine, batch)
         reference.observe(batch)
         assert seen == [(reference.current(), reference.predicted())]
@@ -546,9 +559,9 @@ def assert_matches_reference(records, analysis: AnalysisConfig, batch_sizes) -> 
 class TestIncrementalEngine:
     @settings(max_examples=150, deadline=None)
     @given(
-        steps=st.lists(_STEPS, min_size=1, max_size=160),
+        steps=LONG_STREAMS,
         batch_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
-        cap=st.sampled_from([8, 16, 512]),
+        cap=SMALL_CAPS,
         dry_gap_h=st.sampled_from([1.0, 6.0]),
         ar_order=st.sampled_from([1, 2]),
     )
@@ -666,9 +679,10 @@ def five_sensor_stream(ticks: int, seed: int) -> list[CalibratedReading]:
 
 
 def assert_one_solve_per_length(records, analysis: AnalysisConfig, batch_sizes) -> list[int]:
-    """Each batch makes one LAPACK call per distinct length of the forecast
-    inputs it changed, skipping those too short to fit; returns the stack
-    heights of the calls."""
+    """Each batch and a ``snapshots()`` after it make one LAPACK call per
+    distinct length of the forecast inputs the batch changed, skipping those
+    too short to fit; returns the stack heights of the calls. A batch that
+    settles on bounds leaves its refits to that ``snapshots()``."""
     engine = AlertEngine(TH, analysis, Dispatcher([ListSink()]))
     reference = ScratchReference(analysis, TH.prediction_horizon)
     heights = []
@@ -679,18 +693,14 @@ def assert_one_solve_per_length(records, analysis: AnalysisConfig, batch_sizes) 
         return gelsd(a, *args, **kwargs)
 
     changed = set(FIVE_SENSORS)  # the first batch refits every series
-    i = 0
     with mock.patch.object(analytics, "_gelsd", counted):
-        for size in itertools.cycle(batch_sizes):
-            if i >= len(records):
-                break
-            batch = records[i : i + size]
-            i += size
+        for batch in batched(records, batch_sizes):
             reference.observe(batch)
             changed.update(r.sensor for r in batch)
             lengths = {len(reference.forecast_input(kind)) for kind in changed}
             before = len(heights)
             engine.evaluate_batch(batch)
+            engine.snapshots()
             assert len(heights) - before == len({n for n in lengths if n >= 2 * analysis.ar_order + 2})
             changed.clear()
     return heights
@@ -1037,8 +1047,9 @@ class SteppingEngine(AlertEngine):
 
     def evaluate_batch(self, records):
         self.observe(records)
-        if not self._dirty:
+        if not self._unjudged:
             return []
+        self._unjudged = False
         decisions = evaluate(*self.snapshots(), self.thresholds, self.now)
         new_state, notes = step_alert_state(
             self.state, decisions, self.now, self.thresholds.hold_period_s
@@ -1051,56 +1062,63 @@ class SteppingEngine(AlertEngine):
         return notes
 
 
-def assert_steps_as_the_stepping_engine(
-    records, th: Thresholds, analysis: AnalysisConfig, batch_sizes
-) -> list[bool]:
+def assert_steps_as_the_stepping_engine(batches, th: Thresholds, analysis: AnalysisConfig):
     """Feed both engines the same batches; after each, their states,
     timelines, returned notes and sink records are equal, and the engine
     built the four decisions exactly when stepping could change its state:
     inside a hold, or when the step moved the ladder or started a hold.
-    Returns, per batch, whether the decisions were built."""
+    Returns the engine, whether each batch built the decisions, and each
+    batch's number of stacked AR solves."""
     sink, oracle_sink = ListSink(), ListSink()
     engine = AlertEngine(th, analysis, Dispatcher([sink]))
     oracle = SteppingEngine(th, analysis, Dispatcher([oracle_sink]))
-    built = []
-    evaluated = []
+    built, solves = [], []
+    evaluated, solved = [], []
+    forecast_rows = alert_module.ar_forecast_max_rows
 
     def spy(*args):
         evaluated.append(True)
         return evaluate(*args)
 
-    i = 0
-    for size in itertools.cycle(batch_sizes):
-        if i >= len(records):
-            break
-        batch = records[i : i + size]
-        i += size
+    def counted(*args):
+        solved.append(True)
+        return forecast_rows(*args)
+
+    for batch in batches:
         before = oracle.state
         evaluated.clear()
-        with mock.patch.object(alert_module, "evaluate", spy):
+        solved.clear()
+        with mock.patch.object(alert_module, "evaluate", spy), \
+                mock.patch.object(alert_module, "ar_forecast_max_rows", counted):
             notes = engine.evaluate_batch(batch)
         assert notes == oracle.evaluate_batch(batch)
         assert engine.state == oracle.state
         assert engine.timeline == oracle.timeline
         assert [n.as_record() for n in sink.notes] == [n.as_record() for n in oracle_sink.notes]
         built.append(bool(evaluated))
+        solves.append(len(solved))
         assert built[-1] == (before.below_since is not None or oracle.state != before)
-    return built
+    return engine, built, solves
 
 
 class TestLevelOnlyJudgement:
     @settings(max_examples=150, deadline=None)
-    # Twenty steps or more: shorter streams seldom go up the ladder and back.
     @given(
-        steps=st.lists(_STEPS, min_size=20, max_size=160),
+        steps=LONG_STREAMS,
         batch_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
         hold=st.sampled_from([0.0, 1800.0, 21600.0]),
-        cap=st.sampled_from([8, 512]),
+        cap=SMALL_CAPS,
     )
     def test_same_ladder_as_stepping_every_batch(self, steps, batch_sizes, hold, cap):
         th = dataclasses.replace(TH, hold_period_s=hold)
         analysis = AnalysisConfig(max_window_samples=cap)
-        assert_steps_as_the_stepping_engine(build_stream(steps), th, analysis, batch_sizes)
+        records = build_stream(steps)
+        engine, _, _ = assert_steps_as_the_stepping_engine(batched(records, batch_sizes), th, analysis)
+        # No snapshots() ran between the batches, so refits deferred over
+        # several of them, through evictions and late inserts, are done only here.
+        reference = ScratchReference(analysis, th.prediction_horizon)
+        reference.observe(records)
+        assert repr(engine.snapshots()) == repr((reference.current(), reference.predicted()))
 
     def test_dip_shorter_than_the_hold_then_the_full_hold(self):
         # A 4-sample window never holds the 6 an AR(2) fit needs, so only the
@@ -1126,5 +1144,92 @@ class TestLevelOnlyJudgement:
         assert [(n.level, n.all_clear, n.ts) for n in sink.notes] == [
             (Y, False, T0 + 3600), (G, True, T0 + 7 * 3600)
         ]
-        built = assert_steps_as_the_stepping_engine(records, th, AnalysisConfig(max_window_samples=4), [1])
+        _, built, _ = assert_steps_as_the_stepping_engine(
+            batched(records, [1]), th, AnalysisConfig(max_window_samples=4)
+        )
         assert built == [False, True, False, True, True, True, True, True, True, False]
+
+
+# ---------------------------------------------------------------------------
+# Refits deferred while the ladder's level cannot move
+# ---------------------------------------------------------------------------
+
+
+def hourly_batches(phases) -> list[list[CalibratedReading]]:
+    """One batch an hour. Each phase is (hours, {sensor: value}); a batch
+    holds a reading of each of the phase's sensors, its value moved by a
+    few tenths from hour to hour, so that every window fits an AR model."""
+    batches, hour = [], 0
+    for hours, values in phases:
+        for _ in range(hours):
+            hour += 1
+            batches.append([
+                CalibratedReading(1, T0 + 3600 * hour, kind, value + 0.1 * (hour % 4), 100 * hour + k)
+                for k, (kind, value) in enumerate(values.items())
+            ])
+    return batches
+
+
+QUIET = {RAIN: 0.2, PIEZO: 20.0, EXTENSO: 1.0, INCLINO: 0.5, TILT: 0.8}
+# Rain, pore pressure and displacement over their thresholds in TH (5 mm/h, 50 kPa, 5 mm).
+STORM = {RAIN: 8.0, PIEZO: 70.0, EXTENSO: 8.0, INCLINO: 0.5, TILT: 0.8}
+
+
+class TestDeferredRefits:
+    """Above GREEN, a batch whose level no forecast could move refits
+    nothing; its series are refitted, bit for bit, when a later decision or
+    ``snapshots()`` needs them."""
+
+    @staticmethod
+    def run(batches, deferred: set[str], analysis=AnalysisConfig()):
+        """The stepping engine's checks, then: the series whose refits the
+        last batches deferred are ``deferred``, a batch with no new data is
+        still not judged, and ``snapshots()`` refits the deferred series to
+        the from-scratch forecasts."""
+        engine, built, solves = assert_steps_as_the_stepping_engine(batches, TH, analysis)
+        assert engine._dirty == deferred
+        assert evaluate_spied(engine, []) == []
+        reference = ScratchReference(analysis, TH.prediction_horizon)
+        reference.observe([rec for batch in batches for rec in batch])
+        assert repr(engine.snapshots()) == repr((reference.current(), reference.predicted()))
+        return engine, built, solves
+
+    @pytest.mark.parametrize("cap", [8, 512])
+    def test_climb_to_red_and_stay(self, cap):
+        # Rain, then pore pressure, then displacement go over: YELLOW, ORANGE,
+        # RED. At RED the current values alone give RED, so every later batch
+        # settles whatever its forecasts are.
+        batches = hourly_batches([
+            (12, QUIET),
+            (3, {**QUIET, RAIN: 8.0}),
+            (3, {**QUIET, RAIN: 8.0, PIEZO: 70.0}),
+            (30, STORM),
+        ])
+        every = set(alert_module._KEY_BY_KIND.values())
+        engine, built, solves = self.run(batches, every, AnalysisConfig(max_window_samples=cap))
+        assert [level for _, level in engine.timeline] == [Y, O, R]
+        red = next(k for k, batch in enumerate(batches) if batch[0].timestamp == engine.timeline[-1][0])
+        assert solves[red] > 0
+        assert solves[red + 1 :] == [0] * 29 and built[red + 1 :] == [False] * 29
+
+    def test_hold_orange_while_only_rain_and_pore_report(self):
+        # Displacement and inclination were last refitted below threshold, so
+        # with rain and pore pressure over theirs no forecast of either can
+        # move the level from ORANGE. A displacement reading dirties a series
+        # whose forecast could give RED: that batch refits.
+        storm = {RAIN: 8.0, PIEZO: 70.0}
+        batches = hourly_batches([(12, QUIET), (10, storm), (1, {**storm, EXTENSO: 1.2}), (10, storm)])
+        engine, built, solves = self.run(batches, {"rain", "pore"})
+        assert engine.timeline == [(batches[12][0].timestamp, O)]
+        assert solves[12] > 0
+        assert solves[13:22] == [0] * 9
+        assert solves[22] > 0
+        assert solves[23:] == [0] * 10
+        assert not any(built[13:])
+
+    def test_green_never_defers(self):
+        # At GREEN any dirty forecast could give a uni-parameter YELLOW.
+        batches = hourly_batches([(30, QUIET)])
+        engine, _, solves = self.run(batches, set())
+        assert engine.state.active_level is G
+        assert all(solves[k] > 0 for k in range(5, 30))  # once the windows hold 6 samples
