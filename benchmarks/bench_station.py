@@ -8,7 +8,7 @@ A station engine with the demo calibration and thresholds, a store with
 filled with 600 five-sensor batches, so every window is full. Then
 ``--frames`` more batches are timed through ``ServerEngine.handle_data_frame``.
 Prints µs per frame, and its split into ``decode_senddata``,
-``ingest_batch`` and ``evaluate_batch``, with the share of the last spent
+``ingest_batch``, ``flush`` and ``evaluate_batch``, with the share of the last spent
 in ``ar_forecast_max_rows``, the engine's stacked AR solve (one LAPACK
 call for each length among the series a batch changed), and that call's
 count per frame. The AR share is split into "LAPACK", the time inside
@@ -18,9 +18,13 @@ the time spent in ``ar_forecast_max_rows``, both timed in one more pass.
 A last pass sleeps 10 ms before each frame, as perfbench's
 ``tcp_station`` node does at its 100/s rung, and times the whole frame
 and its AR share, split the same way, in thread CPU time: after an idle
-gap, caches are cold and a frame costs more than back to back. Each
-figure is the best of ``--rounds`` rounds, each pass on a freshly filled
-station.
+gap, caches are cold and a frame costs more than back to back. A
+durable idle pass does the same on a ``durable=True`` store (filled
+without fsyncs, then reopened durable), with the thread CPU time spent
+inside ``os.fsync`` left out of the frame: what remains is the judgement
+and the rest of the frame, which the station runs before its one fsync.
+Each figure is the best of ``--rounds`` rounds, each pass on a freshly
+filled station.
 
 Three streams of batches, one reading per sensor each, alternated round by round:
 
@@ -45,6 +49,7 @@ from pathlib import Path
 
 from slopewatch import alert as alert_module
 from slopewatch import analytics, wire
+from slopewatch import ingest as ingest_module
 from slopewatch.alert import AlertEngine, Dispatcher
 from slopewatch.config import load_config
 from slopewatch.domain import SensorKind
@@ -105,16 +110,22 @@ def batch_frames(stream: str, session_id: int, first: int, n: int) -> list[Frame
     return frames
 
 
-def filled_station(stream: str, store_dir: str) -> tuple[ServerEngine, int]:
-    """A connected station whose windows are full; returns it and the session id."""
+def filled_station(stream: str, store_dir: str, durable: bool = False) -> tuple[ServerEngine, int]:
+    """A connected station whose windows are full; returns it and the session id.
+
+    The fill makes no fsync: a durable station's store is reopened durable after it.
+    """
     cfg = load_config(DEMO_INI)
     repo = Repository(store_dir, durable=False)
-    engine = ServerEngine(repo, cfg.calibration, AlertEngine(cfg.thresholds, cfg.analysis, Dispatcher([NullSink()])))
+    engine = ServerEngine(repo, cfg.calibration, AlertEngine(cfg.thresholds, cfg.analysis), Dispatcher([NullSink()]))
     engine.handle_control_frame(Frame(MessageType.SEND_IP, wire.encode_sendip(NODE, "10.77.0.1")))
     (ack,) = engine.handle_data_frame(Frame(MessageType.REQ_CONN, wire.encode_reqconn(NODE, 7)))
     session_id, _ = wire.decode_connack(ack.payload)
     for frame in batch_frames(stream, session_id, 0, FILL):
         engine.handle_data_frame(frame)
+    if durable:
+        repo.close()
+        engine.repo = Repository(store_dir)
     return engine, session_id
 
 
@@ -156,6 +167,42 @@ class ArTimer:
         analytics._gelsd = self._gelsd
 
 
+class FsyncTimer:
+    """Adds the thread CPU time spent inside ``os.fsync``, as the store calls
+    it, to ``seconds``, and counts its calls, while active."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.calls = 0
+        self._fsync = ingest_module.os.fsync
+
+    def _timed(self, fd):
+        t0 = time.thread_time()
+        try:
+            return self._fsync(fd)
+        finally:
+            self.seconds += time.thread_time() - t0
+            self.calls += 1
+
+    def __enter__(self):
+        ingest_module.os.fsync = self._timed
+        return self
+
+    def __exit__(self, *exc) -> None:
+        ingest_module.os.fsync = self._fsync
+
+
+def idle_frames(engine: ServerEngine, frames: list[Frame]) -> float:
+    """Thread CPU seconds of ``frames``, each sent after an idle gap."""
+    whole = 0.0
+    for frame in frames:
+        time.sleep(IDLE_S)
+        start = time.thread_time()
+        engine.handle_data_frame(frame)
+        whole += time.thread_time() - start
+    return whole
+
+
 def time_frames(engine: ServerEngine, frames: list[Frame]) -> float:
     start = time.perf_counter()
     for frame in frames:
@@ -168,7 +215,8 @@ def round_times(stream: str, frames: int) -> tuple[dict[str, float], float]:
     frame; each pass runs on its own filled station."""
     out = {}
     with tempfile.TemporaryDirectory() as whole_dir, tempfile.TemporaryDirectory() as split_dir, \
-            tempfile.TemporaryDirectory() as ar_dir, tempfile.TemporaryDirectory() as idle_dir:
+            tempfile.TemporaryDirectory() as ar_dir, tempfile.TemporaryDirectory() as idle_dir, \
+            tempfile.TemporaryDirectory() as durable_dir:
         engine, sid = filled_station(stream, whole_dir)
         out["handle_data_frame"] = time_frames(engine, batch_frames(stream, sid, FILL, frames))
         engine.repo.close()
@@ -180,9 +228,14 @@ def round_times(stream: str, frames: int) -> tuple[dict[str, float], float]:
         payloads = [wire.decode_senddata(frame.payload) for frame in timed]
         out["decode_senddata"] = time.perf_counter() - start
         repo, calibration = engine.repo, engine.calibration
-        start = time.perf_counter()
-        stored = [repo.ingest_batch(p, NODE, calibration) for p in payloads]
-        out["ingest_batch"] = time.perf_counter() - start
+        stored, out["ingest_batch"], out["flush"] = [], 0.0, 0.0
+        for p in payloads:
+            t0 = time.perf_counter()
+            stored.append(repo.ingest_batch(p, NODE, calibration))
+            t1 = time.perf_counter()
+            repo.flush()
+            out["ingest_batch"] += t1 - t0
+            out["flush"] += time.perf_counter() - t1
         with ArTimer() as ar:
             start = time.perf_counter()
             for records in stored:
@@ -203,18 +256,23 @@ def round_times(stream: str, frames: int) -> tuple[dict[str, float], float]:
 
         # Whole again, each frame after an idle gap, in thread CPU time.
         engine, sid = filled_station(stream, idle_dir)
-        whole = 0.0
         with ArTimer(time.thread_time) as ar:
-            for frame in batch_frames(stream, sid, FILL, frames):
-                time.sleep(IDLE_S)
-                start = time.thread_time()
-                engine.handle_data_frame(frame)
-                whole += time.thread_time() - start
+            whole = idle_frames(engine, batch_frames(stream, sid, FILL, frames))
         out["idle: frame"] = whole
         out["idle:   of which AR"] = ar.seconds
         out["idle:     LAPACK"] = ar.lapack_seconds
         out["idle:     bookkeeping"] = ar.seconds - ar.lapack_seconds
         out["idle: non-AR"] = whole - ar.seconds
+        engine.repo.close()
+
+        # And on a durable store, less the thread CPU time inside its fsyncs.
+        engine, sid = filled_station(stream, durable_dir, durable=True)
+        with FsyncTimer() as disk:
+            whole = idle_frames(engine, batch_frames(stream, sid, FILL, frames))
+        if disk.calls != frames:
+            raise SystemExit(f"{stream}: {disk.calls} fsyncs for {frames} stored batches")
+        out["durable idle: frame"] = whole - disk.seconds
+        out["durable idle: fsync"] = disk.seconds
         engine.repo.close()
     return {stage: s / frames for stage, s in out.items()}, solves / frames
 
@@ -231,9 +289,10 @@ def main() -> None:
             times, solves[stream] = round_times(stream, args.frames)
             for stage, s in times.items():
                 best[stream][stage] = min(best[stream].get(stage, s), s)
-    print(f"five sensors, {FILL}-batch fill, 512-sample windows, durable=False, "
+    print(f"five sensors, {FILL}-batch fill, 512-sample windows, durable=False but for durable idle, "
           f"best of {args.rounds} x {args.frames} frames; Python {sys.version.split()[0]}")
-    print(f"idle: each frame after a {IDLE_S * 1e3:.0f} ms sleep, in thread CPU time")
+    print(f"idle: each frame after a {IDLE_S * 1e3:.0f} ms sleep, in thread CPU time; "
+          "durable idle: the same on a durable=True store, frame less fsync")
     for stream in STREAMS:
         print(f"\n{stream} stream (a batch every {STREAMS[stream][0]} s)")
         for stage, s in best[stream].items():

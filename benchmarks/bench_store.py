@@ -8,9 +8,9 @@ batches, in-order seqs) to a temporary directory, then times:
 
 * ``Repository(...)`` opening it (best of ``--repeat``);
 * ``all_records()`` on it (best of ``--repeat``);
-* ``ingest_batch`` of ``--batches`` new five-reading batches with
-  ``durable=False``, then ``--durable-batches`` with ``durable=True``
-  (one fsync per batch).
+* ``ingest_batch`` of ``--batches`` new five-reading batches, each
+  followed by ``flush()`` as the station does, with ``durable=False``,
+  then ``--durable-batches`` with ``durable=True`` (one fsync per batch).
 
 Each line gives rows/s and the MiB that tracemalloc shows as held by the
 open repository. Memory is measured in a separate pass from the timings,
@@ -97,6 +97,7 @@ def ingest(store: Path, batches, durable: bool) -> float:
     t0 = perf()
     for node_id, payload in batches:
         repo.ingest_batch(payload, node_id, CONSTANTS)
+        repo.flush()
     elapsed = perf() - t0
     repo.close()
     return elapsed

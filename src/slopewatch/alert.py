@@ -12,6 +12,10 @@ steps on the highest of the four levels. The multi-parameter ladder:
 
 The active level escalates immediately and de-escalates only after the
 candidate level has stayed lower for a hold period.
+
+``AlertEngine`` judges and steps; it returns the notifications of each
+transition and sends none. The station sends them through a
+``Dispatcher`` to the sinks once the batch that caused them is durable.
 """
 
 from __future__ import annotations
@@ -197,11 +201,9 @@ def evaluate(
     return decisions
 
 
-def candidate_level(snapshot: ValueSnapshot, predicted: ValueSnapshot, th: Thresholds) -> AlertLevel:
-    """The highest level of the four decisions ``evaluate`` makes on these
-    snapshots: the candidate ``step_alert_state`` steps the ladder towards."""
-    current_e, predicted_e = exceedance_sets(snapshot, predicted, th)
-    return max(uni_level(current_e), multi_level(current_e), uni_level(predicted_e), multi_level(predicted_e))
+def _level(e: ExceedanceSet) -> AlertLevel:
+    """The higher of the uni- and multi-parameter levels of one exceedance set."""
+    return max(uni_level(e), multi_level(e))
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +557,21 @@ class _Columns:
 
 
 class AlertEngine:
-    """Consumes ingested readings, evaluates, steps the ladder, dispatches.
+    """Consumes ingested readings, judges them and steps the ladder.
 
-    Evaluation time follows the data: ``now`` is the greatest reading
-    timestamp seen so far, which keeps hysteresis well-defined when batches
-    arrive late after retransmission.
+    ``evaluate_batch`` returns the notifications of a ladder transition and
+    sends none: the caller sends them, after it has made their batch
+    durable. Evaluation time follows the data: ``now`` is the greatest
+    reading timestamp seen so far, which keeps hysteresis well-defined when
+    batches arrive late after retransmission.
 
-    Every batch with new data builds the current snapshot and is judged
-    on its candidate level. Most batches leave the ladder where it is, and
-    those stop there; only a transition, or a batch inside a de-escalation
-    hold, builds the four ``AlertDecision``s and runs ``step_alert_state``.
+    Every batch with new data builds the current snapshot, and is judged on
+    its level: the highest of the four decisions', from the current values'
+    exceedances and each forecast's exceedance of its threshold. Most
+    batches leave the ladder where it is, and those stop there; only a
+    transition, or a batch inside a de-escalation hold, builds the
+    predicted snapshot and the four ``AlertDecision``s and runs
+    ``step_alert_state``.
 
     State kept between batches makes a batch cost what it changed: each
     series' forecast is refitted only after an insert into that series,
@@ -590,10 +597,9 @@ class AlertEngine:
     compute it, so the decisions are identical.
     """
 
-    def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig, dispatcher: Dispatcher | None):
+    def __init__(self, thresholds: Thresholds, analysis: AnalysisConfig):
         self.thresholds = thresholds
         self.analysis = analysis
-        self.dispatcher = dispatcher
         self.state = AlertState()
         self.now = 0.0
         self.timeline: list[tuple[float, AlertLevel]] = []  # ladder transitions
@@ -602,6 +608,14 @@ class AlertEngine:
         self._rain = self._series["rain"]  # (ts, mm)
         self._forecast: dict[str, float | None] = dict.fromkeys(self._series)
         self._dirty = set(self._series)  # series whose forecast is out of date
+        # The threshold each series' forecast is judged against.
+        self._limits = {
+            "rain": thresholds.mt_rain_mm_per_h,
+            "pore": thresholds.mt_pore_kpa,
+            "displacement": thresholds.mt_displacement_mm,
+            "inclinometer": thresholds.mt_inclination_deg,
+            "tiltmeter": thresholds.mt_inclination_deg,
+        }
         self._unjudged = True  # readings observed since the last evaluation, or none evaluated yet
         # mm of the rain samples in each hour from the window's first to its last.
         self._bins = _Columns(1)
@@ -793,8 +807,11 @@ class AlertEngine:
         hi = window.hi
         return window.buf.item(1, hi - 1) if hi > window.lo else None
 
-    def _predicted_snapshot(self) -> ValueSnapshot:
-        # Dirty series of one length are forecast together, in one stacked solve.
+    def _refit(self) -> None:
+        """Refit the forecast of every dirty series. Dirty series of one
+        length are forecast together, in one stacked solve."""
+        if not self._dirty:
+            return
         order = self.analysis.ar_order
         by_length: dict[int, dict[str, np.ndarray]] = {}
         for key, window in self._series.items():
@@ -812,14 +829,27 @@ class AlertEngine:
                     logger.debug("forecast unavailable: series contains non-finite values")
                 self._forecast[key] = top
         self._dirty.clear()
-        return self._forecasts(None)
 
-    def _forecasts(self, stale: float | None) -> ValueSnapshot:
-        """The cached forecast maxima, with ``stale`` in place of each dirty series' one."""
-        dirty = self._dirty
-        return ValueSnapshot(**{
-            _FIELD_BY_KEY[key]: stale if key in dirty else top for key, top in self._forecast.items()
-        })
+    def _predicted_snapshot(self) -> ValueSnapshot:
+        """The forecast maxima, after refitting the dirty series."""
+        self._refit()
+        return ValueSnapshot(**{_FIELD_BY_KEY[key]: top for key, top in self._forecast.items()})
+
+    def _forecast_exceedances(self, dirty: bool) -> ExceedanceSet:
+        """The exceedances ``exceedance_sets`` finds on the predicted
+        snapshot, read from the cached forecast maxima, with ``dirty`` as
+        the flag of each series whose forecast is out of date."""
+        stale, limits = self._dirty, self._limits
+        over = {
+            key: dirty if key in stale else top is not None and top >= limits[key]
+            for key, top in self._forecast.items()
+        }
+        return ExceedanceSet(
+            rain=over["rain"],
+            pore=over["pore"],
+            displacement=over["displacement"],
+            inclination=over["inclinometer"] or over["tiltmeter"],
+        )
 
     def snapshots(self) -> tuple[ValueSnapshot, ValueSnapshot]:
         """The current and the predicted values of what was observed: those
@@ -829,18 +859,19 @@ class AlertEngine:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate_batch(self, records) -> list[Notification]:
-        """Ingest-side hook: observe new records, evaluate, step, dispatch.
+        """Observe new records, judge them and step the ladder; returns the
+        notifications of a transition, for the caller to send.
 
-        A batch whose candidate level is the active one, with no
-        de-escalation hold running, leaves the ladder where it is and
-        notifies nobody, so it is judged on that level alone. Above GREEN,
-        that level is first bounded without a refit: with every dirty
-        series' forecast as never exceeding (None) and as always exceeding
-        (inf). If both bounds are the active level, the batch is settled
-        and the dirty series stay dirty, to be refitted from their windows
-        by the next batch or ``snapshots()`` that needs them. At GREEN any
-        dirty forecast could give a uni-parameter YELLOW, so the bounds
-        could never agree there.
+        The current values' exceedances are computed once per batch. A
+        batch whose level is the active one, with no de-escalation hold
+        running, leaves the ladder where it is and notifies nobody, so it is
+        judged on that level alone. Above GREEN, that level is first bounded
+        without a refit: with every dirty series' forecast as never
+        exceeding and as always exceeding. If both bounds are the active
+        level, the batch is settled and the dirty series stay dirty, to be
+        refitted from their windows by the next batch or ``snapshots()``
+        that needs them. At GREEN any dirty forecast could give a
+        uni-parameter YELLOW, so the bounds could never agree there.
         """
         self.observe(records)
         if not self._unjudged:
@@ -849,22 +880,21 @@ class AlertEngine:
             return []
         self._unjudged = False
         current, state, th = self._current_snapshot(), self.state, self.thresholds
+        now_level = _level(_exceedances(current, th, use_caine=True))
         active, holding = state.active_level, state.below_since is not None
         if (
             not holding
             and active is not AlertLevel.GREEN
-            and candidate_level(current, self._forecasts(None), th) == active
-            and candidate_level(current, self._forecasts(math.inf), th) == active
+            and max(now_level, _level(self._forecast_exceedances(False))) == active
+            and max(now_level, _level(self._forecast_exceedances(True))) == active
         ):
             return []  # no forecast can move the candidate off the active level
-        predicted = self._predicted_snapshot()
-        if not holding and candidate_level(current, predicted, th) == active:
+        self._refit()
+        if not holding and max(now_level, _level(self._forecast_exceedances(False))) == active:
             return []  # step_alert_state would return ``state`` and no notification
-        decisions = evaluate(current, predicted, th, self.now)
+        decisions = evaluate(current, self._predicted_snapshot(), th, self.now)
         new_state, notes = step_alert_state(state, decisions, self.now, th.hold_period_s)
         if new_state.active_level != state.active_level:
             self.timeline.append((self.now, new_state.active_level))
         self.state = new_state
-        for note in notes:
-            self.dispatcher.dispatch(note)
         return notes

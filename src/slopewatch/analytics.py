@@ -164,13 +164,14 @@ def exceeds_caine(event: RainEvent) -> bool | None:
     """Whether the event's mean intensity reaches or exceeds the curve.
 
     Returns None (not applicable) when the duration is outside the curve
-    domain.
+    domain. The domain is checked here rather than by catching
+    ``caine_threshold``'s error: a long storm outlasts the curve on every
+    batch it is judged in.
     """
-    try:
-        threshold = caine_threshold(event.duration_h)
-    except CaineDomainError:
+    duration_h = event.duration_h
+    if not CAINE_D_MIN_H < duration_h < CAINE_D_MAX_H:
         return None
-    return event.mean_intensity_mm_per_h >= threshold
+    return event.mean_intensity_mm_per_h >= CAINE_COEFF * duration_h**CAINE_EXPONENT
 
 
 # ---------------------------------------------------------------------------

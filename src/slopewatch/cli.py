@@ -220,7 +220,7 @@ def cmd_analyze(args) -> int:
 
     # One streaming pass: the engine observes every row, as the station did
     # when it stored them, without evaluating, dispatching or writing.
-    engine = AlertEngine(cfg.thresholds, cfg.analysis, None) if cfg and args.format == "text" else None
+    engine = AlertEngine(cfg.thresholds, cfg.analysis) if cfg and args.format == "text" else None
     rain_rows: list[tuple[int, int, int, float]] = []
     records = _stored_records(repo, rain_rows)
     if engine is not None:

@@ -95,10 +95,13 @@ class Repository:
     are stored. Queries read ``readings.csv`` as a stream, in their own
     file handle.
 
-    Single writer, many readers: ``ingest_batch`` is called by the ingest
-    task only; queries may run from other threads. A query reads
-    the rows up to the last ``flush`` (``ingest_batch`` flushes each batch
-    it stores) and never a row written after that, so it sees every flushed
+    Single writer, many readers: ``ingest_batch`` and ``flush`` are called
+    by the ingest task only; queries may run from other threads. A batch
+    is stored in two steps: ``ingest_batch`` writes its rows to the file
+    object, and ``flush`` pushes every row written since the last flush to
+    the file and, if durable, to disk in one fsync. The writer flushes
+    before it acknowledges anything. A query reads the rows up to the last
+    ``flush`` and never a row written after that, so it sees every flushed
     batch whole. A read-only store reads the rows that were there when it
     was opened.
     """
@@ -215,7 +218,9 @@ class Repository:
     def flush(self) -> None:
         """Push the rows written since the last flush to the file, and to disk if durable.
 
-        From then on queries see them. Does nothing if no row was written.
+        One write and at most one fsync, however many batches were written
+        since the last flush. From then on queries see the rows. Does
+        nothing if no row was written.
         """
         if self._fh is None or not self._dirty:
             return
@@ -243,7 +248,9 @@ class Repository:
         Readings within a payload share its timestamp and occupy consecutive
         sequence numbers starting at ``payload.seq``. The whole batch is
         rejected (nothing stored) if any sensor lacks calibration constants.
-        The new rows go to the file in one write and are flushed once.
+        The new rows go to the file object in one write and the dedup index
+        records them, but nothing is flushed: they are durable, and queries
+        see them, only after the next ``flush``.
         """
         readings = payload.readings
         table = self._calibration_table(constants)
@@ -274,7 +281,6 @@ class Repository:
             self._count += len(stored)
             self._lines += len(stored)
             self._dirty = True
-            self.flush()
         return stored
 
     def _calibration_table(self, constants: dict[SensorKind, CalibrationConstants]) -> dict:

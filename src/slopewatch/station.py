@@ -2,7 +2,10 @@
 
 Decodes protocol frames, drives the per-node server state machines,
 allocates session ids, forwards batches to the repository and triggers one
-alert evaluation per ingested batch. Transport-agnostic: both the
+alert evaluation per ingested batch. Each batch goes ingest -> judge ->
+sync -> notify -> ack: its rows are written and judged, one flush makes
+them durable, and only then are its notifications sent and its DATA_ACK
+returned. Transport-agnostic: both the
 discrete-event replay harness and the socket server start it with
 ``ServerEngine.open``, feed it frames through ``handle_frame`` and transmit
 the reply frames it returns.
@@ -42,11 +45,13 @@ class ServerEngine:
         repo: Repository,
         calibration: dict[SensorKind, CalibrationConstants],
         alert_engine: AlertEngine,
+        dispatcher: Dispatcher,
         observe: Callable | None = None,
     ):
         self.repo = repo
         self.calibration = calibration
         self.alert_engine = alert_engine
+        self.dispatcher = dispatcher
         # observe(node_id, state, event, actions) sees each step, before its actions run.
         self.observe = observe
         self.sessions: dict[int, ServerSessionState] = {}
@@ -61,8 +66,8 @@ class ServerEngine:
     def open(cls, config: Config, store_dir: str | Path, sinks: list,
              observe: Callable | None = None) -> ServerEngine:
         """The engine over the store in ``store_dir``, alerting through ``sinks``."""
-        alert_engine = AlertEngine(config.thresholds, config.analysis, Dispatcher(sinks))
-        return cls(Repository(store_dir), config.calibration, alert_engine, observe=observe)
+        alert_engine = AlertEngine(config.thresholds, config.analysis)
+        return cls(Repository(store_dir), config.calibration, alert_engine, Dispatcher(sinks), observe=observe)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -98,7 +103,13 @@ class ServerEngine:
                 self.batches_ingested += 1
                 self.records_stored += len(stored)
                 self.duplicates_skipped += len(action.payload.readings) - len(stored)
-                self.alert_engine.evaluate_batch(stored)
+                notes = self.alert_engine.evaluate_batch(stored)
+                # Judged before the fsync; nothing leaves before it. The flush
+                # also covers rows left unflushed by a batch whose judgement
+                # raised, which got no ack.
+                self.repo.flush()
+                for note in notes:
+                    self.dispatcher.dispatch(note)
             elif isinstance(action, Frame):
                 out.append(action)
             elif isinstance(action, LogWarning):

@@ -201,10 +201,9 @@ def test_c7_storm_escalation(tmp_path, monkeypatch):
         numeric = [AlertLevel[name] for name in levels]
         assert numeric == sorted(numeric)
         # one notification per escalation per sink
-        engine = sim.server.alert_engine
         assert len(dispatched) == 3  # YELLOW, ORANGE, RED
         for dispatcher, note, results in dispatched:
-            assert dispatcher is engine.dispatcher
+            assert dispatcher is sim.server.dispatcher
             assert [r.sink for r in results] == ["console", "file", "sms"]
             assert all(r.ok for r in results)
         ndjson = (tmp_path / "store" / "alerts.ndjson").read_text().splitlines()

@@ -352,16 +352,6 @@ RAIN, PIEZO, EXTENSO, INCLINO, TILT = (
 FIVE_SENSORS = (RAIN, PIEZO, EXTENSO, INCLINO, TILT)  # in ValueSnapshot order
 
 
-class ListSink:
-    name = "list"
-
-    def __init__(self):
-        self.notes = []
-
-    def send(self, note):
-        self.notes.append(note)
-
-
 # -- the from-scratch rain oracle ------------------------------------------------
 # The station's engine keeps its rain state incrementally; these are the
 # whole-window functions it replaced, kept verbatim as ScratchReference's
@@ -548,7 +538,7 @@ def batched(records, batch_sizes):
 
 def assert_matches_reference(records, analysis: AnalysisConfig, batch_sizes) -> None:
     """Every batch is judged, and after it ``snapshots()`` equals the from-scratch snapshots."""
-    engine = AlertEngine(TH, analysis, Dispatcher([ListSink()]))
+    engine = AlertEngine(TH, analysis)
     reference = ScratchReference(analysis, TH.prediction_horizon)
     for batch in batched(records, batch_sizes):
         seen = evaluate_spied(engine, batch)
@@ -683,7 +673,7 @@ def assert_one_solve_per_length(records, analysis: AnalysisConfig, batch_sizes) 
     distinct length of the forecast inputs the batch changed, skipping those
     too short to fit; returns the stack heights of the calls. A batch that
     settles on bounds leaves its refits to that ``snapshots()``."""
-    engine = AlertEngine(TH, analysis, Dispatcher([ListSink()]))
+    engine = AlertEngine(TH, analysis)
     reference = ScratchReference(analysis, TH.prediction_horizon)
     heights = []
     gelsd = analytics._gelsd
@@ -798,7 +788,7 @@ class TestRainAppendPath:
 
     def test_negative_zero_alone_bins_to_positive_zero(self):
         # A rebin sums from 0.0, and 0.0 + -0.0 is 0.0.
-        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=8), Dispatcher([ListSink()]))
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=8))
         records = rain_records([T0 + 3600 * k for k in range(12)], [-0.0] * 12)
         engine.observe(records[:1])
         assert not np.signbit(engine._bins.row(0)).any()
@@ -840,7 +830,7 @@ class TestRainAppendPath:
         assert_matches_reference(records + [late], AnalysisConfig(ar_order=1, max_window_samples=16), [1])
 
     def counted_engine(self, cap):
-        return AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+        return AlertEngine(TH, AnalysisConfig(max_window_samples=cap))
 
     def test_steady_stream_recomputes_event_only_on_first_wet_eviction(self):
         # Hourly samples past the cap, steady interval: the snapshot never
@@ -957,7 +947,7 @@ class TestLateRainRebuild:
         # and into one with samples.
         records = self.hourly([h for h in range(cap + 4) if h != cap])
         late = rain_records([T0 + 3600 * cap + 100, T0 + 3600 * (cap - 2) + 100], [-0.0, -0.0])
-        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=cap))
         engine.observe(records + late[:1])
         assert not np.signbit(engine._bins.row(0)).any()
         records = self.then_in_order(records, late, cap)
@@ -971,11 +961,11 @@ class TestLateRainRebuild:
         cap=st.sampled_from([4, 8, 64]),
     )
     def test_rebuilt_state_equals_appending_the_window(self, times, values, late, cap):
-        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=cap))
         times = sorted(times)
         engine.observe(rain_records([T0 + t for t in times], values))
         engine.observe(rain_records([T0 + late[0]], [late[1]]))
-        fresh = AlertEngine(TH, AnalysisConfig(max_window_samples=cap), Dispatcher([ListSink()]))
+        fresh = AlertEngine(TH, AnalysisConfig(max_window_samples=cap))
         window = engine._rain.row(0).tolist(), engine._rain.row(1).tolist()
         fresh.observe(rain_records(*window))
         assert engine._rain_gaps == fresh._rain_gaps
@@ -983,7 +973,7 @@ class TestLateRainRebuild:
         assert engine._bins.row(0).tobytes() == fresh._bins.row(0).tobytes()
 
     def test_rebuild_runs_once_per_late_rain_sample(self):
-        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=16), Dispatcher([ListSink()]))
+        engine = AlertEngine(TH, AnalysisConfig(max_window_samples=16))
         original = AlertEngine._rebuild_rain
         with mock.patch.object(AlertEngine, "_rebuild_rain", autospec=True, side_effect=original) as rebuild:
             # In order past the cap, with equal times and late non-rain readings.
@@ -1004,23 +994,21 @@ class TestLateRainRebuild:
 
 class TestBatchWithoutNewData:
     def storm_engine(self):
-        sink = ListSink()
-        engine = AlertEngine(TH, AnalysisConfig(), Dispatcher([sink]))
+        engine = AlertEngine(TH, AnalysisConfig())
         batch = [CalibratedReading(1, T0 + 3600 * k, RAIN, 6.0, k) for k in range(1, 4)]
-        engine.evaluate_batch(batch)
-        assert engine.state.active_level is Y and len(sink.notes) == 1
-        return engine, sink
+        notes = engine.evaluate_batch(batch)
+        assert engine.state.active_level is Y and len(notes) == 1
+        return engine
 
     def test_all_duplicate_batch_skips_analytics(self):
-        engine, sink = self.storm_engine()
+        engine = self.storm_engine()
         state, timeline = engine.state, list(engine.timeline)
         assert evaluate_spied(engine, []) == []
         assert engine.evaluate_batch([]) == []
         assert engine.state == state and engine.timeline == timeline
-        assert len(sink.notes) == 1
 
     def test_first_batch_is_evaluated_even_without_records(self):
-        engine = AlertEngine(TH, AnalysisConfig(), Dispatcher([ListSink()]))
+        engine = AlertEngine(TH, AnalysisConfig())
         assert evaluate_spied(engine, []) == [(ValueSnapshot(), ValueSnapshot())]
 
     @pytest.mark.parametrize("hold", [0.0, 1800.0])
@@ -1057,21 +1045,18 @@ class SteppingEngine(AlertEngine):
         if new_state.active_level != self.state.active_level:
             self.timeline.append((self.now, new_state.active_level))
         self.state = new_state
-        for note in notes:
-            self.dispatcher.dispatch(note)
         return notes
 
 
 def assert_steps_as_the_stepping_engine(batches, th: Thresholds, analysis: AnalysisConfig):
     """Feed both engines the same batches; after each, their states,
-    timelines, returned notes and sink records are equal, and the engine
+    timelines and returned notes are equal, and the engine
     built the four decisions exactly when stepping could change its state:
     inside a hold, or when the step moved the ladder or started a hold.
     Returns the engine, whether each batch built the decisions, and each
     batch's number of stacked AR solves."""
-    sink, oracle_sink = ListSink(), ListSink()
-    engine = AlertEngine(th, analysis, Dispatcher([sink]))
-    oracle = SteppingEngine(th, analysis, Dispatcher([oracle_sink]))
+    engine = AlertEngine(th, analysis)
+    oracle = SteppingEngine(th, analysis)
     built, solves = [], []
     evaluated, solved = [], []
     forecast_rows = alert_module.ar_forecast_max_rows
@@ -1094,7 +1079,6 @@ def assert_steps_as_the_stepping_engine(batches, th: Thresholds, analysis: Analy
         assert notes == oracle.evaluate_batch(batch)
         assert engine.state == oracle.state
         assert engine.timeline == oracle.timeline
-        assert [n.as_record() for n in sink.notes] == [n.as_record() for n in oracle_sink.notes]
         built.append(bool(evaluated))
         solves.append(len(solved))
         assert built[-1] == (before.below_since is not None or oracle.state != before)
@@ -1127,11 +1111,10 @@ class TestLevelOnlyJudgement:
         hours_mm = [(0, 0.0), (1, 6.0), (1.5, 1.0), (2, 0.0), (3, 0.0), (4, 6.0),
                     (5, 0.0), (6, 0.0), (7, 0.0), (8, 0.0)]
         records = [CalibratedReading(1, T0 + int(3600 * h), RAIN, mm, k) for k, (h, mm) in enumerate(hours_mm)]
-        sink = ListSink()
-        engine = AlertEngine(th, AnalysisConfig(max_window_samples=4), Dispatcher([sink]))
-        states = []
+        engine = AlertEngine(th, AnalysisConfig(max_window_samples=4))
+        states, notes = [], []
         for rec in records:
-            engine.evaluate_batch([rec])
+            notes += engine.evaluate_batch([rec])
             states.append((engine.state.active_level, engine.state.below_since))
         below = [T0 + 3600 * h for h in (2, 5)]
         assert states == [
@@ -1141,7 +1124,7 @@ class TestLevelOnlyJudgement:
             (Y, below[1]), (Y, below[1]), (G, None),  # dip for the full hold
             (G, None),
         ]
-        assert [(n.level, n.all_clear, n.ts) for n in sink.notes] == [
+        assert [(n.level, n.all_clear, n.ts) for n in notes] == [
             (Y, False, T0 + 3600), (G, True, T0 + 7 * 3600)
         ]
         _, built, _ = assert_steps_as_the_stepping_engine(

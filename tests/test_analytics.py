@@ -139,6 +139,29 @@ class TestExceedsCaine:
     def test_outside_domain_not_applicable(self):
         assert exceeds_caine(self.event(600.0, 100.0)) is None
 
+    @pytest.mark.parametrize(
+        "duration_h, inside",
+        [
+            (math.nextafter(0.167, -math.inf), False), (0.167, False), (math.nextafter(0.167, math.inf), True),
+            (math.nextafter(500.0, -math.inf), True), (500.0, False), (math.nextafter(500.0, math.inf), False),
+        ],
+    )
+    def test_domain_ends_agree_with_caine_threshold(self, duration_h, inside):
+        # Each end of the open domain, and the floats either side of it.
+        assert self.event(duration_h, 1.0).duration_h == duration_h
+        if not inside:
+            with pytest.raises(CaineDomainError):
+                caine_threshold(duration_h)
+            assert exceeds_caine(self.event(duration_h, 1.0)) is None
+            return
+        threshold = caine_threshold(duration_h)
+        verdicts = []
+        for intensity in (threshold / 2, threshold, 2 * threshold):  # below, at and above the curve
+            event = self.event(duration_h, intensity)
+            verdicts.append(exceeds_caine(event))
+            assert verdicts[-1] is (event.mean_intensity_mm_per_h >= threshold)
+        assert verdicts[0] is False and verdicts[2] is True
+
 
 class TestRainfallFeatures:
     def test_active_event_reported(self):

@@ -158,6 +158,7 @@ class TestPersistence:
         repo = Repository(store)
         repo.ingest_batch(payload(1, [(1, 5), (2, 2300)]), 1, CONSTANTS)
         repo.ingest_batch(payload(3, [(3, 120)], ts=2500), 1, CONSTANTS)
+        repo.flush()
         before = query_range(repo, 0, 10_000)
         csv_before = (store / "readings.csv").read_bytes()
         repo.close()
@@ -173,6 +174,7 @@ class TestPersistence:
         store = tmp_path / "s"
         repo = Repository(store)
         repo.ingest_batch(payload(1, [(2, 333)]), 1, CONSTANTS)  # 0.01*333-3.5 = -0.17
+        repo.flush()
         value = repo.all_records()[0].value
         repo.close()
         reloaded = Repository(store)
@@ -282,16 +284,34 @@ class TestFsyncCount:
         return calls
 
     def test_one_fsync_per_stored_batch_and_none_on_close(self, tmp_path, fsyncs):
+        # ingest_batch writes a batch's rows and never fsyncs; the flush after
+        # it makes one fsync if the batch stored a row, and none if not.
         repo = Repository(tmp_path / "s")
-        stored_batches = 0
-        for seq in (1, 3, 1, 5, 3, 7):  # 1 and 3 come twice: retransmits store nothing
-            stored_batches += bool(repo.ingest_batch(payload(seq, [(1, 5), (2, 2300)]), 1, CONSTANTS))
-        assert stored_batches == 4
         # The new store's directory and the one that gained it, before any batch.
         dirs = [inode(tmp_path / "s"), inode(tmp_path)]
-        assert fsyncs == dirs + [inode(repo.path)] * stored_batches
+        synced = []
+        for seq in (1, 3, 1, 5, 3, 7):  # 1 and 3 come twice: retransmits store nothing
+            stored = repo.ingest_batch(payload(seq, [(1, 5), (2, 2300)]), 1, CONSTANTS)
+            assert fsyncs == dirs + synced
+            repo.flush()
+            if stored:
+                synced.append(inode(repo.path))
+            assert fsyncs == dirs + synced
+        assert len(synced) == 4
         repo.close()
-        assert fsyncs == dirs + [inode(repo.path)] * stored_batches
+        assert fsyncs == dirs + synced
+
+    def test_one_flush_covers_every_batch_written_since_the_last(self, tmp_path, fsyncs):
+        repo = Repository(tmp_path / "s")
+        fsyncs.clear()
+        for seq in (1, 3, 5):
+            assert repo.ingest_batch(payload(seq, [(1, 5), (2, 2300)]), 1, CONSTANTS)
+        assert fsyncs == [] and repo.all_records() == []  # written, neither durable nor visible
+        repo.flush()
+        assert fsyncs == [inode(repo.path)] and len(repo.all_records()) == 6
+        repo.flush()
+        assert fsyncs == [inode(repo.path)]
+        repo.close()
 
     def test_reopen_and_close_without_writes_does_not_fsync(self, tmp_path, fsyncs):
         Repository(tmp_path / "s").close()
@@ -376,6 +396,7 @@ class TestQueryVisibility:
         try:
             for k in range(400):
                 repo.ingest_batch(payload(1 + 5 * k, [(1, 5)] * 5, ts=1000 + k), 1, CONSTANTS)
+                repo.flush()
         finally:
             done.set()
             thread.join()
@@ -469,6 +490,7 @@ def test_repository_matches_reference_model(ops, data):
                         continue
                     node, p = sent[op[1] % len(sent)] if op[0] == "retransmit" else sent[-1]
                     assert repo.ingest_batch(p, node, CONSTANTS) == ref.ingest(p, node)
+                    repo.flush()  # as the station does before acknowledging the batch
                 elif op[0] == "reopen":
                     repo.close()
                     if op[1]:
@@ -508,7 +530,7 @@ def test_repository_matches_reference_model(ops, data):
 
 
 def oracle_ingest(repo, p, node_id, constants):
-    """``ingest_batch`` as one record at a time: calibrate, append, then one flush."""
+    """``ingest_batch`` as one record at a time: calibrate, then append."""
     raws = []
     for i, (code, value) in enumerate(p.readings):
         kind = SensorKind.from_code(code)
@@ -520,8 +542,6 @@ def oracle_ingest(repo, p, node_id, constants):
         rec = calibrate(r, constants[r.sensor])
         if append(repo, rec):
             stored.append(rec)
-    if stored:
-        repo.flush()
     return stored
 
 
@@ -561,6 +581,8 @@ class TestOnePassIngestMatchesRecordAtATime:
             assert len(one_pass) == len(oracle)
             for n in (1, 2, 3):
                 assert one_pass.seq_runs(n) == oracle.seq_runs(n)
+            one_pass.flush()
+            oracle.flush()
             assert one_pass.path.read_bytes() == oracle.path.read_bytes()
         one_pass.close()
         oracle.close()

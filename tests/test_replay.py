@@ -488,7 +488,7 @@ class TestLateHeavyReplay:
         records = sim.server.repo.all_records()
         assert summary.records_stored == summary.readings_generated == len(records)
         assert len({(r.node_id, r.seq) for r in records}) == len(records)
-        fresh = AlertEngine(config.thresholds, config.analysis, None)
+        fresh = AlertEngine(config.thresholds, config.analysis)
         fresh.observe(sorted(records, key=lambda r: (r.timestamp, r.node_id, r.seq)))
         assert repr(sim.server.alert_engine.snapshots()) == repr(fresh.snapshots())
         assert digests == LATE_HEAVY_DIGESTS[seed]

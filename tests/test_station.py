@@ -1,9 +1,11 @@
-"""Station engine: malformed payloads inside frames with a valid CRC."""
+"""Station engine: malformed payloads inside frames with a valid CRC, and
+the order of a batch's effects: judged, made durable, then notified and acked."""
 
 from pathlib import Path
 
 import pytest
 
+from slopewatch import ingest as ingest_module
 from slopewatch import wire
 from slopewatch.alert import AlertEngine, Dispatcher
 from slopewatch.config import load_config
@@ -29,7 +31,7 @@ class NullSink:
 def engine(tmp_path):
     cfg = load_config(DEMO)
     repo = Repository(tmp_path / "store", durable=False)
-    yield ServerEngine(repo, cfg.calibration, AlertEngine(cfg.thresholds, cfg.analysis, Dispatcher([NullSink()])))
+    yield ServerEngine(repo, cfg.calibration, AlertEngine(cfg.thresholds, cfg.analysis), Dispatcher([NullSink()]))
     repo.close()
 
 
@@ -99,3 +101,85 @@ def test_malformed_req_conn_is_a_violation(engine, payload):
     assert engine.sessions[NODE].phase is ServerPhase.KNOWN_CLIENT
     # No session id was spent on it.
     assert connect(engine) == 1
+
+
+# Calibrated with demo.ini: 20 mm of rain and a 5 degree tilt (YELLOW), and
+# the same with 60 kPa of pore pressure and 10 mm of displacement (RED).
+RAIN_AND_TILT = READINGS
+STORM = ((1, 100), (2, 6000), (3, 1000), (4, 400), (5, 500))
+
+
+class TestEffectOrder:
+    """Per stored batch: ingest, judge, one fsync, then its notifications,
+    then its DATA_ACK. Effects are logged as they happen; an ack when
+    ``handle_data_frame`` returns it."""
+
+    @pytest.fixture
+    def station(self, tmp_path, monkeypatch):
+        effects = []
+        fsync, evaluate_batch, dispatch = ingest_module.os.fsync, AlertEngine.evaluate_batch, Dispatcher.dispatch
+
+        def logged_fsync(fd):
+            effects.append("fsync")
+            fsync(fd)
+
+        def logged_evaluate_batch(alert_engine, records):
+            effects.append(("judge", [r.seq for r in records]))
+            return evaluate_batch(alert_engine, records)
+
+        def logged_dispatch(dispatcher, note):
+            effects.append(("notify", note.level.name))
+            return dispatch(dispatcher, note)
+
+        monkeypatch.setattr(ingest_module.os, "fsync", logged_fsync)
+        monkeypatch.setattr(AlertEngine, "evaluate_batch", logged_evaluate_batch)
+        monkeypatch.setattr(Dispatcher, "dispatch", logged_dispatch)
+        cfg = load_config(DEMO)
+        repo = Repository(tmp_path / "store")  # durable
+        engine = ServerEngine(repo, cfg.calibration, AlertEngine(cfg.thresholds, cfg.analysis), Dispatcher([NullSink()]))
+        session_id = connect(engine)
+        effects.clear()  # the new store's directory fsyncs
+
+        def send(seq: int, readings=RAIN_AND_TILT) -> None:
+            payload = SendDataPayload(session_id, seq, TS + seq, readings)
+            out = engine.handle_data_frame(Frame(MessageType.SEND_DATA, wire.encode_senddata(payload)))
+            effects.extend(("ack", wire.decode_dataack(f.payload)) for f in out if f.msg_type is MessageType.DATA_ACK)
+
+        yield engine, send, effects
+        repo.close()
+
+    def test_judged_before_the_fsync_and_notified_and_acked_after_it(self, station):
+        engine, send, effects = station
+        send(0)
+        send(5, STORM)
+        send(0)  # an all-duplicate retransmit, with nothing pending: no fsync
+        send(10, STORM)  # stored, but the ladder stays RED: no notification
+        assert effects == [
+            ("judge", [0, 1, 2, 3, 4]), "fsync", ("notify", "YELLOW"), ("ack", 0),
+            ("judge", [5, 6, 7, 8, 9]), "fsync", ("notify", "RED"), ("ack", 5),
+            ("judge", []), ("ack", 0),
+            ("judge", [10, 11, 12, 13, 14]), "fsync", ("ack", 10),
+        ]
+        assert engine.repo.seq_runs(NODE) == [(0, 14)]
+
+    def test_a_batch_whose_judgement_raises_is_not_acked_and_synced_before_the_next_ack(self, station, monkeypatch):
+        engine, send, effects = station
+        evaluate_batch = AlertEngine.evaluate_batch
+
+        def failing(alert_engine, records):
+            evaluate_batch(alert_engine, records)  # logged
+            raise RuntimeError("judgement failed")
+
+        monkeypatch.setattr(AlertEngine, "evaluate_batch", failing)
+        with pytest.raises(RuntimeError):
+            send(0)
+        monkeypatch.setattr(AlertEngine, "evaluate_batch", evaluate_batch)
+        assert effects == [("judge", [0, 1, 2, 3, 4])]  # no fsync, no notification, no ack
+        send(5, STORM)  # one fsync covers both batches' rows
+        send(0)  # the retransmit is all duplicates, and nothing is pending
+        assert effects == [
+            ("judge", [0, 1, 2, 3, 4]),
+            ("judge", [5, 6, 7, 8, 9]), "fsync", ("notify", "RED"), ("ack", 5),
+            ("judge", []), ("ack", 0),
+        ]
+        assert [r.seq for r in engine.repo.all_records()] == list(range(10))
