@@ -26,7 +26,7 @@ and the rest of the frame, which the station runs before its one fsync.
 Each figure is the best of ``--rounds`` rounds, each pass on a freshly
 filled station.
 
-Three streams of batches, one reading per sensor each, alternated round by round:
+Four streams of batches, one reading per sensor each, alternated round by round:
 
 * ``600s``: a batch every 600 s, rain raw mostly 0 (0, 0, 0, 1, 2 or 5);
 * ``hourly``: a batch every hour with raws drawn uniformly from the ranges
@@ -37,7 +37,11 @@ Three streams of batches, one reading per sensor each, alternated round by round
   (55-70 kPa), displacement and inclination (6-9) over their ``demo.ini``
   thresholds, so the ladder is at RED from the first batch on. A frame
   there is a settled one: no forecast can move the level, so it refits
-  nothing, and its AR solves per frame are 0.
+  nothing, and its AR solves per frame are 0;
+* ``steady``: a batch every hour from a stable slope in a dry spell: rain
+  raw 0 and each other sensor at one fixed raw, so the ladder stays at
+  GREEN and every window is flat. Each changed series is forecast in
+  closed form, with no LAPACK call: its AR solves per frame are 0.
 """
 
 import argparse
@@ -87,6 +91,15 @@ STREAMS = {
         SensorKind.EXTENSOMETER: lambda rng: rng.randint(600, 900),
         SensorKind.INCLINOMETER: lambda rng: rng.randint(600, 900),
         SensorKind.TILTMETER: lambda rng: rng.randint(140, 160),
+    }),
+    # One raw each, whose calibrated value (20.0, 0.5, 2.0, 1.5) sums exactly
+    # over any window length, so every window is flat.
+    "steady": (3600, {
+        SensorKind.RAIN_GAUGE: lambda rng: 0,
+        SensorKind.PIEZOMETER: lambda rng: 2000,
+        SensorKind.EXTENSOMETER: lambda rng: 50,
+        SensorKind.INCLINOMETER: lambda rng: 200,
+        SensorKind.TILTMETER: lambda rng: 150,
     }),
 }
 

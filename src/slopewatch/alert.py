@@ -35,6 +35,7 @@ from slopewatch.analytics import (
     RainEvent,
     ar_forecast_max_rows,
     exceeds_caine,
+    flat_forecast_max,
     last_event,
     median_of_sorted,
 )
@@ -578,10 +579,17 @@ class AlertEngine:
     and only when a decision or ``snapshots()`` needs it: above GREEN, a
     batch that no forecast could move off the active level refits nothing
     (``evaluate_batch``). A forecast depends only on its window, so a
-    later refit gives the value an immediate one would have. The series
-    refitted together are solved with one stacked LAPACK call per
-    distinct length, so a five-sensor batch over full windows makes one
-    call, not five.
+    later refit gives the value an immediate one would have. A series is
+    flat when it holds at least ``2·ar_order + 2`` values, all equal to a
+    finite ``v``, and its sum over its length, as the solver computes the
+    mean, is ``v`` exactly. Its forecast is then known without a fit: the
+    centred series is all zeros, so LAPACK returns zero coefficients and
+    every step of the recursion gives the mean, ``v + 0.0``
+    (``flat_forecast_max``). A batch first gives each series it changed
+    that is flat that forecast and takes it out of the dirty set, so a
+    steady sensor never keeps the bounds apart. The series refitted
+    together are solved with one stacked LAPACK call per distinct length,
+    so a five-sensor batch over full windows makes one call, not five.
     For rain the engine also keeps the hourly bins, the sorted gaps
     between neighbouring samples (their median is the sampling interval)
     and the window's last rain event as (first wet time, last wet time,
@@ -608,6 +616,7 @@ class AlertEngine:
         self._rain = self._series["rain"]  # (ts, mm)
         self._forecast: dict[str, float | None] = dict.fromkeys(self._series)
         self._dirty = set(self._series)  # series whose forecast is out of date
+        self._changed: set[str] = set()  # dirty series changed since they were last tested for flatness
         # The threshold each series' forecast is judged against.
         self._limits = {
             "rain": thresholds.mt_rain_mm_per_h,
@@ -619,6 +628,11 @@ class AlertEngine:
         self._unjudged = True  # readings observed since the last evaluation, or none evaluated yet
         # mm of the rain samples in each hour from the window's first to its last.
         self._bins = _Columns(1)
+        # The (columns, row) each series' forecast is fitted to. Rain is
+        # forecast on its hourly accumulation bins, which are already mm/h.
+        self._inputs = {
+            key: (self._bins, 0) if key == "rain" else (window, 1) for key, window in self._series.items()
+        }
         self._first_hour = 0
         self._rain_gaps: list[float] = []  # sorted positive gaps between neighbouring rain samples
         self._dry_gap = analysis.dry_gap_h * 3600.0
@@ -638,7 +652,7 @@ class AlertEngine:
         inserted where a sorted list of (time, value) pairs would put it,
         and a rain one then has the rain state rebuilt by ``_rebuild_rain``.
         """
-        series, dirty, cap, now = self._series, self._dirty, self.analysis.max_window_samples, self.now
+        series, changed, cap, now = self._series, self._changed, self.analysis.max_window_samples, self.now
         rain = self._rain
         rec = None
         for rec in records:
@@ -654,9 +668,10 @@ class AlertEngine:
                 window.insert_sorted(t, rec.value, cap)
                 if window is rain:
                     self._rebuild_rain()
-            dirty.add(key)
+            changed.add(key)
             if t > now:
                 now = t
+        self._dirty |= changed
         if rec is not None:  # ``records`` may be any iterable, an empty generator too
             self._unjudged = True
         self.now = now
@@ -807,17 +822,45 @@ class AlertEngine:
         hi = window.hi
         return window.buf.item(1, hi - 1) if hi > window.lo else None
 
+    def _settle_flat(self) -> None:
+        """Test each series changed since its last test: a flat one gets its
+        forecast without a solve and leaves the dirty set."""
+        order = self.analysis.ar_order
+        for key in self._changed:
+            columns, r = self._inputs[key]
+            buf, lo, hi = columns.buf, columns.lo, columns.hi
+            # The newest value unequal to the one before it or to the oldest,
+            # the usual case, rules flatness out without a view.
+            if hi - lo < 2 * order + 2:
+                continue
+            v = buf.item(r, hi - 1)
+            if buf.item(r, hi - 2) != v or buf.item(r, lo) != v:
+                continue
+            top = flat_forecast_max(buf[r, lo:hi], order)
+            if top is not None:
+                self._forecast[key] = top
+                self._dirty.discard(key)
+        self._changed.clear()
+
     def _refit(self) -> None:
-        """Refit the forecast of every dirty series. Dirty series of one
-        length are forecast together, in one stacked solve."""
+        """Refit the forecast of every dirty series.
+
+        A flat series (at least ``2·ar_order + 2`` values, all one finite
+        ``v``, whose sum over its length is ``v`` exactly) is forecast in
+        closed form, ``v + 0.0``, by ``flat_forecast_max``: its centred
+        series is all zeros, so LAPACK's coefficients are zero and every
+        step of the recursion gives the mean. That is the solver's value
+        bit for bit. Only the series changed since their last test are
+        tested; the others were found not flat. The other dirty series of
+        one length are forecast together, in one stacked solve."""
+        self._settle_flat()
         if not self._dirty:
             return
         order = self.analysis.ar_order
         by_length: dict[int, dict[str, np.ndarray]] = {}
-        for key, window in self._series.items():
+        for key, (columns, r) in self._inputs.items():
             if key in self._dirty:
-                # Rain is forecast on its hourly accumulation bins, which are already mm/h.
-                values = self._bins.row(0) if key == "rain" else window.row(1)
+                values = columns.row(r)
                 if len(values) < 2 * order + 2:
                     self._forecast[key] = None  # too short for an AR(order) fit
                 else:
@@ -862,16 +905,19 @@ class AlertEngine:
         """Observe new records, judge them and step the ladder; returns the
         notifications of a transition, for the caller to send.
 
-        The current values' exceedances are computed once per batch. A
-        batch whose level is the active one, with no de-escalation hold
-        running, leaves the ladder where it is and notifies nobody, so it is
-        judged on that level alone. Above GREEN, that level is first bounded
-        without a refit: with every dirty series' forecast as never
-        exceeding and as always exceeding. If both bounds are the active
-        level, the batch is settled and the dirty series stay dirty, to be
-        refitted from their windows by the next batch or ``snapshots()``
-        that needs them. At GREEN any dirty forecast could give a
-        uni-parameter YELLOW, so the bounds could never agree there.
+        Each series this batch changed whose values are flat first gets
+        its forecast in closed form and is no longer dirty (see
+        ``_refit``). The current values' exceedances are computed once
+        per batch. A batch whose level is the active one, with no
+        de-escalation hold running, leaves the ladder where it is and
+        notifies nobody, so it is judged on that level alone. Above GREEN,
+        that level is first bounded without a refit: with every dirty
+        series' forecast as never exceeding and as always exceeding. If
+        both bounds are the active level, the batch is settled and the
+        dirty series stay dirty, to be refitted from their windows by the
+        next batch or ``snapshots()`` that needs them. At GREEN any dirty
+        forecast could give a uni-parameter YELLOW, so the bounds could
+        never agree there.
         """
         self.observe(records)
         if not self._unjudged:
@@ -879,6 +925,7 @@ class AlertEngine:
             # previous ones, and stepping the ladder again on them is a no-op.
             return []
         self._unjudged = False
+        self._settle_flat()
         current, state, th = self._current_snapshot(), self.state, self.thresholds
         now_level = _level(_exceedances(current, th, use_caine=True))
         active, holding = state.active_level, state.below_since is not None

@@ -340,6 +340,35 @@ def ar_forecast_max_rows(series: list, order: int, horizon: int) -> list[float |
     return out
 
 
+def flat_forecast_max(values: np.ndarray, order: int) -> float | None:
+    """``ar_forecast_max_rows``'s value for a flat window, found without a
+    solve; None if the window is not flat.
+
+    A window is flat when it holds at least ``2 * order + 2`` values, each
+    equal to the first, ``v``, which is finite, and the mean the solver
+    centres by (``np.add.reduce`` of the row, as ``_finite_rows`` sums it,
+    over its length) is ``v`` exactly. Its centred series is then all
+    zeros, so every least-squares target is zero and ``gelsd`` returns
+    zero coefficients; the intercept is the mean, and each step of the
+    recursion gives ``mean + 0.0``. So the forecast maximum is ``v + 0.0``
+    for every order and horizon. Equal values whose sum rounds (0.4 over
+    some lengths) have an inexact mean and a nonzero centred series: they
+    are not flat. ``values`` is a 1-D float64 array.
+    """
+    n = len(values)
+    if n < 2 * order + 2:
+        return None
+    v = values.item(0)
+    if (
+        values.item(n - 1) != v  # the usual way out, before any scan
+        or not math.isfinite(v)
+        or not (values == v).all()
+        or float(np.add.reduce(values)) / n != v
+    ):
+        return None
+    return v + 0.0
+
+
 def ar_forecast_max(series: list[float] | np.ndarray, order: int, horizon: int) -> float:
     """Largest value of the h-step forecast from an AR(p) fit of the series.
 

@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
 import random
 import threading
 from dataclasses import dataclass
@@ -494,14 +495,20 @@ def evaluate_spied(engine: AlertEngine, batch) -> list[tuple[ValueSnapshot, Valu
 
 # One stream step: (sensor, how time moves, seconds, value). "step" advances
 # the clock by 600-5400 s, "gap" by several hours, "same" repeats the latest
-# timestamp and "back" goes into the past without moving the clock.
+# timestamp and "back" goes into the past without moving the clock. A value
+# of None repeats the sensor's previous one, so that runs of one value make
+# windows flat, and a later value makes them not flat again.
 _STEPS = st.tuples(
     st.sampled_from([RAIN] * 5 + [PIEZO, EXTENSO, INCLINO, TILT]),
     st.sampled_from(["step"] * 6 + ["gap", "same", "back", "back"]),
     st.integers(600, 5400),
     st.one_of(
-        st.sampled_from([0.0, 0.0, 0.2, 0.4, 1.0, 3.0, 8.6, 42.0]),
+        st.sampled_from([0.0, 0.0, 0.2, 0.4, 1.0, 3.0, 8.6, 20.0, 42.0]),
         st.floats(-20.0, 120.0, allow_nan=False, allow_infinity=False),
+        st.none(),
+        st.none(),
+        st.none(),
+        st.none(),
     ),
 )
 
@@ -513,8 +520,9 @@ SMALL_CAPS = st.integers(4, 16)
 
 
 def build_stream(steps) -> list[CalibratedReading]:
-    clock, records = T0, []
+    clock, records, last = T0, [], {}
     for seq, (kind, move, seconds, value) in enumerate(steps):
+        value = last[kind] = last.get(kind, 0.0) if value is None else value
         if move == "step":
             clock += seconds
         elif move == "gap":
@@ -668,26 +676,47 @@ def five_sensor_stream(ticks: int, seed: int) -> list[CalibratedReading]:
     return records
 
 
-def assert_one_solve_per_length(records, analysis: AnalysisConfig, batch_sizes) -> list[int]:
-    """Each batch and a ``snapshots()`` after it make one LAPACK call per
-    distinct length of the forecast inputs the batch changed, skipping those
-    too short to fit; returns the stack heights of the calls. A batch that
-    settles on bounds leaves its refits to that ``snapshots()``."""
-    engine = AlertEngine(TH, analysis)
-    reference = ScratchReference(analysis, TH.prediction_horizon)
-    heights = []
+def counting_gelsd(heights: list):
+    """Patch ``analytics._gelsd`` to append the stack height of every LAPACK call to ``heights``."""
     gelsd = analytics._gelsd
 
     def counted(a, *args, **kwargs):
         heights.append(a.shape[0])
         return gelsd(a, *args, **kwargs)
 
+    return mock.patch.object(analytics, "_gelsd", counted)
+
+
+def is_flat(values: list[float], order: int) -> bool:
+    """Whether an AR(order) fit of ``values`` has zero coefficients without
+    a solve: at least ``2 * order + 2`` values, all one finite ``v``, whose
+    sum as the solver takes it (``np.add.reduce`` over a stack), over their
+    count, is ``v``."""
+    n = len(values)
+    return (
+        n >= 2 * order + 2
+        and math.isfinite(values[0])
+        and all(v == values[0] for v in values)
+        and float(np.add.reduce(np.array([values]), axis=1)[0]) / n == values[0]
+    )
+
+
+def assert_one_solve_per_length(records, analysis: AnalysisConfig, batch_sizes) -> list[int]:
+    """Each batch and a ``snapshots()`` after it make one LAPACK call per
+    distinct length of the forecast inputs the batch changed, skipping those
+    too short to fit and the flat ones; returns the stack heights of the
+    calls. A batch that settles on bounds leaves its refits to that
+    ``snapshots()``."""
+    engine = AlertEngine(TH, analysis)
+    reference = ScratchReference(analysis, TH.prediction_horizon)
+    heights = []
     changed = set(FIVE_SENSORS)  # the first batch refits every series
-    with mock.patch.object(analytics, "_gelsd", counted):
+    with counting_gelsd(heights):
         for batch in batched(records, batch_sizes):
             reference.observe(batch)
             changed.update(r.sensor for r in batch)
-            lengths = {len(reference.forecast_input(kind)) for kind in changed}
+            inputs = [reference.forecast_input(kind) for kind in changed]
+            lengths = {len(values) for values in inputs if not is_flat(values, analysis.ar_order)}
             before = len(heights)
             engine.evaluate_batch(batch)
             engine.snapshots()
@@ -1138,16 +1167,18 @@ class TestLevelOnlyJudgement:
 # ---------------------------------------------------------------------------
 
 
-def hourly_batches(phases) -> list[list[CalibratedReading]]:
+def hourly_batches(phases, steady=()) -> list[list[CalibratedReading]]:
     """One batch an hour. Each phase is (hours, {sensor: value}); a batch
     holds a reading of each of the phase's sensors, its value moved by a
-    few tenths from hour to hour, so that every window fits an AR model."""
+    few tenths from hour to hour, so that every window fits an AR model,
+    but for the sensors in ``steady``, which read their value unmoved."""
     batches, hour = [], 0
     for hours, values in phases:
         for _ in range(hours):
             hour += 1
+            moved = 0.1 * (hour % 4)
             batches.append([
-                CalibratedReading(1, T0 + 3600 * hour, kind, value + 0.1 * (hour % 4), 100 * hour + k)
+                CalibratedReading(1, T0 + 3600 * hour, kind, value + (0.0 if kind in steady else moved), 100 * hour + k)
                 for k, (kind, value) in enumerate(values.items())
             ])
     return batches
@@ -1216,3 +1247,102 @@ class TestDeferredRefits:
         engine, _, solves = self.run(batches, set())
         assert engine.state.active_level is G
         assert all(solves[k] > 0 for k in range(5, 30))  # once the windows hold 6 samples
+
+
+# ---------------------------------------------------------------------------
+# Flat windows forecast without a solve
+# ---------------------------------------------------------------------------
+
+
+# Values whose sum over any window length up to 512 is exact, so each
+# steady window is flat once it holds the 2·ar_order + 2 values a fit needs.
+STEADY = {RAIN: 0.0, PIEZO: 20.0, EXTENSO: 1.0, INCLINO: 0.5, TILT: 0.75}
+
+
+# Runs of readings of one value from one sensor, (sensor, value, readings),
+# an hour apart: a window turns flat during a long run and stops being flat
+# when a run of another value reaches it. Over some lengths the sums of 0.4
+# and 8.6 do not divide back to the value, and those windows are solved.
+FLAT_RUNS = st.lists(
+    st.tuples(st.sampled_from(FIVE_SENSORS), st.sampled_from([0.0, 0.4, 8.6, 20.0]), st.integers(1, 20)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def run_stream(runs) -> list[CalibratedReading]:
+    records, hour = [], 0
+    for kind, value, readings in runs:
+        for _ in range(readings):
+            hour += 1
+            records.append(CalibratedReading(1, T0 + 3600 * hour, kind, value, len(records)))
+    return records
+
+
+class TestFlatWindows:
+    """A dirty series whose values are flat gets its forecast in closed
+    form, bit for bit the solver's, and leaves the dirty set before the
+    ladder is bounded."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=FLAT_RUNS,
+        batch_sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        cap=st.sampled_from([8, 16, 512]),
+        ar_order=st.sampled_from([1, 2]),
+    )
+    def test_runs_of_one_value(self, runs, batch_sizes, cap, ar_order):
+        # The snapshots equal a from-scratch evaluation after every batch,
+        # and only the changed series that are not flat are solved.
+        analysis = AnalysisConfig(ar_order=ar_order, max_window_samples=cap)
+        records = run_stream(runs)
+        assert_matches_reference(records, analysis, batch_sizes)
+        assert_one_solve_per_length(records, analysis, batch_sizes)
+
+    def test_green_batches_of_flat_series_make_no_solve(self):
+        analysis = AnalysisConfig()
+        engine = AlertEngine(TH, analysis)
+        reference = ScratchReference(analysis, TH.prediction_horizon)
+        calls = []
+        for batch in hourly_batches([(30, STEADY)], steady=STEADY):
+            with counting_gelsd(calls):  # the reference's fits are not counted
+                engine.evaluate_batch(batch)
+                snapshots = engine.snapshots()
+            reference.observe(batch)
+            assert engine.state.active_level is G and not engine._dirty
+            assert repr(snapshots) == repr((reference.current(), reference.predicted()))
+        assert calls == []
+        assert engine.snapshots()[1] == ValueSnapshot(0.0, 20.0, 1.0, 0.5, 0.75)
+
+    def test_orange_with_a_flat_extensometer_settles(self):
+        # The extensometer reads 1.0 mm throughout. At ORANGE the batches
+        # dirty rain, pore pressure and the extensometer; its flat window is
+        # forecast at 1.0 without a solve, so no forecast can give RED and
+        # every batch after the escalation settles on the bounds.
+        quiet = {**QUIET, EXTENSO: 1.0}
+        storm = {RAIN: 8.0, PIEZO: 70.0, EXTENSO: 1.0}
+        batches = hourly_batches([(12, quiet), (20, storm)], steady={EXTENSO})
+        engine, built, solves = TestDeferredRefits.run(batches, {"rain", "pore"})
+        assert engine.timeline == [(batches[12][0].timestamp, O)]
+        assert solves[12] > 0
+        assert solves[13:] == [0] * 19 and not any(built[13:])
+
+    def test_flat_rain_bins_with_an_inexact_mean_still_solve(self):
+        # 0.4 mm every hour gives bins of 0.4, but over 6, 7, 12, ... hours
+        # their sum does not divide back to 0.4: those windows are solved.
+        analysis = AnalysisConfig()
+        engine = AlertEngine(TH, analysis)
+        reference = ScratchReference(analysis, TH.prediction_horizon)
+        calls, solved = [], []
+        for hour in range(1, 41):
+            batch = [CalibratedReading(1, T0 + 3600 * hour, RAIN, 0.4, hour)]
+            with counting_gelsd(calls):
+                engine.evaluate_batch(batch)
+                snapshots = engine.snapshots()
+            if calls:
+                solved.append(hour)
+                calls.clear()
+            reference.observe(batch)
+            assert repr(snapshots) == repr((reference.current(), reference.predicted()))
+        assert solved == [n for n in range(6, 41) if float(np.add.reduce(np.full(n, 0.4))) / n != 0.4]
+        assert solved[:4] == [6, 7, 12, 13]

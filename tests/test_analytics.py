@@ -33,6 +33,7 @@ from slopewatch.analytics import (
     ar_forecast_max_rows,
     caine_threshold,
     exceeds_caine,
+    flat_forecast_max,
     median_of_sorted,
     segment_events,
 )
@@ -622,3 +623,72 @@ class TestStackedArKernel:
                 results.append(ar_forecast_max_rows(form, order, horizon))
                 assert len(calls) == 1
         assert results[0] == results[1] == results[2]
+
+
+FLAT_VALUES = [0.0, -0.0, 5e-324, 1e-310, 0.5, 20.0, 0.4, -3.5, 1e300, math.inf, -math.inf, math.nan]
+
+
+def solver_mean(window) -> float:
+    """The mean the solver centres a series by: its ``np.add.reduce`` over a stack, over its length."""
+    return float(np.add.reduce(np.array([window]), axis=1)[0]) / len(window)
+
+
+class TestFlatForecast:
+    """A window of one finite value whose solver mean is that value has the
+    forecast maximum ``v + 0.0``, which ``flat_forecast_max`` gives without a
+    solve and bit for bit as ``ar_forecast_max_rows`` computes it."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_the_solver_on_every_length(self, order):
+        # Each window is a view into a wider buffer whose other columns are
+        # not the window's value; each is solved alone and in one stack.
+        width, pad = 512, 3
+        buffer = np.full((len(FLAT_VALUES), width + 2 * pad), 7.25)
+        inexact = {v: 0 for v in FLAT_VALUES if math.isfinite(v)}
+        for n in range(2 * order + 1, width + 1):
+            for row, v in zip(buffer, FLAT_VALUES):
+                row[pad : pad + n] = v
+            windows = list(buffer[:, pad : pad + n])
+            got = [flat_forecast_max(w, order) for w in windows]
+            if n < 2 * order + 2:
+                assert got == [None] * len(windows)
+                assert outcome(ar_forecast_max_rows, windows[:1], order, 1) is InsufficientDataError
+                continue
+            for horizon in (1, 6):
+                stacked = ar_forecast_max_rows(windows, order, horizon)
+                for w, v, top, solved in zip(windows, FLAT_VALUES, got, stacked):
+                    flat = math.isfinite(v) and solver_mean(w) == v
+                    assert (top is not None) == flat, (v, n)
+                    if flat:
+                        (alone,) = ar_forecast_max_rows([w], order, horizon)
+                        assert repr(top) == repr(solved) == repr(alone) == repr(v + 0.0), (v, n, horizon)
+                    elif math.isfinite(v) and horizon == 1:
+                        inexact[v] += 1
+        # 0.4 and 1e300 times a length may round, so their means are sometimes
+        # inexact; the dyadic values, zeros and subnormals never are.
+        assert inexact[0.4] > 0 and inexact[1e300] > 0
+        assert all(inexact[v] == 0 for v in (0.0, -0.0, 5e-324, 1e-310, 0.5, 20.0, -3.5))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [6, 7, 40, 512])
+    def test_one_other_value_anywhere_is_not_flat(self, order, n):
+        for at in (0, n // 2, n - 1):
+            for other in (20.5, -0.5, math.nan, math.inf):
+                window = np.full(n, 20.0)
+                window[at] = other
+                assert flat_forecast_max(window, order) is None, (at, other)
+
+    @pytest.mark.parametrize("n", [6, 9, 64])
+    def test_mixed_signed_zeros_are_flat(self, n):
+        window = np.zeros(n)
+        window[1::2] = -0.0
+        for start in (window, -window):
+            for horizon in (1, 6):
+                (solved,) = ar_forecast_max_rows([start], 2, horizon)
+                assert repr(flat_forecast_max(start, 2)) == repr(solved) == "0.0"
+
+    def test_inexact_mean_is_not_flat(self):
+        window = np.full(7, 0.4)
+        assert solver_mean(window) != 0.4
+        assert flat_forecast_max(window, 2) is None
+        assert flat_forecast_max(np.full(8, 0.4), 2) == 0.4  # 8 x 0.4 sums exactly
